@@ -181,6 +181,37 @@ def test_run_workers_env_override(tmp_path, capsys, monkeypatch):
     assert (out / "metrics.csv").read_bytes() == (ref / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
+    path = tiny_config_file(tmp_path)
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(path), "--out", str(out), "--workers", workers
+    )
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("workers:")
+    assert not out.exists()
+
+
+def test_run_writes_same_bytes_for_any_worker_count(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, checkpoint_every=2)
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        code, _, _ = run_cli(
+            capsys, "run", "--config", str(path), "--out", str(out), "--workers", workers
+        )
+        assert code == 0
+        outs[workers] = {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "result.json"
+        }
+    assert "checkpoints/round_000004.json" in outs["1"]
+    assert outs["2"] == outs["1"]
+
+
 def test_run_resume_completes_partial_run(tmp_path, capsys):
     path = tiny_config_file(tmp_path, checkpoint_every=1)
     full, part = tmp_path / "full", tmp_path / "part"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -229,6 +230,21 @@ def test_curves_csv_layout(tmp_path):
     assert lines[0] == "algorithm,round,iqm,iqr_low,iqr_high"
     assert lines[1] == "rs,1,1.0,0.5,1.5"
     assert lines[2] == "rs,2,2.0,1.5,2.5"
+
+
+def test_report_and_curves_csv_quote_labels_with_commas(tmp_path):
+    label = "mfpbt[deltas=1-4-8-16,sym]"
+    report, curves = tmp_path / "report.csv", tmp_path / "curves.csv"
+    write_report_csv(report, compare_final({label: [1.0, 2.0], "rs": [0.5, 0.5]}))
+    write_curves_csv(curves, [AggregateCurve(label, (1,), (1.0,), (0.5,), (1.5,))])
+    with open(report, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == [label, "2", "1.5", "1.25", "1.75", "1"]
+    assert all(len(r) == 6 for r in rows)
+    with open(curves, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["algorithm", "round", "iqm", "iqr_low", "iqr_high"],
+                    [label, "1", "1.0", "0.5", "1.5"]]
 
 
 def test_render_table_contains_all_algorithms():
