@@ -9,6 +9,7 @@ band" when its IQM is at least the best algorithm's lower band edge.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -148,35 +149,21 @@ def _fmt(x: float) -> str:
 
 
 def write_report_csv(path, summaries: Sequence[AlgorithmSummary]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("algorithm,num_runs,iqm,iqr_low,iqr_high,within_best_iqr\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["algorithm", "num_runs", "iqm", "iqr_low", "iqr_high", "within_best_iqr"])
         for s in summaries:
-            fh.write(
-                ",".join(
-                    [
-                        s.name,
-                        str(s.num_runs),
-                        _fmt(s.iqm),
-                        _fmt(s.iqr_low),
-                        _fmt(s.iqr_high),
-                        "1" if s.within_best_iqr else "0",
-                    ]
-                )
-                + "\n"
-            )
+            out.writerow([s.name, s.num_runs, _fmt(s.iqm), _fmt(s.iqr_low), _fmt(s.iqr_high),
+                          "1" if s.within_best_iqr else "0"])
 
 
 def write_curves_csv(path, curves: Sequence[AggregateCurve]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("algorithm,round,iqm,iqr_low,iqr_high\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["algorithm", "round", "iqm", "iqr_low", "iqr_high"])
         for c in curves:
             for i, r in enumerate(c.rounds):
-                fh.write(
-                    ",".join(
-                        [c.name, str(r), _fmt(c.iqm[i]), _fmt(c.iqr_low[i]), _fmt(c.iqr_high[i])]
-                    )
-                    + "\n"
-                )
+                out.writerow([c.name, r, _fmt(c.iqm[i]), _fmt(c.iqr_low[i]), _fmt(c.iqr_high[i])])
 
 
 def render_table(summaries: Sequence[AlgorithmSummary]) -> str:
