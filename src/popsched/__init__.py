@@ -47,7 +47,6 @@ from .runner import (
     ExperimentConfig,
     ExperimentResult,
     MetricRow,
-    evaluate_all,
     load_run_config,
     read_metrics,
     run_experiment,
@@ -114,7 +113,6 @@ __all__ = [
     "build_trainable",
     "compare_final",
     "compute_brackets",
-    "evaluate_all",
     "exploit",
     "explore_perturb",
     "get_preset",

@@ -8,13 +8,12 @@ half (capped at the archive capacity) with elite clones.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import AgentState, ConfigError, HyperparamVector, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
-from .trainables import transfer_weights
+from .trainables import Trainable, build_trainable, transfer_weights
 
 
 def rs_round(population: Population, round_no: int) -> list[EvolutionEvent]:
@@ -24,7 +23,7 @@ def rs_round(population: Population, round_no: int) -> list[EvolutionEvent]:
 
 @dataclass(frozen=True)
 class EliteEntry:
-    """Deep-copied snapshot of one agent at one round."""
+    """Exported payload of one agent at one round."""
 
     payload: dict
     hyperparams: HyperparamVector
@@ -32,12 +31,19 @@ class EliteEntry:
     agent_id: int
     round: int
 
+    def restore_weights(self, target: Trainable) -> None:
+        """Copy this snapshot's weights into a live trainable; its streams stay."""
+        source = build_trainable({"kind": self.payload["kind"]})
+        source.import_payload(self.payload)
+        transfer_weights(source, target)
+
 
 class EliteArchive:
     """The capacity best (round, agent) snapshots observed so far.
 
     Ordered best first; ties prefer the lower agent id, then the earlier
-    round. Entries are deep copies, so later training cannot corrupt them.
+    round. Entries hold exported payloads, so later training cannot
+    corrupt them.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -47,22 +53,26 @@ class EliteArchive:
         self.entries: list[EliteEntry] = []
 
     def update(self, agents: Sequence[AgentState], round_no: int) -> None:
-        """Merge this round's snapshots and keep the top capacity."""
-        merged = list(self.entries)
+        """Merge this round's snapshots and keep the top capacity.
+
+        Only the snapshots that make the cut are exported.
+        """
         for a in agents:
             if a.snapshot_fitness is None:
                 raise ValueError(f"agent {a.agent_id} has no snapshot fitness")
-            merged.append(
-                EliteEntry(
-                    payload=copy.deepcopy(a.weights),
-                    hyperparams=a.hyperparams,
-                    fitness=a.snapshot_fitness,
-                    agent_id=a.agent_id,
-                    round=round_no,
-                )
+        merged = [((-e.fitness, e.agent_id, e.round), e) for e in self.entries]
+        merged += [((-a.snapshot_fitness, a.agent_id, round_no), a) for a in agents]
+        merged.sort(key=lambda pair: pair[0])
+        self.entries = [
+            item if isinstance(item, EliteEntry) else EliteEntry(
+                payload=item.trainable.export_payload(),
+                hyperparams=item.hyperparams,
+                fitness=item.snapshot_fitness,
+                agent_id=item.agent_id,
+                round=round_no,
             )
-        merged.sort(key=lambda e: (-e.fitness, e.agent_id, e.round))
-        self.entries = merged[: self.capacity]
+            for _, item in merged[: self.capacity]
+        ]
 
     def min_fitness(self) -> float | None:
         return self.entries[-1].fitness if self.entries else None
@@ -112,7 +122,7 @@ def backtrack(
     Targets are the bottom min(capacity, N/2) agents by snapshot fitness.
     Elites are assigned cyclically from the best downward (restoring one
     elite onto several agents is fine when the archive is short). Both the
-    payload and the hyperparameters of the elite are restored; the target
+    weights and the hyperparameters of the elite are restored; the target
     keeps its own random streams. An empty archive is a no-op.
     """
     if not archive.entries:
@@ -126,7 +136,7 @@ def backtrack(
     for j, target_id in enumerate(targets):
         elite = archive.entries[j % len(archive.entries)]
         target = population.agent(target_id)
-        target.weights = transfer_weights(elite.payload, target.weights)
+        elite.restore_weights(target.trainable)
         target.hyperparams = HyperparamVector(elite.hyperparams.values)
         events.append(
             EvolutionEvent(

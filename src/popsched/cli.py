@@ -8,8 +8,8 @@ Subcommands:
     report    aggregate run directories into report.csv / curves.csv
     lineage   reconstruct (and optionally replay) a schedule from a run
 
-Environment overrides: POPSCHED_WORKERS forces the worker count and
-POPSCHED_OUT_ROOT provides a default root for run directories.
+Environment override: POPSCHED_OUT_ROOT provides a default root for run
+directories.
 
 Failures print a single machine-readable JSON object on stderr. Exit
 codes: 0 success, 1 runtime or data fault, 2 invalid configuration or
@@ -60,11 +60,6 @@ def _config_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--config", help="path to a config JSON file")
 
 
-def _env_workers() -> int | None:
-    raw = os.environ.get("POPSCHED_WORKERS")
-    return int(raw) if raw else None
-
-
 def _default_out(args, config: ExperimentConfig, seed: int) -> Path:
     if args.out:
         return Path(args.out)
@@ -76,16 +71,12 @@ def _default_out(args, config: ExperimentConfig, seed: int) -> Path:
 
 
 def cmd_run(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"workers: need >= 1, got {args.workers}")
     config = _load_config(args)
     seed = config.seeds[0] if args.seed is None else args.seed
     out_dir = _default_out(args, config, seed)
-    result = run_experiment(
-        config,
-        seed=seed,
-        out_dir=out_dir,
-        workers=_env_workers() if args.workers is None else args.workers,
-        resume=args.resume,
-    )
+    result = run_experiment(config, seed=seed, out_dir=out_dir, resume=args.resume)
     print(f"run complete: {result.run_dir}")
     print(f"final best fitness: {result.final_best()!r} (seed {seed})")
     return 0
@@ -166,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     _config_source(p_run)
     p_run.add_argument("--seed", type=int, default=None, help="master seed (default: config's first)")
     p_run.add_argument("--out", default=None, help="run directory")
-    p_run.add_argument("--workers", type=int, default=None, help="parallel worker count")
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="accepted for older scripts; a run is one process, "
+                            "so any count >= 1 writes the same bytes")
     p_run.add_argument("--resume", action="store_true", help="resume from the latest checkpoint")
     p_run.set_defaults(func=cmd_run)
 

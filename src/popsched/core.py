@@ -8,10 +8,13 @@ brackets used by truncation selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .trainables import Trainable
 
 LOG_UNIFORM = "log-uniform"
 
@@ -115,17 +118,16 @@ def sample_hyperparams(space: HyperparamSpace, rng: np.random.Generator) -> Hype
 class AgentState:
     """One population slot.
 
-    `weights` is an opaque trainable payload (see trainables module for
-    the schema); `rng_stream` is the integer seed identifying the agent's
-    private stream family.
+    `trainable` is the agent's live model (see the trainables module).
+    Schedulers move state between agents in place with transfer_weights,
+    so each agent keeps its own random streams for the whole run.
     """
 
     agent_id: int
     subpop_id: int
-    weights: dict
+    trainable: Trainable
     hyperparams: HyperparamVector
     snapshot_fitness: float | None = None
-    rng_stream: int = 0
 
 
 @dataclass
@@ -138,7 +140,6 @@ class Population:
 
     agents: list[AgentState]
     deltas: tuple[int, ...]
-    round_counter: int = 0
 
     def __post_init__(self) -> None:
         n_total = len(self.agents)

@@ -233,20 +233,20 @@ def replay_schedule(
     """
     if not segments:
         raise LineageError("empty schedule")
-    payload: dict | None = None
     trainable = None
     for seg in segments:
         if not seg.trained:
-            continue  # archive dwell: the payload is carried over unchanged
+            continue  # archive dwell: the weights are carried over unchanged
         if seg.hyperparams is None:
             raise LineageError(f"trained segment {seg} lacks hyperparameters")
         hmap = dict(zip(hp_names, seg.hyperparams))
-        trainable = build_trainable(trainable_spec)
-        trainable.init(agent_trainable_seed(master_seed, seg.agent_id), hmap)
+        carrier = build_trainable(trainable_spec)
+        carrier.init(agent_trainable_seed(master_seed, seg.agent_id), hmap)
         for _ in range(seg.start_round):
-            trainable.advance_rng(t_ready)
-        if payload is not None:
-            trainable.import_payload(transfer_weights(payload, trainable.export_payload()))
+            carrier.advance_rng(t_ready)
+        if trainable is not None:
+            transfer_weights(trainable, carrier)
+        trainable = carrier
         for r in range(seg.start_round + 1, seg.end_round + 1):
             trainable.train(t_ready)
             if expected_fitness is not None:
@@ -258,9 +258,8 @@ def replay_schedule(
                             f"replay diverges at round {r} on agent {seg.agent_id}: "
                             f"replayed {got!r}, logged {want!r}"
                         )
-        payload = trainable.export_payload()
     fitness = float(trainable.evaluate(eval_repeats))
-    return payload, fitness
+    return trainable.export_payload(), fitness
 
 
 def schedule_csv_lines(

@@ -13,7 +13,7 @@ delta), only its weights are taken and the hyperparameters are reset to
 the local top winner's; when it comes from a *steadier* one, weights and
 hyperparameters both transfer. Sub-populations are processed in ascending
 index order within a round, and fitness comparisons always use the
-round's snapshot while payload reads use live state, so a later
+round's snapshot while weight transfers read live state, so a later
 sub-population can import state already rewritten earlier in the round.
 """
 
@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import AgentState, Brackets, ConfigError, HyperparamSpace, HyperparamVector, Population, compute_brackets, rank_descending
+from .core import Brackets, ConfigError, HyperparamSpace, HyperparamVector, Population, compute_brackets
 from .events import MIGRATION_FULL, MIGRATION_WEIGHTS_ONLY, EvolutionEvent
 from .pbt import pbt_evolution_step
 from .trainables import transfer_weights
@@ -121,7 +121,7 @@ def migrate(
             # weights but keep hyperparameters within the local gene pool.
             kind = MIGRATION_WEIGHTS_ONLY
             new_h = HyperparamVector(own_best.hyperparams.values)
-        target.weights = transfer_weights(source.weights, target.weights)
+        transfer_weights(source.trainable, target.trainable)
         target.hyperparams = new_h
         events.append(
             EvolutionEvent(
@@ -153,20 +153,18 @@ def mfpbt_round(
     for i, delta in enumerate(config.deltas):
         if not subpop_due(round_no, delta):
             continue
-        agents = population.subpop(i)
-        events.extend(
-            pbt_evolution_step(
-                agents,
-                evolve_rngs,
-                round_no,
-                i,
-                variance_exploitation=config.variance_exploitation,
-                space=space,
-                clamp=config.clamp_hyperparams,
-            )
+        step = pbt_evolution_step(
+            population.subpop(i),
+            evolve_rngs,
+            round_no,
+            i,
+            variance_exploitation=config.variance_exploitation,
+            space=space,
+            clamp=config.clamp_hyperparams,
         )
-        ranked = rank_descending([(a.agent_id, a.snapshot_fitness) for a in agents])
-        brackets = compute_brackets(ranked)
+        events.extend(step)
+        # The step's events list the sub-population in snapshot rank order.
+        brackets = compute_brackets([e.target_agent_id for e in step])
         pool = build_external_pool(population, i)
         events.extend(
             migrate(

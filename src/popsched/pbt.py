@@ -19,12 +19,8 @@ from .trainables import transfer_weights
 PERTURB_FACTORS = (0.8, 1.25)
 
 
-def exploit(brackets: Brackets, rng: np.random.Generator | None = None) -> list[tuple[int, int]]:
-    """Pair each loser with a winner: k-th loser <- (k mod W)-th winner.
-
-    The rng argument is part of the interface for alternative exploit
-    rules; cyclic pairing draws nothing.
-    """
+def exploit(brackets: Brackets) -> list[tuple[int, int]]:
+    """Pair each loser with a winner: k-th loser <- (k mod W)-th winner."""
     winners = brackets.winners
     if not winners:
         raise ValueError("no winners to exploit")
@@ -67,7 +63,8 @@ def pbt_evolution_step(
     Each loser takes its paired winner's weights; its hyperparameters
     become the winner's perturbed by explore_perturb, except under
     variance exploitation where the loser keeps its own (weights-only
-    cloning). Every agent must carry a snapshot fitness.
+    cloning). Every agent must carry a snapshot fitness. The events name
+    every agent once, in rank order, so they also carry the ranking.
     """
     by_id = {a.agent_id: a for a in agents}
     missing = [a.agent_id for a in agents if a.snapshot_fitness is None]
@@ -94,7 +91,7 @@ def pbt_evolution_step(
 
     for loser_id, winner_id in exploit(brackets):
         loser, winner = by_id[loser_id], by_id[winner_id]
-        loser.weights = transfer_weights(winner.weights, loser.weights)
+        transfer_weights(winner.trainable, loser.trainable)
         if variance_exploitation:
             new_h = loser.hyperparams
         else:

@@ -1,14 +1,15 @@
-"""Experiment runner: synchronous generations over a worker pool.
+"""Experiment runner: synchronous generations over live trainables.
 
 Every round each agent trains t_ready steps and is evaluated; at the
-round barrier the configured scheduler may rewrite agents, emitting the
-events that describe what it did. Metrics and events are appended (and
-flushed) per round, so a crashed run leaves a valid prefix on disk.
+round barrier the configured scheduler may rewrite agents in place,
+emitting the events that describe what it did. Metrics and events are
+appended (and flushed) per round, so a crashed run leaves a valid prefix
+on disk.
 
 All streams derive from (master_seed, agent_id, kind), so results are
-byte-identical across repeats and across worker counts. Trainables move
-between workers as payloads; the per-round barrier runs single-threaded
-in the parent process.
+byte-identical across repeats. Each agent keeps one live trainable for
+the whole run; payloads are exported only where state is persisted
+(checkpoints and the elite archive).
 
 The runner owns the experiment directory layout:
 
@@ -25,10 +26,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +78,7 @@ class ExperimentConfig:
     elite_capacity: int | None = None
     backtrack_period: int | None = None
     checkpoint_every: int = 0
-    workers: int = 1
+    workers: int = 1  # kept so older config echoes parse; a run is one process
     out_dir: str | None = None
 
     @property
@@ -261,75 +260,6 @@ class ExperimentResult:
         return min(rows, key=lambda r: (-r.fitness, r.agent_id)).agent_id
 
 
-# ----------------------------------------------------------------- tasks
-
-def _init_task(args: tuple) -> dict:
-    trainable_spec, seed_int, hmap = args
-    t = build_trainable(trainable_spec)
-    t.init(seed_int, hmap)
-    return t.export_payload()
-
-
-def _train_eval_task(args: tuple) -> tuple[dict, float]:
-    trainable_spec, payload, hmap, steps, eval_repeats = args
-    t = build_trainable(trainable_spec)
-    t.import_payload(payload)
-    t.set_hyperparams(hmap)
-    t.train(steps)
-    return t.export_payload(), float(t.evaluate(eval_repeats))
-
-
-def _eval_task(args: tuple) -> float:
-    trainable_spec, payload, hmap, eval_repeats = args
-    t = build_trainable(trainable_spec)
-    t.import_payload(payload)
-    t.set_hyperparams(hmap)
-    return float(t.evaluate(eval_repeats))
-
-
-class _TaskRunner:
-    """Maps task functions over argument lists, inline or via processes."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, int(workers))
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> _TaskRunner:
-        if self.workers > 1:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def map(self, fn, args_list: Sequence[tuple]) -> list:
-        if self._pool is None:
-            return [fn(a) for a in args_list]
-        return list(self._pool.map(fn, args_list, chunksize=1))
-
-
-def evaluate_all(
-    population: Population,
-    trainable_spec: dict,
-    hp_names: Sequence[str],
-    eval_repeats: int,
-    workers: int = 1,
-) -> None:
-    """Evaluate every agent's snapshot fitness from its current payload."""
-    args = [
-        (trainable_spec, a.weights, dict(zip(hp_names, a.hyperparams.values)), eval_repeats)
-        for a in population.agents
-    ]
-    with _TaskRunner(workers) as tr:
-        values = tr.map(_eval_task, args)
-    for a, v in zip(population.agents, values):
-        if not math.isfinite(v):
-            raise ValueError(f"agent {a.agent_id} produced non-finite fitness {v!r}")
-        a.snapshot_fitness = v
-
-
 # ------------------------------------------------------------ persistence
 
 def _fmt(x: float) -> str:
@@ -397,56 +327,27 @@ class _Engine:
         }
         self.population: Population | None = None
 
-    def init_population(self, runner: _TaskRunner) -> None:
+    def init_population(self) -> None:
         cfg = self.config
-        hp_names = list(self.space.names)
-        vectors = [
-            sample_hyperparams(self.space, seed_hierarchy(self.seed, i, "init"))
-            for i in range(cfg.num_agents)
-        ]
-        args = [
-            (
-                cfg.trainable,
-                agent_trainable_seed(self.seed, i),
-                dict(zip(hp_names, vectors[i].values)),
-            )
-            for i in range(cfg.num_agents)
-        ]
-        payloads = runner.map(_init_task, args)
         per = cfg.subpop_size
         agents = []
         for i in range(cfg.num_agents):
-            payload = payloads[i]
+            h = sample_hyperparams(self.space, seed_hierarchy(self.seed, i, "init"))
+            trainable = build_trainable(cfg.trainable)
+            trainable.init(agent_trainable_seed(self.seed, i), self.space.to_mapping(h))
             agents.append(
-                AgentState(
-                    agent_id=i,
-                    subpop_id=i // per,
-                    weights=payload,
-                    hyperparams=vectors[i],
-                    snapshot_fitness=None,
-                    rng_stream=agent_trainable_seed(self.seed, i),
-                )
+                AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h)
             )
-        self.population = Population(agents=agents, deltas=self.config.deltas)
+        self.population = Population(agents=agents, deltas=cfg.deltas)
 
-    def train_eval_round(self, runner: _TaskRunner) -> None:
+    def train_eval_round(self) -> None:
         cfg = self.config
-        hp_names = self.space.names
-        args = [
-            (
-                cfg.trainable,
-                a.weights,
-                dict(zip(hp_names, a.hyperparams.values)),
-                cfg.t_ready,
-                cfg.eval_repeats,
-            )
-            for a in self.population.agents
-        ]
-        results = runner.map(_train_eval_task, args)
-        for a, (payload, fitness) in zip(self.population.agents, results):
+        for a in self.population.agents:
+            a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
+            a.trainable.train(cfg.t_ready)
+            fitness = float(a.trainable.evaluate(cfg.eval_repeats))
             if not math.isfinite(fitness):
                 raise ValueError(f"agent {a.agent_id} produced non-finite fitness {fitness!r}")
-            a.weights = payload
             a.snapshot_fitness = fitness
 
     def barrier_events(self, round_no: int) -> list[EvolutionEvent]:
@@ -454,18 +355,6 @@ class _Engine:
         pop = self.population
         if cfg.algorithm == "rs":
             return rs_round(pop, round_no)
-        if cfg.algorithm == "pbt":
-            if not subpop_due(round_no, cfg.deltas[0]):
-                return []
-            return pbt_evolution_step(
-                pop.agents,
-                self.evolve_rngs,
-                round_no,
-                0,
-                variance_exploitation=cfg.variance_exploitation,
-                space=self.space,
-                clamp=cfg.clamp_hyperparams,
-            )
         if cfg.algorithm == "mfpbt":
             mconf = MfpbtConfig(
                 deltas=cfg.deltas,
@@ -479,32 +368,30 @@ class _Engine:
             if subpop_due(round_no, cfg.backtrack_period):
                 # Backtracking replaces this round's exploitation step.
                 return backtrack(pop, self.archive, round_no)
-            if not subpop_due(round_no, cfg.deltas[0]):
-                return []
-            return pbt_evolution_step(
-                pop.agents,
-                self.evolve_rngs,
-                round_no,
-                0,
-                variance_exploitation=cfg.variance_exploitation,
-                space=self.space,
-                clamp=cfg.clamp_hyperparams,
-            )
-        raise ConfigError(f"algorithm: unknown {cfg.algorithm!r}")
+        if not subpop_due(round_no, cfg.deltas[0]):
+            return []
+        return pbt_evolution_step(
+            pop.agents,
+            self.evolve_rngs,
+            round_no,
+            0,
+            variance_exploitation=cfg.variance_exploitation,
+            space=self.space,
+            clamp=cfg.clamp_hyperparams,
+        )
 
     # ------------------------------------------------------- checkpointing
 
     def checkpoint_dict(self, round_no: int) -> dict:
         agents = []
         for a in self.population.agents:
-            payload = dict(a.weights)
             agents.append(
                 {
                     "agent_id": a.agent_id,
                     "subpop_id": a.subpop_id,
                     "hyperparams": list(a.hyperparams.values),
                     "fitness": a.snapshot_fitness,
-                    "payload": payload,
+                    "payload": a.trainable.export_payload(),
                     "evolve_state": self.evolve_rngs[a.agent_id].bit_generator.state,
                 }
             )
@@ -520,16 +407,16 @@ class _Engine:
         per = cfg.subpop_size
         agents = []
         for rec in data["agents"]:
-            payload = dict(rec["payload"])
             i = int(rec["agent_id"])
+            trainable = build_trainable(cfg.trainable)
+            trainable.import_payload(rec["payload"])
             agents.append(
                 AgentState(
                     agent_id=i,
                     subpop_id=i // per,
-                    weights=payload,
+                    trainable=trainable,
                     hyperparams=HyperparamVector(tuple(float(v) for v in rec["hyperparams"])),
                     snapshot_fitness=rec["fitness"],
-                    rng_stream=agent_trainable_seed(self.seed, i),
                 )
             )
             gen = np.random.default_rng()
@@ -566,7 +453,6 @@ def run_experiment(
     seed: int | None = None,
     out_dir: str | os.PathLike | None = None,
     *,
-    workers: int | None = None,
     stop_after_round: int | None = None,
     resume: bool = False,
 ) -> ExperimentResult:
@@ -580,7 +466,6 @@ def run_experiment(
     seed = config.seeds[0] if seed is None else int(seed)
     if seed < 0:
         raise ConfigError(f"seeds: master seed must be non-negative, got {seed}")
-    workers = config.workers if workers is None else max(1, int(workers))
     start = time.monotonic()
 
     run_dir = Path(out_dir) if out_dir is not None else None
@@ -596,74 +481,72 @@ def run_experiment(
     metrics: list[MetricRow] = []
     all_events: list[EvolutionEvent] = []
 
-    with _TaskRunner(workers) as tr:
-        if resume:
-            if run_dir is None or ckpt_dir is None or not ckpt_dir.exists():
-                raise ConfigError("resume requires an out_dir with checkpoints")
-            snaps = sorted(ckpt_dir.glob("round_*.json"))
-            if not snaps:
-                raise ConfigError("resume requested but no checkpoint present")
-            with open(snaps[-1], "r", encoding="utf-8") as fh:
-                start_round = engine.restore_checkpoint(json.load(fh))
-            _truncate_log(metrics_path, start_round, is_csv=True)
-            _truncate_log(events_path, start_round, is_csv=False)
-            metrics = read_metrics(metrics_path)
-            all_events = read_events(events_path)
-        else:
-            engine.init_population(tr)
-            if run_dir is not None:
-                echo = config.to_json_dict()
-                echo["seeds"] = [seed]
-                with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-                    json.dump(echo, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                with open(metrics_path, "w", encoding="utf-8") as fh:
-                    fh.write(_metrics_header(config.search_space) + "\n")
-                with open(events_path, "w", encoding="utf-8") as fh:
-                    pass
-                if config.checkpoint_every > 0:
-                    ckpt_dir.mkdir(exist_ok=True)
+    if resume:
+        if run_dir is None or ckpt_dir is None or not ckpt_dir.exists():
+            raise ConfigError("resume requires an out_dir with checkpoints")
+        snaps = sorted(ckpt_dir.glob("round_*.json"))
+        if not snaps:
+            raise ConfigError("resume requested but no checkpoint present")
+        with open(snaps[-1], "r", encoding="utf-8") as fh:
+            start_round = engine.restore_checkpoint(json.load(fh))
+        _truncate_log(metrics_path, start_round, is_csv=True)
+        _truncate_log(events_path, start_round, is_csv=False)
+        metrics = read_metrics(metrics_path)
+        all_events = read_events(events_path)
+    else:
+        engine.init_population()
+        if run_dir is not None:
+            echo = config.to_json_dict()
+            echo["seeds"] = [seed]
+            with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
+                json.dump(echo, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            with open(metrics_path, "w", encoding="utf-8") as fh:
+                fh.write(_metrics_header(config.search_space) + "\n")
+            with open(events_path, "w", encoding="utf-8") as fh:
+                pass
+            if config.checkpoint_every > 0:
+                ckpt_dir.mkdir(exist_ok=True)
 
-        # Initial vectors are a pure function of the seed; recompute so the
-        # resume path reports them identically.
-        initial_h = {
-            i: sample_hyperparams(config.search_space, seed_hierarchy(seed, i, "init"))
-            for i in range(config.num_agents)
-        }
+    # Initial vectors are a pure function of the seed; recompute so the
+    # resume path reports them identically.
+    initial_h = {
+        i: sample_hyperparams(config.search_space, seed_hierarchy(seed, i, "init"))
+        for i in range(config.num_agents)
+    }
 
-        last_round = config.num_rounds if stop_after_round is None else min(
-            stop_after_round, config.num_rounds
-        )
-        for round_no in range(start_round + 1, last_round + 1):
-            engine.train_eval_round(tr)
-            round_rows = [
-                MetricRow(
-                    round=round_no,
-                    agent_id=a.agent_id,
-                    subpop_id=a.subpop_id,
-                    fitness=a.snapshot_fitness,
-                    hyperparams=a.hyperparams.values,
-                )
-                for a in engine.population.agents
-            ]
-            metrics.extend(round_rows)
-            if metrics_path is not None:
-                with open(metrics_path, "a", encoding="utf-8") as fh:
-                    for row in round_rows:
-                        fh.write(_metric_line(row) + "\n")
-                    fh.flush()
-            events = engine.barrier_events(round_no)
-            all_events.extend(events)
-            if events_path is not None and events:
-                write_events(events_path, events, append=True)
-            engine.population.round_counter = round_no
-            if (
-                ckpt_dir is not None
-                and config.checkpoint_every > 0
-                and round_no % config.checkpoint_every == 0
-            ):
-                with open(ckpt_dir / f"round_{round_no:06d}.json", "w", encoding="utf-8") as fh:
-                    json.dump(engine.checkpoint_dict(round_no), fh)
+    last_round = config.num_rounds if stop_after_round is None else min(
+        stop_after_round, config.num_rounds
+    )
+    for round_no in range(start_round + 1, last_round + 1):
+        engine.train_eval_round()
+        round_rows = [
+            MetricRow(
+                round=round_no,
+                agent_id=a.agent_id,
+                subpop_id=a.subpop_id,
+                fitness=a.snapshot_fitness,
+                hyperparams=a.hyperparams.values,
+            )
+            for a in engine.population.agents
+        ]
+        metrics.extend(round_rows)
+        if metrics_path is not None:
+            with open(metrics_path, "a", encoding="utf-8") as fh:
+                for row in round_rows:
+                    fh.write(_metric_line(row) + "\n")
+                fh.flush()
+        events = engine.barrier_events(round_no)
+        all_events.extend(events)
+        if events_path is not None and events:
+            write_events(events_path, events, append=True)
+        if (
+            ckpt_dir is not None
+            and config.checkpoint_every > 0
+            and round_no % config.checkpoint_every == 0
+        ):
+            with open(ckpt_dir / f"round_{round_no:06d}.json", "w", encoding="utf-8") as fh:
+                json.dump(engine.checkpoint_dict(round_no), fh)
 
     wall = time.monotonic() - start
     result = ExperimentResult(

@@ -2,8 +2,8 @@
 
 Every stream used in a run is derived from (master_seed, agent_id, kind)
 through numpy's SeedSequence, so streams are disjoint across agents and
-kinds, reproducible across platforms, and independent of worker count or
-scheduling order.
+kinds, reproducible across platforms, and independent of the order in
+which agents are trained.
 """
 
 from __future__ import annotations

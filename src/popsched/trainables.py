@@ -1,9 +1,10 @@
 """Trainable contract and built-in synthetic trainables.
 
 A trainable owns a small state vector plus private random streams, and
-exposes train / evaluate / payload export-import. Payloads follow a fixed
-schema so that schedulers and workers can move them around without
-knowing anything about the underlying model:
+exposes train / evaluate / payload export-import. The runner keeps one
+live trainable per agent for the whole run. Payloads are the persisted
+form of that state (checkpoints, elite-archive snapshots, the result of
+a lineage replay) and follow a fixed schema:
 
     {
       "format": 1,
@@ -13,9 +14,10 @@ knowing anything about the underlying model:
     }
 
 `weights` is the cloneable part. `rng` pins the private streams so that
-import_payload() restores behavior bit-for-bit; cloning between agents
-goes through transfer_weights(), which moves only the weights section and
-leaves the receiving agent's streams untouched.
+import_payload() restores behavior bit-for-bit. Cloning between agents
+goes through transfer_weights(), which copies only the weights from one
+live trainable into another and leaves the receiving agent's streams
+untouched.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
@@ -44,6 +46,8 @@ _INIT_SUBSTREAM = 3
 @runtime_checkable
 class Trainable(Protocol):
     """Behavioral contract every trainable implements."""
+
+    kind: str
 
     def init(self, seed: int, hyperparams: Mapping[str, float]) -> None: ...
 
@@ -350,16 +354,10 @@ def build_trainable(spec: Mapping) -> Trainable:
         raise ValueError(f"bad parameters for trainable {kind!r}: {exc}") from None
 
 
-def transfer_weights(source_payload: dict, target_payload: dict) -> dict:
-    """Clone the weights section only; the target keeps its own streams."""
-    if source_payload["kind"] != target_payload["kind"]:
+def transfer_weights(source: Trainable, target: Trainable) -> None:
+    """Copy source's weights into target in place; target keeps its own streams."""
+    if source.kind != target.kind:
         raise ValueError(
-            f"cannot transfer weights across kinds "
-            f"{source_payload['kind']!r} -> {target_payload['kind']!r}"
+            f"cannot transfer weights across kinds {source.kind!r} -> {target.kind!r}"
         )
-    return {
-        "format": PAYLOAD_FORMAT,
-        "kind": source_payload["kind"],
-        "weights": copy.deepcopy(source_payload["weights"]),
-        "rng": copy.deepcopy(target_payload["rng"]),
-    }
+    target._import_weights(source._export_weights())

@@ -1,11 +1,11 @@
 """Shared builders for scheduler tests.
 
 The logic-level tests (ranking, exploitation, migration, backtracking)
-need populations whose agents carry valid payload dicts but no live
-trainables; `make_population` fabricates those. Payload weights encode
-the original owner so transfers are easy to assert on, and the rng
-section carries an owner tag so "target keeps its own streams" is
-directly checkable.
+need populations of agents with live trainables that are never trained;
+`make_population` builds those. Each agent's two-basin trainable starts
+at x = agent id and is seeded with the agent id, so weight transfers are
+easy to assert on (`weights`) and "the target keeps its own streams" is
+directly checkable (`streams` against `own_streams`).
 """
 
 from __future__ import annotations
@@ -15,15 +15,26 @@ import pytest
 
 from popsched.core import AgentState, HyperparamVector, Population
 from popsched.seeding import seed_hierarchy
+from popsched.trainables import TwoBasinTrainable
 
 
-def make_payload(agent_id: int, kind: str = "two_basin") -> dict:
-    return {
-        "format": 1,
-        "kind": kind,
-        "weights": {"x": float(agent_id)},
-        "rng": {"seed": agent_id, "steps": 0, "train_state": {"owner": agent_id}},
-    }
+def make_trainable(agent_id: int) -> TwoBasinTrainable:
+    t = TwoBasinTrainable(start_x=float(agent_id))
+    t.init(agent_id, {"sigma": 1.0})
+    return t
+
+
+def weights(agent: AgentState) -> dict:
+    return agent.trainable.export_payload()["weights"]
+
+
+def streams(agent: AgentState) -> dict:
+    return agent.trainable.export_payload()["rng"]
+
+
+def own_streams(agent_id: int) -> dict:
+    """The untouched streams agent_id's trainable started with."""
+    return make_trainable(agent_id).export_payload()["rng"]
 
 
 def make_agent(
@@ -35,10 +46,9 @@ def make_agent(
     return AgentState(
         agent_id=agent_id,
         subpop_id=subpop_id,
-        weights=make_payload(agent_id),
+        trainable=make_trainable(agent_id),
         hyperparams=HyperparamVector(h),
         snapshot_fitness=fitness,
-        rng_stream=agent_id,
     )
 
 

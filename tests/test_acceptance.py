@@ -12,7 +12,9 @@ with `-s` to see the measured numbers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import time
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from popsched.cli import main as cli_main
 from popsched.core import HyperparamSpace, SpaceEntry, compute_brackets, rank_descending
 from popsched.events import ELITE_RESTORE, PERTURBED_CLONE, SURVIVE
 from popsched.lineage import replay_run
@@ -30,7 +33,7 @@ from popsched.reporting import compare_final, iqm, iqr_bounds
 from popsched.runner import ExperimentConfig, run_experiment
 from popsched.seeding import seed_hierarchy
 
-from conftest import make_population
+from conftest import make_population, streams, weights
 
 BENCH_SEEDS = tuple(range(20))
 TRAP_THRESHOLD = 1.5  # below this the population never left the local basin
@@ -176,8 +179,8 @@ def test_migration_decisions_match_exhaustive_hand_simulation():
         for target, source, kind, new_h in expected:
             agent = pop.agent(target)
             assert agent.hyperparams.values == new_h
-            assert agent.weights["weights"] == {"x": float(source)}
-            assert agent.weights["rng"]["seed"] == target  # own streams kept
+            assert weights(agent) == {"x": float(source)}
+            assert streams(agent)["seed"] == target  # own streams kept
         kinds_seen.update(kind for _, _, kind, _ in expected)
         replacements += len(expected)
         keeps += len(brackets.migration_open) - len(expected)
@@ -336,10 +339,14 @@ def test_runs_are_byte_identical_across_repeats_and_worker_counts(tmp_path):
         ),
     }
     for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg.to_json_dict()))
         out = {}
         for variant, workers in (("first", 1), ("repeat", 1), ("two-workers", 2)):
             d = tmp_path / f"{name}-{variant}"
-            run_experiment(cfg, seed=42, out_dir=d, workers=workers)
+            argv = ["run", "--config", str(path), "--seed", "42", "--out", str(d)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(argv + ["--workers", str(workers)]) == 0
             out[variant] = _run_files(d)
         assert set(out["first"]) >= {"config.json", "metrics.csv", "events.jsonl"}
         assert out["repeat"] == out["first"]
@@ -431,8 +438,8 @@ def test_evolution_step_statistics_match_truncation_design():
                 down += 1
             agent = pop.agent(e.target_agent_id)
             assert agent.hyperparams.values == e.hyperparams_after
-            assert agent.weights["weights"] == {"x": float(winner)}
-            assert agent.weights["rng"]["seed"] == e.target_agent_id
+            assert weights(agent) == {"x": float(winner)}
+            assert streams(agent)["seed"] == e.target_agent_id
         for w in winners:
             assert pop.agent(w).hyperparams.values == before_h[w]
     freq = up / (up + down)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 
 import numpy as np
@@ -12,17 +11,19 @@ from popsched.baselines import EliteArchive, backtrack, rs_round, update_elites
 from popsched.core import ConfigError, HyperparamVector
 from popsched.events import ELITE_RESTORE
 
-from conftest import make_population
+from popsched.trainables import transfer_weights
+
+from conftest import make_population, own_streams, streams, weights
 
 
 def test_random_search_never_emits_events():
     pop = make_population([4.0, 3.0, 2.0, 1.0])
     before_h = [a.hyperparams for a in pop.agents]
-    before_w = copy.deepcopy([a.weights for a in pop.agents])
+    before_w = [a.trainable.export_payload() for a in pop.agents]
     for r in range(1, 6):
         assert rs_round(pop, r) == []
     assert [a.hyperparams for a in pop.agents] == before_h
-    assert [a.weights for a in pop.agents] == before_w
+    assert [a.trainable.export_payload() for a in pop.agents] == before_w
 
 
 # ---------------------------------------------------------------- archive
@@ -84,7 +85,8 @@ def test_archive_entries_are_deep_copies():
     pop = make_population([9.0, 1.0, 1.0, 1.0])
     archive = EliteArchive(1)
     update_elites(archive, pop, 1)
-    pop.agent(0).weights["weights"]["x"] = -777.0
+    transfer_weights(pop.agent(3).trainable, pop.agent(0).trainable)
+    assert weights(pop.agent(0)) == {"x": 3.0}
     assert archive.entries[0].payload["weights"] == {"x": 0.0}
 
 
@@ -126,7 +128,8 @@ def test_backtrack_hand_trace():
     pop = make_population([9.0, 8.0, 1.5, 1.0])
     archive = EliteArchive(2)
     update_elites(archive, pop, 1)
-    pop.agent(0).weights["weights"]["x"] = 100.0  # later training must not matter
+    # Later changes to the live agent must not reach the archived snapshot.
+    transfer_weights(pop.agent(3).trainable, pop.agent(0).trainable)
 
     events = backtrack(pop, archive, round_no=6)
 
@@ -135,11 +138,11 @@ def test_backtrack_hand_trace():
         (3, 1, 1),
     ]
     assert all(e.kind == ELITE_RESTORE for e in events)
-    assert pop.agent(2).weights["weights"] == {"x": 0.0}
-    assert pop.agent(3).weights["weights"] == {"x": 1.0}
+    assert weights(pop.agent(2)) == {"x": 0.0}
+    assert weights(pop.agent(3)) == {"x": 1.0}
     assert pop.agent(2).hyperparams.values == (1.0,)
     assert pop.agent(3).hyperparams.values == (2.0,)
-    assert pop.agent(2).weights["rng"]["train_state"] == {"owner": 2}
+    assert streams(pop.agent(2)) == own_streams(2)
     assert events[0].hyperparams_after == (1.0,)
     assert events[0].fitness_snapshot == 1.5
     assert events[0].round == 6
@@ -160,8 +163,8 @@ def test_backtrack_count_capped_by_capacity():
     update_elites(archive, pop, 1)
     events = backtrack(pop, archive, round_no=3)
     assert [(e.target_agent_id, e.source_agent_id) for e in events] == [(3, 0)]
-    assert pop.agent(3).weights["weights"] == {"x": 0.0}
-    assert pop.agent(2).weights["weights"] == {"x": 2.0}
+    assert weights(pop.agent(3)) == {"x": 0.0}
+    assert weights(pop.agent(2)) == {"x": 2.0}
 
 
 def test_backtrack_cycles_short_archive():
@@ -172,14 +175,14 @@ def test_backtrack_cycles_short_archive():
     archive.entries = archive.entries[:1]
     events = backtrack(pop, archive, round_no=3)
     assert [(e.target_agent_id, e.source_agent_id) for e in events] == [(2, 0), (3, 0)]
-    assert pop.agent(2).weights["weights"] == pop.agent(3).weights["weights"] == {"x": 0.0}
+    assert weights(pop.agent(2)) == weights(pop.agent(3)) == {"x": 0.0}
 
 
 def test_backtrack_empty_archive_is_noop():
     pop = make_population([4.0, 3.0, 2.0, 1.0])
-    before = copy.deepcopy([a.weights for a in pop.agents])
+    before = [a.trainable.export_payload() for a in pop.agents]
     assert backtrack(pop, EliteArchive(4), round_no=2) == []
-    assert [a.weights for a in pop.agents] == before
+    assert [a.trainable.export_payload() for a in pop.agents] == before
 
 
 def test_backtrack_targets_oracle(rng):

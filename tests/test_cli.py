@@ -170,17 +170,6 @@ def test_run_without_out_needs_env_root(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "root" / "tiny-seed5" / "metrics.csv").exists()
 
 
-def test_run_workers_env_override(tmp_path, capsys, monkeypatch):
-    path = tiny_config_file(tmp_path)
-    ref = tmp_path / "ref"
-    run_cli(capsys, "run", "--config", str(path), "--out", str(ref))
-    monkeypatch.setenv("POPSCHED_WORKERS", "2")
-    out = tmp_path / "env2"
-    code, _, _ = run_cli(capsys, "run", "--config", str(path), "--out", str(out))
-    assert code == 0
-    assert (out / "metrics.csv").read_bytes() == (ref / "metrics.csv").read_bytes()
-
-
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
     path = tiny_config_file(tmp_path)

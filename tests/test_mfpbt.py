@@ -17,7 +17,7 @@ from popsched.mfpbt import (
 )
 from popsched.pbt import pbt_evolution_step
 
-from conftest import evolve_rngs_for, make_population
+from conftest import evolve_rngs_for, make_population, own_streams, streams, weights
 
 
 # ----------------------------------------------------------------- config
@@ -128,9 +128,9 @@ def test_migrate_dynamic_into_steady_takes_weights_only():
         (13, 1, MIGRATION_WEIGHTS_ONLY),
     ]
     # Weights come from the contenders, streams remain the targets' own.
-    assert pop.agent(12).weights["weights"] == {"x": 0.0}
-    assert pop.agent(13).weights["weights"] == {"x": 1.0}
-    assert pop.agent(12).weights["rng"]["train_state"] == {"owner": 12}
+    assert weights(pop.agent(12)) == {"x": 0.0}
+    assert weights(pop.agent(13)) == {"x": 1.0}
+    assert streams(pop.agent(12)) == own_streams(12)
     # Hyperparams reset to the local top winner's, not the contenders'.
     assert pop.agent(12).hyperparams == own_best_h
     assert pop.agent(13).hyperparams == own_best_h
@@ -153,10 +153,10 @@ def test_migrate_steady_into_dynamic_takes_everything():
         (4, 8, MIGRATION_FULL),
         (5, 9, MIGRATION_FULL),
     ]
-    assert pop.agent(4).weights["weights"] == {"x": 8.0}
+    assert weights(pop.agent(4)) == {"x": 8.0}
     assert pop.agent(4).hyperparams.values == (9.0,)
     assert pop.agent(5).hyperparams.values == (10.0,)
-    assert pop.agent(4).weights["rng"]["train_state"] == {"owner": 4}
+    assert streams(pop.agent(4)) == own_streams(4)
 
 
 def test_migrate_keeps_fitter_open_agent_without_consuming_contender():
@@ -171,8 +171,8 @@ def test_migrate_keeps_fitter_open_agent_without_consuming_contender():
     # Agent 12 (9.0) beats the best contender (5.0) and is kept; the same
     # contender then replaces agent 13 (0.5).
     assert [(e.target_agent_id, e.source_agent_id) for e in events] == [(13, 0)]
-    assert pop.agent(12).weights["weights"] == {"x": 12.0}
-    assert pop.agent(13).weights["weights"] == {"x": 0.0}
+    assert weights(pop.agent(12)) == {"x": 12.0}
+    assert weights(pop.agent(13)) == {"x": 0.0}
 
 
 def test_migrate_symmetric_always_transfers_fully():
@@ -196,7 +196,7 @@ def test_migrate_variance_exploitation_keeps_own_h():
     assert [e.kind for e in events] == [MIGRATION_WEIGHTS_ONLY] * 2
     assert pop.agent(12).hyperparams.values == (13.0,)
     assert pop.agent(13).hyperparams.values == (14.0,)
-    assert pop.agent(12).weights["weights"] == {"x": 0.0}
+    assert weights(pop.agent(12)) == {"x": 0.0}
 
 
 def test_migrate_stops_when_pool_is_exhausted():
@@ -205,7 +205,7 @@ def test_migrate_stops_when_pool_is_exhausted():
     pool = build_external_pool(pop, 1)[:1]
     events = migrate(pop, 1, brackets, pool, round_no=50)
     assert [(e.target_agent_id, e.source_agent_id) for e in events] == [(12, 0)]
-    assert pop.agent(13).weights["weights"] == {"x": 13.0}
+    assert weights(pop.agent(13)) == {"x": 13.0}
 
     events = migrate(pop, 1, brackets, [], round_no=50)
     assert events == []
@@ -242,7 +242,7 @@ def test_round_with_one_subpop_equals_plain_evolution_step():
     assert ev_a == ev_b
     for a, b in zip(pop_a.agents, pop_b.agents):
         assert a.hyperparams == b.hyperparams
-        assert a.weights == b.weights
+        assert a.trainable.export_payload() == b.trainable.export_payload()
 
 
 def test_round_rejects_mismatched_config():

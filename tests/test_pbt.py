@@ -9,7 +9,7 @@ from popsched.core import Brackets, HyperparamSpace, HyperparamVector, SpaceEntr
 from popsched.events import PERTURBED_CLONE, SURVIVE
 from popsched.pbt import PERTURB_FACTORS,exploit, explore_perturb, pbt_evolution_step
 
-from conftest import evolve_rngs_for, make_population
+from conftest import evolve_rngs_for, make_population, own_streams, streams, weights
 
 
 # ---------------------------------------------------------------- exploit
@@ -96,7 +96,7 @@ def test_evolution_step_hand_trace():
     pop = make_population([4.0, 3.0, 2.0, 1.0])
     rngs = evolve_rngs_for(pop)
     before_h0 = pop.agent(0).hyperparams
-    before_w3_rng = pop.agent(3).weights["rng"]
+    before_w3_rng = streams(pop.agent(3))
 
     events = pbt_evolution_step(pop.agents, rngs, round_no=1, subpop_id=0)
 
@@ -109,8 +109,8 @@ def test_evolution_step_hand_trace():
 
     loser = pop.agent(3)
     # Weights come from the winner, streams stay the loser's own.
-    assert loser.weights["weights"] == {"x": 0.0}
-    assert loser.weights["rng"] == before_w3_rng
+    assert weights(loser) == {"x": 0.0}
+    assert streams(loser) == before_w3_rng == own_streams(3)
     # Hyperparams are the winner's, perturbed entrywise.
     assert loser.hyperparams.values[0] in (
         before_h0.values[0] * 0.8,
@@ -119,7 +119,7 @@ def test_evolution_step_hand_trace():
     assert events[3].hyperparams_after == loser.hyperparams.values
     # Winner itself is untouched.
     assert pop.agent(0).hyperparams == before_h0
-    assert pop.agent(0).weights["weights"] == {"x": 0.0}
+    assert weights(pop.agent(0)) == {"x": 0.0}
 
 
 def test_evolution_step_survive_events_in_rank_order():
@@ -162,7 +162,7 @@ def test_evolution_step_variance_exploitation_keeps_own_h():
     assert pop.agent(3).hyperparams == own_h
     assert events[3].hyperparams_after == own_h.values
     # Weights still move.
-    assert pop.agent(3).weights["weights"] == {"x": 0.0}
+    assert weights(pop.agent(3)) == {"x": 0.0}
 
 
 def test_evolution_step_variance_mode_preserves_h_multiset(rng):

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 
 import pytest
 
-from popsched.core import (
-    AgentState,
-    ConfigError,
-    HyperparamSpace,
-    HyperparamVector,
-    Population,
-    SpaceEntry,
-)
+from popsched.core import ConfigError, HyperparamSpace, SpaceEntry
 from popsched.events import (
     ELITE_RESTORE,
     PERTURBED_CLONE,
@@ -25,12 +18,12 @@ from popsched.events import (
 from popsched.runner import (
     ExperimentConfig,
     MetricRow,
-    evaluate_all,
     load_run_config,
     read_metrics,
     run_experiment,
 )
-from popsched.trainables import TwoBasinTrainable, two_basin_objective
+from popsched.seeding import agent_trainable_seed
+from popsched.trainables import build_trainable
 
 
 def small_config(algorithm="rs", **overrides) -> ExperimentConfig:
@@ -144,40 +137,27 @@ def test_config_json_rejects_unknown_space_keys():
         ExperimentConfig.from_json_dict(data)
 
 
-# ------------------------------------------------------------ evaluate_all
+# -------------------------------------------------------------- snapshots
 
-def trained_population(xs) -> Population:
-    """Agents with genuine trainable payloads whose position is forced to x."""
-    agents = []
-    for i, x in enumerate(xs):
-        t = TwoBasinTrainable()
-        t.init(i, {"sigma": 1.0})
-        payload = t.export_payload()
-        payload["weights"]["x"] = float(x)
-        agents.append(
-            AgentState(
-                agent_id=i,
-                subpop_id=0,
-                weights=payload,
-                hyperparams=HyperparamVector((1.0,)),
-                snapshot_fitness=None,
-                rng_stream=i,
-            )
-        )
-    return Population(agents=agents, deltas=(1,))
+def test_snapshots_match_independently_trained_trainables():
+    """Each round's fitness is the agent's own trainable, trained and evaluated."""
+    cfg = small_config(
+        "rs", eval_repeats=3, trainable={"kind": "two_basin", "params": {"eval_noise": 0.1}}
+    )
+    res = run_experiment(cfg, seed=4)
+    rows = {(r.round, r.agent_id): r.fitness for r in res.metrics}
+    for i, h in res.initial_hyperparams.items():
+        t = build_trainable(cfg.trainable)
+        t.init(agent_trainable_seed(4, i), {"sigma": h.values[0]})
+        for r in range(1, cfg.num_rounds + 1):
+            t.train(cfg.t_ready)
+            assert rows[(r, i)] == t.evaluate(cfg.eval_repeats)
 
 
-def test_evaluate_all_sets_snapshots():
-    pop = trained_population([0.0, 1.0, 2.0, 3.0])
-    evaluate_all(pop, {"kind": "two_basin"}, ["sigma"], eval_repeats=1)
-    for a in pop.agents:
-        assert a.snapshot_fitness == two_basin_objective(float(a.agent_id))
-
-
-def test_evaluate_all_rejects_non_finite_fitness():
-    pop = trained_population([0.0, 1.0, float("nan"), 3.0])
-    with pytest.raises(ValueError, match="agent 2 produced non-finite fitness"):
-        evaluate_all(pop, {"kind": "two_basin"}, ["sigma"], eval_repeats=1)
+def test_run_rejects_non_finite_fitness():
+    cfg = small_config(trainable={"kind": "two_basin", "params": {"start_x": float("nan")}})
+    with pytest.raises(ValueError, match="agent 0 produced non-finite fitness nan"):
+        run_experiment(cfg, seed=0)
 
 
 # ------------------------------------------------------------------- runs
@@ -245,7 +225,7 @@ def test_runs_are_byte_identical_across_repeats_and_workers(tmp_path):
     outs = []
     for name, workers in [("a", 1), ("b", 1), ("c", 2)]:
         out = tmp_path / name
-        run_experiment(cfg, seed=11, out_dir=out, workers=workers)
+        run_experiment(dataclasses.replace(cfg, workers=workers), seed=11, out_dir=out)
         outs.append(out)
     ref_metrics = (outs[0] / "metrics.csv").read_bytes()
     ref_events = (outs[0] / "events.jsonl").read_bytes()

@@ -288,15 +288,23 @@ def test_transfer_weights_keeps_target_streams():
     tgt.train(100)
     sp, tp = src.export_payload(), tgt.export_payload()
 
-    merged = transfer_weights(sp, tp)
+    transfer_weights(src, tgt)
+    merged = tgt.export_payload()
     assert merged["weights"] == sp["weights"]
     assert merged["rng"] == tp["rng"]
+    assert src.export_payload() == sp
 
-    # Deep copies: mutating the merged payload leaves the sources alone.
-    merged["weights"]["x"] = -123.0
-    merged["rng"]["steps"] = -1
-    assert sp == src.export_payload()
-    assert tp == tgt.export_payload()
+    # No shared state: training either side afterwards leaves the other alone.
+    tgt.train(50)
+    assert src.export_payload() == sp
+    a, b = QuadraticLRTrainable(), QuadraticLRTrainable()
+    a.init(0, {"lr": 0.05})
+    b.init(1, {"lr": 0.3})
+    transfer_weights(a, b)
+    before = a.export_payload()
+    b.train(5)
+    assert a.export_payload() == before
+    assert b.export_payload()["weights"] != before["weights"]
 
 
 def test_transfer_weights_rejects_kind_mismatch():
@@ -305,7 +313,7 @@ def test_transfer_weights_rejects_kind_mismatch():
     a.init(0, {"sigma": 1.0})
     b.init(0, {"lr": 0.1})
     with pytest.raises(ValueError, match="across kinds"):
-        transfer_weights(a.export_payload(), b.export_payload())
+        transfer_weights(a, b)
 
 
 def test_import_payload_rejects_bad_format_and_kind():
