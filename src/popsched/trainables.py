@@ -59,6 +59,10 @@ class Trainable(Protocol):
 
     def import_payload(self, payload: dict) -> None: ...
 
+    def export_weights(self) -> dict: ...
+
+    def import_weights(self, weights: dict) -> None: ...
+
     def set_hyperparams(self, hyperparams: Mapping[str, float]) -> None: ...
 
     def get_hyperparams(self) -> dict[str, float]: ...
@@ -102,10 +106,10 @@ class _RngBase:
     def get_hyperparams(self) -> dict[str, float]:
         return dict(self._hyperparams)
 
-    def _export_weights(self) -> dict:
+    def export_weights(self) -> dict:
         raise NotImplementedError
 
-    def _import_weights(self, weights: dict) -> None:
+    def import_weights(self, weights: dict) -> None:
         raise NotImplementedError
 
     def export_payload(self) -> dict:
@@ -113,7 +117,7 @@ class _RngBase:
         return {
             "format": PAYLOAD_FORMAT,
             "kind": self.kind,
-            "weights": self._export_weights(),
+            "weights": self.export_weights(),
             "rng": {
                 "seed": self._seed,
                 "steps": self._steps,
@@ -131,7 +135,7 @@ class _RngBase:
         self._steps = int(rng["steps"])
         self._rng_train = np.random.default_rng()
         self._rng_train.bit_generator.state = copy.deepcopy(rng["train_state"])
-        self._import_weights(copy.deepcopy(payload["weights"]))
+        self.import_weights(copy.deepcopy(payload["weights"]))
 
 
 class TwoBasinTrainable(_RngBase):
@@ -212,10 +216,10 @@ class TwoBasinTrainable(_RngBase):
         draws = self._eval_rng().standard_normal(num_repeats)
         return float(np.mean(base + self.eval_noise * draws))
 
-    def _export_weights(self) -> dict:
+    def export_weights(self) -> dict:
         return {"x": self._x}
 
-    def _import_weights(self, weights: dict) -> None:
+    def import_weights(self, weights: dict) -> None:
         self._x = float(weights["x"])
 
 
@@ -272,10 +276,10 @@ class QuadraticLRTrainable(_RngBase):
         loss = 0.5 * sum(a * t * t for a, t in zip(self.curvature, self._theta))
         return -min(loss, self._CLAMP)
 
-    def _export_weights(self) -> dict:
+    def export_weights(self) -> dict:
         return {"theta": list(self._theta)}
 
-    def _import_weights(self, weights: dict) -> None:
+    def import_weights(self, weights: dict) -> None:
         self._theta = [float(t) for t in weights["theta"]]
 
 
@@ -327,10 +331,10 @@ class SeedLotteryTrainable(_RngBase):
     def evaluate(self, num_repeats: int = 1) -> float:
         return self._level
 
-    def _export_weights(self) -> dict:
+    def export_weights(self) -> dict:
         return {"level": self._level, "drift": self._drift}
 
-    def _import_weights(self, weights: dict) -> None:
+    def import_weights(self, weights: dict) -> None:
         self._level = float(weights["level"])
         self._drift = float(weights["drift"])
 
@@ -360,4 +364,4 @@ def transfer_weights(source: Trainable, target: Trainable) -> None:
         raise ValueError(
             f"cannot transfer weights across kinds {source.kind!r} -> {target.kind!r}"
         )
-    target._import_weights(source._export_weights())
+    target.import_weights(source.export_weights())
