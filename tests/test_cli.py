@@ -217,6 +217,38 @@ def test_run_resume_completes_partial_run(tmp_path, capsys):
     assert (part / "metrics.csv").read_bytes() == (full / "metrics.csv").read_bytes()
 
 
+def test_run_resume_with_another_seed_exits_2(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, checkpoint_every=1)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    run_experiment(cfg, seed=5, out_dir=out, stop_after_round=2)
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(path), "--out", str(out), "--resume", "--seed", "7"
+    )
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("seeds:")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "field,value", [("variance_exploitation", "false"), ("num_agents", 8.9)]
+)
+def test_mistyped_config_value_exits_2(tmp_path, capsys, command, field, value):
+    path = tiny_config_file(tmp_path, **{field: value})
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith(field + ":")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- cli: report
 
 def test_report_aggregates_runs(tmp_path, capsys):

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from popsched import runner
 from popsched.core import ConfigError, HyperparamSpace, SpaceEntry
+from popsched.presets import get_preset, preset_names
 from popsched.events import (
     ELITE_RESTORE,
     PERTURBED_CLONE,
@@ -135,6 +141,90 @@ def test_config_json_rejects_unknown_space_keys():
     data["search_space"][0]["prior"] = "normal"
     with pytest.raises(ConfigError, match="search_space: unknown entry keys"):
         ExperimentConfig.from_json_dict(data)
+
+
+# Integer fields of the config JSON; those in NULLABLE also accept null.
+INT_FIELDS = (
+    "num_agents", "num_subpops", "t_ready", "total_steps", "eval_repeats",
+    "checkpoint_every", "workers", "elite_capacity", "backtrack_period",
+)
+NULLABLE = ("elite_capacity", "backtrack_period")
+BOOL_FIELDS = ("variance_exploitation", "symmetric_migration", "clamp_hyperparams")
+INT_LIST_FIELDS = ("deltas", "seeds")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("variance_exploitation", "false"),
+        ("num_agents", 8.9),
+        ("num_agents", 8.0),
+        ("num_agents", True),
+        ("num_agents", "8"),
+        ("t_ready", 5.0),
+        ("checkpoint_every", "2"),
+        ("workers", 1.5),
+        ("eval_repeats", False),
+        ("symmetric_migration", 1),
+        ("clamp_hyperparams", None),
+        ("deltas", [1.0]),
+        ("deltas", "1"),
+        ("seeds", [0.5]),
+        ("seeds", ["3"]),
+        ("seeds", 3),
+    ],
+)
+def test_config_json_rejects_values_of_the_wrong_type(field, value):
+    data = small_config().to_json_dict()
+    data[field] = value
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ["elite_capacity", "backtrack_period"])
+@pytest.mark.parametrize("value", [4.0, "4", True])
+def test_config_json_rejects_non_integer_archive_settings(field, value):
+    data = small_config("pbt_bt", elite_capacity=4, backtrack_period=2).to_json_dict()
+    data[field] = value
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig.from_json_dict(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(preset_names()))
+def test_config_json_round_trips_every_preset(name):
+    cfg = get_preset(name)
+    data = json.loads(json.dumps(cfg.to_json_dict()))
+    assert ExperimentConfig.from_json_dict(data) == cfg
+
+
+_NOT_INT = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2)
+)
+_NOT_BOOL = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(preset_names()),
+    st.data(),
+)
+def test_config_json_names_any_mistyped_field(name, data):
+    """Any field given a value of the wrong JSON type is refused by name."""
+    doc = get_preset(name).to_json_dict()
+    field = data.draw(st.sampled_from(INT_FIELDS + BOOL_FIELDS + INT_LIST_FIELDS))
+    if field in BOOL_FIELDS:
+        bad = data.draw(_NOT_BOOL)
+    elif field in INT_LIST_FIELDS:
+        bad = data.draw(st.one_of(
+            _NOT_INT.filter(lambda v: not isinstance(v, list)),
+            st.lists(_NOT_INT.filter(lambda v: not isinstance(v, list)), min_size=1, max_size=3),
+        ))
+    else:
+        bad = data.draw(_NOT_INT if field in NULLABLE else st.one_of(_NOT_INT, st.none()))
+    doc[field] = bad
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig.from_json_dict(doc)
 
 
 # -------------------------------------------------------------- snapshots
@@ -320,6 +410,106 @@ def test_resume_error_cases(tmp_path):
     (out / "checkpoints").mkdir()
     with pytest.raises(ConfigError, match="no checkpoint present"):
         run_experiment(cfg, seed=0, out_dir=out, resume=True)
+
+
+def _run_files(run_dir: Path) -> dict[str, bytes]:
+    """Every byte-compared file of a run directory, hidden ones included."""
+    return {
+        p.relative_to(run_dir).as_posix(): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p.name != "result.json"
+    }
+
+
+def _checkpointed_pbt_bt() -> ExperimentConfig:
+    return small_config(
+        "pbt_bt", num_agents=8, total_steps=40, elite_capacity=4, backtrack_period=3,
+        checkpoint_every=1,
+    )
+
+
+def _fail_on_rename_to(monkeypatch, name: str) -> None:
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(f"interrupted before {name} was replaced")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(runner.os, "replace", replace)
+
+
+def test_failed_checkpoint_write_leaves_a_resumable_run(tmp_path, monkeypatch):
+    cfg = _checkpointed_pbt_bt()
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+
+    real_checkpoint_dict = runner._Engine.checkpoint_dict
+
+    def checkpoint_dict(self, round_no):
+        if round_no == 5:
+            raise OSError("disk full")
+        return real_checkpoint_dict(self, round_no)
+
+    monkeypatch.setattr(runner._Engine, "checkpoint_dict", checkpoint_dict)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, seed=2, out_dir=part)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in (part / "checkpoints").iterdir()) == [
+        f"round_{r:06d}.json" for r in range(1, 5)
+    ]
+    res = run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert res.metrics[-1].round == cfg.num_rounds
+    assert _run_files(part) == _run_files(full)
+
+
+def test_resume_ignores_temp_file_of_an_interrupted_checkpoint(tmp_path, monkeypatch):
+    cfg = _checkpointed_pbt_bt()
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+
+    _fail_on_rename_to(monkeypatch, "round_000005.json")
+    with pytest.raises(OSError, match="interrupted"):
+        run_experiment(cfg, seed=2, out_dir=part)
+    monkeypatch.undo()
+
+    names = sorted(p.name for p in (part / "checkpoints").iterdir())
+    assert [n for n in names if n.startswith("round_")] == [
+        f"round_{r:06d}.json" for r in range(1, 5)
+    ]
+    assert len(names) == 5  # the leftover temp file of round 5
+    run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert _run_files(part) == _run_files(full)
+
+
+@pytest.mark.parametrize("log", ["metrics.csv", "events.jsonl"])
+def test_interrupted_log_truncation_keeps_the_log(tmp_path, monkeypatch, log):
+    cfg = _checkpointed_pbt_bt()
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+    run_experiment(cfg, seed=2, out_dir=part, stop_after_round=6)
+    (part / "checkpoints" / "round_000006.json").unlink()  # resume truncates to 5
+    before = (part / log).read_bytes()
+
+    _fail_on_rename_to(monkeypatch, log)
+    with pytest.raises(OSError, match="interrupted"):
+        run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    monkeypatch.undo()
+
+    assert (part / log).read_bytes() == before
+    run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert _run_files(part) == _run_files(full)
+
+
+def test_resume_rejects_checkpoint_of_another_master_seed(tmp_path):
+    cfg = small_config("rs", checkpoint_every=1)
+    out = tmp_path / "run"
+    run_experiment(cfg, seed=0, out_dir=out, stop_after_round=2)
+    before = _run_files(out)
+    with pytest.raises(ConfigError, match=r"^seeds: .*master seed 0.* 7"):
+        run_experiment(cfg, seed=7, out_dir=out, resume=True)
+    assert _run_files(out) == before
 
 
 def test_run_rejects_negative_seed():

@@ -249,6 +249,44 @@ def test_evaluate_is_pure(cls, h):
     assert t.export_payload() == snapshot
 
 
+def _containers(obj, found: set) -> set:
+    """ids of every dict and list reachable from obj."""
+    if isinstance(obj, (dict, list)):
+        found.add(id(obj))
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            _containers(v, found)
+    return found
+
+
+def _scramble(obj) -> None:
+    """Change every number inside obj in place."""
+    for k, v in list(obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(v, (dict, list)):
+            _scramble(v)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            obj[k] = v + 1
+
+
+@pytest.mark.parametrize("cls,h", ALL_KINDS)
+def test_export_payload_shares_nothing_with_the_trainable(cls, h):
+    t, twin = cls(), cls()
+    for x in (t, twin):
+        x.init(5, h)
+        x.train(20)
+    first, second = t.export_payload(), t.export_payload()
+    assert first == second
+    assert not _containers(first, set()) & _containers(second, set())
+
+    _scramble(first)
+    assert first["rng"]["train_state"] != second["rng"]["train_state"]
+    assert first["weights"] != second["weights"]
+    assert t.export_payload() == second
+    t.train(15)
+    twin.train(15)
+    assert t.export_payload() == twin.export_payload()
+    assert t.evaluate() == twin.evaluate()
+
+
 def test_eval_repeats_equivalent_without_noise():
     t = TwoBasinTrainable(eval_noise=0.0)
     t.init(0, {"sigma": 1.0})
