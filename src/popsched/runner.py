@@ -18,6 +18,10 @@ The runner owns the experiment directory layout:
     events.jsonl    one EvolutionEvent per line, in application order
     checkpoints/    full engine state per round (when enabled)
     result.json     summary incl. wall-clock
+
+Checkpoints, and the logs a resume truncates, are replaced atomically
+(temp file, then os.replace), so a crash leaves the old file or the new
+one, never a partial one.
 """
 
 from __future__ import annotations
@@ -58,6 +62,32 @@ _CONFIG_KEYS = {
     "seeds", "elite_capacity", "backtrack_period", "checkpoint_every",
     "workers", "out_dir",
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(data: dict, key: str, default=None, *, nullable: bool = False):
+    value = data.get(key, default)
+    if not (_is_int(value) or (nullable and value is None)):
+        kind = "an integer or null" if nullable else "an integer"
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+    return value
+
+
+def _json_ints(data: dict, key: str, default: list) -> tuple[int, ...]:
+    value = data.get(key, default)
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def _json_bool(data: dict, key: str) -> bool:
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -199,22 +229,22 @@ class ExperimentConfig:
             )
         cfg = cls(
             algorithm=data["algorithm"],
-            num_agents=int(data["num_agents"]),
-            num_subpops=int(data.get("num_subpops", 1)),
-            deltas=tuple(int(d) for d in data.get("deltas", [1])),
-            t_ready=int(data["t_ready"]),
-            total_steps=int(data["total_steps"]),
-            eval_repeats=int(data.get("eval_repeats", 1)),
+            num_agents=_json_int(data, "num_agents"),
+            num_subpops=_json_int(data, "num_subpops", 1),
+            deltas=_json_ints(data, "deltas", [1]),
+            t_ready=_json_int(data, "t_ready"),
+            total_steps=_json_int(data, "total_steps"),
+            eval_repeats=_json_int(data, "eval_repeats", 1),
             search_space=HyperparamSpace(tuple(entries)),
             trainable=dict(data["trainable"]),
-            variance_exploitation=bool(data.get("variance_exploitation", False)),
-            symmetric_migration=bool(data.get("symmetric_migration", False)),
-            clamp_hyperparams=bool(data.get("clamp_hyperparams", False)),
-            seeds=tuple(int(s) for s in data.get("seeds", [0])),
-            elite_capacity=data.get("elite_capacity"),
-            backtrack_period=data.get("backtrack_period"),
-            checkpoint_every=int(data.get("checkpoint_every", 0)),
-            workers=int(data.get("workers", 1)),
+            variance_exploitation=_json_bool(data, "variance_exploitation"),
+            symmetric_migration=_json_bool(data, "symmetric_migration"),
+            clamp_hyperparams=_json_bool(data, "clamp_hyperparams"),
+            seeds=_json_ints(data, "seeds", [0]),
+            elite_capacity=_json_int(data, "elite_capacity", nullable=True),
+            backtrack_period=_json_int(data, "backtrack_period", nullable=True),
+            checkpoint_every=_json_int(data, "checkpoint_every", 0),
+            workers=_json_int(data, "workers", 1),
             out_dir=data.get("out_dir"),
         )
         cfg.validate()
@@ -403,6 +433,11 @@ class _Engine:
         }
 
     def restore_checkpoint(self, data: dict) -> int:
+        if data["master_seed"] != self.seed:
+            raise ConfigError(
+                f"seeds: the checkpoint was written with master seed {data['master_seed']}, "
+                f"but this run uses seed {self.seed}"
+            )
         cfg = self.config
         per = cfg.subpop_size
         agents = []
@@ -428,6 +463,17 @@ class _Engine:
         return int(data["round"])
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path by text through a temp file that round_*.json never matches.
+
+    No fsync: this protects against a crashed process, not a lost disk.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _truncate_log(path: Path, keep_round: int, is_csv: bool) -> None:
     if not path.exists():
         return
@@ -444,8 +490,7 @@ def _truncate_log(path: Path, keep_round: int, is_csv: bool) -> None:
         rnd = int(s.split(",", 1)[0]) if is_csv else json.loads(s)["round"]
         if rnd <= keep_round:
             kept.append(line)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
+    _write_atomic(path, "".join(kept))
 
 
 def run_experiment(
@@ -545,8 +590,11 @@ def run_experiment(
             and config.checkpoint_every > 0
             and round_no % config.checkpoint_every == 0
         ):
-            with open(ckpt_dir / f"round_{round_no:06d}.json", "w", encoding="utf-8") as fh:
-                json.dump(engine.checkpoint_dict(round_no), fh)
+            # json.dumps takes the C encoder; json.dump never does. Same bytes.
+            _write_atomic(
+                ckpt_dir / f"round_{round_no:06d}.json",
+                json.dumps(engine.checkpoint_dict(round_no)),
+            )
 
     wall = time.monotonic() - start
     result = ExperimentResult(

@@ -14,7 +14,9 @@ a lineage replay) and follow a fixed schema:
     }
 
 `weights` is the cloneable part. `rng` pins the private streams so that
-import_payload() restores behavior bit-for-bit. Cloning between agents
+import_payload() restores behavior bit-for-bit. export_payload() returns
+fresh containers: no dict or list in it is shared with the trainable or
+with an earlier export, so a caller may keep or change it freely. Cloning between agents
 goes through transfer_weights(), which copies only the weights from one
 live trainable into another and leaves the receiving agent's streams
 untouched.
@@ -121,7 +123,8 @@ class _RngBase:
             "rng": {
                 "seed": self._seed,
                 "steps": self._steps,
-                "train_state": copy.deepcopy(self._rng_train.bit_generator.state),
+                # numpy builds a fresh nested dict on every access.
+                "train_state": self._rng_train.bit_generator.state,
             },
         }
 

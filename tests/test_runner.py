@@ -172,18 +172,12 @@ INT_LIST_FIELDS = ("deltas", "seeds")
         ("seeds", [0.5]),
         ("seeds", ["3"]),
         ("seeds", 3),
+        ("elite_capacity", 4.0),
+        ("elite_capacity", True),
+        ("backtrack_period", "2"),
     ],
 )
 def test_config_json_rejects_values_of_the_wrong_type(field, value):
-    data = small_config().to_json_dict()
-    data[field] = value
-    with pytest.raises(ConfigError, match=f"^{field}:"):
-        ExperimentConfig.from_json_dict(data)
-
-
-@pytest.mark.parametrize("field", ["elite_capacity", "backtrack_period"])
-@pytest.mark.parametrize("value", [4.0, "4", True])
-def test_config_json_rejects_non_integer_archive_settings(field, value):
     data = small_config("pbt_bt", elite_capacity=4, backtrack_period=2).to_json_dict()
     data[field] = value
     with pytest.raises(ConfigError, match=f"^{field}:"):
