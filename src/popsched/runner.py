@@ -463,14 +463,14 @@ class _Engine:
         return int(data["round"])
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path by text through a temp file that round_*.json never matches.
+def _write_atomic(path: Path, chunks: list[str]) -> None:
+    """Replace path by chunks through a temp file that round_*.json never matches.
 
     No fsync: this protects against a crashed process, not a lost disk.
     """
     tmp = path.with_name(f".{path.name}.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -490,7 +490,7 @@ def _truncate_log(path: Path, keep_round: int, is_csv: bool) -> None:
         rnd = int(s.split(",", 1)[0]) if is_csv else json.loads(s)["round"]
         if rnd <= keep_round:
             kept.append(line)
-    _write_atomic(path, "".join(kept))
+    _write_atomic(path, kept)
 
 
 def run_experiment(
@@ -593,7 +593,7 @@ def run_experiment(
             # json.dumps takes the C encoder; json.dump never does. Same bytes.
             _write_atomic(
                 ckpt_dir / f"round_{round_no:06d}.json",
-                json.dumps(engine.checkpoint_dict(round_no)),
+                [json.dumps(engine.checkpoint_dict(round_no))],
             )
 
     wall = time.monotonic() - start

@@ -16,10 +16,10 @@ a lineage replay) and follow a fixed schema:
 `weights` is the cloneable part. `rng` pins the private streams so that
 import_payload() restores behavior bit-for-bit. export_payload() returns
 fresh containers: no dict or list in it is shared with the trainable or
-with an earlier export, so a caller may keep or change it freely. Cloning between agents
-goes through transfer_weights(), which copies only the weights from one
-live trainable into another and leaves the receiving agent's streams
-untouched.
+with an earlier export, so a caller may keep or change it freely.
+Cloning between agents goes through transfer_weights(), which copies
+only the weights from one live trainable into another and leaves the
+receiving agent's streams untouched.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
