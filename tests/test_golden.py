@@ -15,12 +15,15 @@ formats, and is not a refactor.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from popsched.cli import main
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.presets import PRESETS, get_preset
 from popsched.runner import ExperimentConfig, run_experiment
@@ -395,3 +398,324 @@ def test_backtracking_checkpoints_carry_elite_payloads(tmp_path):
     for e in entries:
         assert set(e["payload"]) == {"format", "kind", "weights", "rng"}
         assert e["payload"]["rng"]["train_state"]["bit_generator"] == "PCG64"
+
+
+# ------------------------------------------------ lineage and report outputs
+#
+# What `popsched lineage` and `popsched report` print and write over the
+# golden runs above, with the temp root in stdout replaced by "<root>".
+
+AGENT3_ROUND = 57
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digests(root: Path, argv: list[str], files: dict[str, Path]) -> dict[str, str]:
+    """Run one command in process; sha256 of its stdout and output files."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    digests = {name: sha256(path.read_bytes()) for name, path in files.items()}
+    digests["stdout"] = sha256(stdout.getvalue().replace(str(root), "<root>").encode())
+    return digests
+
+
+def lineage_digests(root: Path, name: str) -> dict[str, str]:
+    run_dir = root / name
+    cases = {"replay": ["--replay"]}
+    if (case_config(name)[1] or 0) >= AGENT3_ROUND:
+        cases[f"agent3-round{AGENT3_ROUND}"] = ["--agent", "3", "--round", str(AGENT3_ROUND)]
+    digests = {}
+    for case, flags in cases.items():
+        out = root / f"{name}.{case}.schedule.csv"
+        got = cli_digests(root, ["lineage", str(run_dir), *flags, "--out", str(out)],
+                          {"schedule.csv": out})
+        digests.update({f"{case} {k}": v for k, v in got.items()})
+    return digests
+
+
+def report_digests(root: Path) -> dict[str, str]:
+    """One report over every golden run cut at PRESET_ROUNDS (one round grid)."""
+    dirs = [str(root / n) for n in sorted(GOLDEN) if case_config(n)[1] == PRESET_ROUNDS]
+    out = root / "report"
+    return cli_digests(root, ["report", *dirs, "--out", str(out)],
+                       {"report.csv": out / "report.csv", "curves.csv": out / "curves.csv"})
+
+
+@pytest.fixture(scope="module")
+def golden_root(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("golden")
+    for name in GOLDEN:
+        golden_run(name, root / name)
+    return root
+
+
+# Recorded from the engine as it was before metrics.csv was read by column.
+GOLDEN_LINEAGE: dict[str, dict[str, str]] = {
+    "lottery-pbt-variance": {
+        "replay schedule.csv":
+            "ed088012960aa48efaa808fec71fadab74858180c9e12bd985244429b4f891a7",
+        "replay stdout":
+            "3c95611e3542d15d6c53e6a8e114be1249fd6be48dd55d4002e93baae48e12ce",
+    },
+    "mfpbt-default": {
+        "replay schedule.csv":
+            "b6348bd379be8918752d9f69d6f52755203c61455a434a5ab758f0d677ba20b3",
+        "replay stdout":
+            "2986cf9919bdf3fbf40aa08bdf73812e8655d74bbe032a1cc5c73efa9b719b54",
+        "agent3-round57 schedule.csv":
+            "f51d40e005a7405bdc0a04298e568d65e1fd8118a34bd3b03d0f30f7b79f73d4",
+        "agent3-round57 stdout":
+            "f4bcfc250592ff604a8fdd5c5db54eac5a272bf75367f78e877337e9baf842ad",
+    },
+    "mfpbt-geometric": {
+        "replay schedule.csv":
+            "0bcb4177b52c66e410fbe095a84513812e0e53fe07d528994a86a07c04b91d19",
+        "replay stdout":
+            "4672c34ebb758351bcb4a8c2ac34cda83287a39b6e4a231a0e5998a4c99a2b89",
+        "agent3-round57 schedule.csv":
+            "7447a53a3660b9c3cec21d79354132986ae23e66baf71109cf5102a3198cb381",
+        "agent3-round57 stdout":
+            "6c58f4fcc84083ffd9e6486d88fcf8087a433a46ba85f78ebecb47167b4864bc",
+    },
+    "mfpbt-n16": {
+        "replay schedule.csv":
+            "f67db36e363dcd622874e96ed0f92b7e0bf155a42341dab32d1b9f7257ef0a8e",
+        "replay stdout":
+            "d2d59de142b7d0675022076643ff300dd783f1857c0466727e5fa25535a2e4f3",
+        "agent3-round57 schedule.csv":
+            "06c077b6dbb3205e43b0799290f6414e6c368e3c8ecbf8b6e9b74ce0dfde780e",
+        "agent3-round57 stdout":
+            "49f49573bfae82c86a118f17cf43db38f6542a82f7eb8312a7efef1e02bb19b1",
+    },
+    "mfpbt-n64": {
+        "replay schedule.csv":
+            "7f5a136adcea327019947540b679fe4782cbb48f8743f92bfaaec4d028b3bfd2",
+        "replay stdout":
+            "41d5f829202816a2f47233aa509534accf1fe38f7c11eda434703ac274dfe82b",
+        "agent3-round57 schedule.csv":
+            "b49d357c565ff57c5a6c3e0a6b6f58c927bedbbf80287e21c95f271ed50c8599",
+        "agent3-round57 stdout":
+            "f9b2816369f7b6ab8e7b397dfc4193b65a888ab2ba876475fec652afe179a956",
+    },
+    "mfpbt-noise-clamp": {
+        "replay schedule.csv":
+            "a77de724733f3865ba11ffc07c56b89a1407a79ecb7d942e0a02736e9d8ec830",
+        "replay stdout":
+            "ca3a56182621db032508c0f810db373a0752d8941d78a272200cf8a987cefb1f",
+    },
+    "mfpbt-symmetric": {
+        "replay schedule.csv":
+            "31843c8430ba5094b48442861aa6b833f712fdd30fb7ac8bbe008afed905c9ee",
+        "replay stdout":
+            "b550e4ea46b8b3c19ae7c321b2c73e754048b6973c7abfd18cbbbc521aa4a3c3",
+        "agent3-round57 schedule.csv":
+            "298dc02cc7b86bcd1700d732660ce01add056bfea88d4876dc408915a1055cfb",
+        "agent3-round57 stdout":
+            "d3a090ef482d1e289eb0fea0905a41556aa33fc92db7fe2fb90f2b8d2bc96147",
+    },
+    "mfpbt-variance-sym": {
+        "replay schedule.csv":
+            "13ac0903128a932db0a22f25364bd22bba8a3f92e4b04aac806ba6a71b62c03e",
+        "replay stdout":
+            "d371fcc623f51b4d99ee4fddab69e4c22f47ab1725af376d44e07b5daef4190c",
+    },
+    "pbt-bt-default": {
+        "replay schedule.csv":
+            "6377747597714f5a5549bfb8864eda66f7148772a4b00d215e7f5cb6f9e04287",
+        "replay stdout":
+            "86288e683fcb3eac0a22bdc5b32c2ee5b653ab4dd1f1996f3b5b690360c32aed",
+        "agent3-round57 schedule.csv":
+            "dd7f4000975cfc8a8ca4492c7fe0b55850e6b941bc32c8142171f02170db1ad7",
+        "agent3-round57 stdout":
+            "2611aeaa34fb6d529608899ff8958f3bd03faf6b13b75a4e74b3b1281104189b",
+    },
+    "pbt-bt-forget": {
+        "replay schedule.csv":
+            "607dad8af61a9271feb3dc9c2a6e6252f5977c6f09d833751ebc8f48654b51b3",
+        "replay stdout":
+            "c3c941c2655012fa5744e2f48e60be4477143d4b84a0180c9142ee0938ca25f5",
+    },
+    "pbt-checkpoints": {
+        "replay schedule.csv":
+            "81d9abf9eb9817adc673cff0c4273801a24d5e2b6abd055fa933593950dbbc16",
+        "replay stdout":
+            "a7693be3dbfdf11313015fd8f68dd421bd816e74d3f8bf0444039dbafe83ed7b",
+    },
+    "pbt-delta1": {
+        "replay schedule.csv":
+            "f55d462b3251238f7613993ea5c8d8c4c60227439bcb1c3a3b8850dbf6b586b9",
+        "replay stdout":
+            "9b0dddf5617d2a114e84372c09a53e4754197a61d07fb79c98b7dc850fee11c7",
+        "agent3-round57 schedule.csv":
+            "3804acdee76ac0580eab5109bea0f528e29fd606b66f9433196b565f0f02263b",
+        "agent3-round57 stdout":
+            "ded887bcb91eb34ee4da1a4712e088ec4e729a9b5808ac59f6551b0a5c62b99f",
+    },
+    "pbt-delta10": {
+        "replay schedule.csv":
+            "63b1d26def2b0cdd6737f8d8ded3999615558ba2cdbcc9312a8a0175d51d630c",
+        "replay stdout":
+            "da213f8a366941ca332c3da11ce93fe70e7b77c3c62b77ef670ecfece7f672a7",
+        "agent3-round57 schedule.csv":
+            "d91d057b43858c9e76acab8602feb773954c0b24079960dfb3565066783715da",
+        "agent3-round57 stdout":
+            "d4990546d545731dc3336968e27acd692154821a39635f5e412432f8187157db",
+    },
+    "pbt-delta25": {
+        "replay schedule.csv":
+            "d5a78d7c0c48e90b9b696dda12d31a703722579d2061805990a54f564fb66742",
+        "replay stdout":
+            "88ce72abdf749f2aedca5e00671ce9e04496d823dd22f4f36b9bcfda5002b957",
+        "agent3-round57 schedule.csv":
+            "f80781f05f14078a4ca8ac1aa9841a661a5e4d76b8e07785e6490a7d2039313e",
+        "agent3-round57 stdout":
+            "31e694c4b8b786c5ebbaaf80488ac18dde6cddef1ba9b43d52e85a2eb7ee5002",
+    },
+    "pbt-delta50": {
+        "replay schedule.csv":
+            "5b39449e76e0016592b31ec7d88577e3075765a57c2796fb0e73c33f9334e001",
+        "replay stdout":
+            "a52af42a01edcd9cf71e4042c76545d115a1333e74cd191ebdbdef9bc29eedc7",
+        "agent3-round57 schedule.csv":
+            "f80781f05f14078a4ca8ac1aa9841a661a5e4d76b8e07785e6490a7d2039313e",
+        "agent3-round57 stdout":
+            "7fe947d34192475733d05990acdf55ad9aadc28c102617f7857be8b82bb17050",
+    },
+    "quadratic-mfpbt": {
+        "replay schedule.csv":
+            "760ab6a37e43dbdce6b48a3548e0d4904280ece77ec0c7bfc28aec0b648fb217",
+        "replay stdout":
+            "5dc9ec78abe3978fb71bdc33819ab611777aab2573beeb967094cd9cdf90b59a",
+        "agent3-round57 schedule.csv":
+            "b626124b6e9503c38d90f4c82bda33ba6f10a97a3053afa337679e497a338b3d",
+        "agent3-round57 stdout":
+            "6357e29c09b8f3f6607a1e85fdcc80a979d1d1c156e86f02be28661874c6a8bb",
+    },
+    "quadratic-pbt-clamp": {
+        "replay schedule.csv":
+            "b6dc8489b84b5d66bf2ce570da01ead6d470312255e55475627ed37f7a2c27fb",
+        "replay stdout":
+            "41e48f98335f6f96184de30141432176e3a5cfa22eeb1efbafce70345f4dd676",
+    },
+    "rs-default": {
+        "replay schedule.csv":
+            "5b39449e76e0016592b31ec7d88577e3075765a57c2796fb0e73c33f9334e001",
+        "replay stdout":
+            "8e3f868a062329a7f3358f901b79317200ac3ab9081ce39ae6bc57767d9a4190",
+        "agent3-round57 schedule.csv":
+            "f80781f05f14078a4ca8ac1aa9841a661a5e4d76b8e07785e6490a7d2039313e",
+        "agent3-round57 stdout":
+            "ffa507c26234a79cba83e4b7a4afa6c431c84a8fd32d86e04fd7dd1e9e725f02",
+    },
+    "seedlottery-mfpbt-var": {
+        "replay schedule.csv":
+            "7a00e580bb71d791d24a40a51b08fd5c79d10e1a59663e11e325779d0d5b7624",
+        "replay stdout":
+            "63a0926e846c7c2165f1df098e537a3baff412e05f010f98aa901762bb8269d2",
+        "agent3-round57 schedule.csv":
+            "c0afcd692dd75ee6e7340495c9f3754468680f68a49ccb754838c5ccacba4535",
+        "agent3-round57 stdout":
+            "0adf372ec9c3e56c7784b405b878d0e4280ff6ecf8b8fba531405c9ee31f5ce1",
+    },
+    "seedlottery-rs": {
+        "replay schedule.csv":
+            "115159b78588c1df8e737be45d9e960c16b2144971b22aaceb3c57f1e02684d5",
+        "replay stdout":
+            "7712fee4426833d90816d115c8d1db4f3efbca6683f294322720d82227e943a7",
+        "agent3-round57 schedule.csv":
+            "7135b48db5f14ca3af55c4d3989539070089c4798a6b4aa0c6dc22e759f708d6",
+        "agent3-round57 stdout":
+            "02ae1f018fe03022c1ff0ed66ce6c8355c1713b44b597def38a9edcf5b40ebfa",
+    },
+    "twobasin-mfpbt": {
+        "replay schedule.csv":
+            "e3c3be7deccc0706d0809f40e34be4bd114b422a42f81cedcb0f2e2e2575dc9e",
+        "replay stdout":
+            "ba4c67b2fc00ae69021456e298bb11afb978f9564edb014f81891e6f04514547",
+        "agent3-round57 schedule.csv":
+            "cfce8ba5dd35e30cf605d4c081ae027d97ac4fc418e0fb71cfed583459a60ded",
+        "agent3-round57 stdout":
+            "59e055be483f3d7cc5cd74864c017c6be4b22e880221a1bb59156918b8a331f8",
+    },
+    "twobasin-mfpbt-sym": {
+        "replay schedule.csv":
+            "1f500fd2215abe863bf7be786332760ace9d4cec1c7a53502db18393cc352026",
+        "replay stdout":
+            "6a93ea1bd44cc794a19d4a99797897d78b1f00192935ee12d872b52b58606519",
+        "agent3-round57 schedule.csv":
+            "dcaca0dc357b6f2de2e441bf102f1828fd95af27e80b7723f54338fc53842891",
+        "agent3-round57 stdout":
+            "1f9123155c08ec4ad9325d96d74030159cc4dc54dc894f54f5b7430af6140d31",
+    },
+    "twobasin-pbt-delta1": {
+        "replay schedule.csv":
+            "e73776b814fd0ef7fa9cc2c2679ccc5a13a24cf0b79338335c81a0346536ed46",
+        "replay stdout":
+            "0b1e4e7c95cfc2a953b17729c3c5797e940338b2406176ed99089a546d5675f5",
+        "agent3-round57 schedule.csv":
+            "04e8e6601d9618181a45cce16d5c4576055410aef25d38ed58ff508d019d224b",
+        "agent3-round57 stdout":
+            "bc7261ba9689f16e3ace360240c86189e2563cafd0f88ecd8ce42483ee702b7c",
+    },
+    "twobasin-pbt-delta16": {
+        "replay schedule.csv":
+            "019688aa4e4195b46932ead9ea46b9fc7ab481d0274cf13eb170c321ecc8888e",
+        "replay stdout":
+            "af76359bb6c0f08b3c8838ad78f2bf978b539f1831848f7b7992b00617966eb1",
+        "agent3-round57 schedule.csv":
+            "f80781f05f14078a4ca8ac1aa9841a661a5e4d76b8e07785e6490a7d2039313e",
+        "agent3-round57 stdout":
+            "a71816c828c93dbb5360f0a7a006017acdb9dd29eb1cfcf337fb3c63d8469a3d",
+    },
+    "twobasin-pbt-delta4": {
+        "replay schedule.csv":
+            "4411c558926fc9dbbf32cb8c6552762e9cc5a4d76b4399c6a4e5f67295526cf6",
+        "replay stdout":
+            "de87e87c4aeff2058cb08482badfd963e9642ca94b1d3f792e270b470adff909",
+        "agent3-round57 schedule.csv":
+            "1ebe0bd2a036dd7a2a23d5698e7a2f5cf47538935598238d56fe98fda50c1f3a",
+        "agent3-round57 stdout":
+            "3a161fef6141d2e5f0892173422056beaa92bdacd7d3a77da6bfe4ce54a7f755",
+    },
+    "twobasin-pbt-delta8": {
+        "replay schedule.csv":
+            "e3e09c14c42980e0dbde6bcfcde8d04d43ae407d1512fc62a8fcfa716aae56e3",
+        "replay stdout":
+            "85f7a02fc285c01302e8a27fbdbd0ca01ec98ce1ee6f42d0aff48b9615dbc5e9",
+        "agent3-round57 schedule.csv":
+            "7ce3443a3a8c224b9394af44646248e9e03e50e49334fe3782d08d8b1fbe22df",
+        "agent3-round57 stdout":
+            "ef9a191f2071b02df5f8ec906ef6a6c308aa6fe7dd401e255f2f328686b08157",
+    },
+    "twobasin-rs": {
+        "replay schedule.csv":
+            "5b39449e76e0016592b31ec7d88577e3075765a57c2796fb0e73c33f9334e001",
+        "replay stdout":
+            "482b0cc3742a879d43f6852757a35971c4cf817178d988f5871f1b641b9b8893",
+        "agent3-round57 schedule.csv":
+            "f80781f05f14078a4ca8ac1aa9841a661a5e4d76b8e07785e6490a7d2039313e",
+        "agent3-round57 stdout":
+            "f6cc7574136ee8fd1e7b1117dd618f36bc0a772db4fa8e6ead1b4f81ca3818c1",
+    },
+}
+
+GOLDEN_REPORT: dict[str, str] = {
+    "report.csv":
+        "d2f0ab319f2c3dfa304246bcdbbdccfbdde31001c36c305e1ecd787e475ef2f2",
+    "curves.csv":
+        "b6edc07fb3f2fbc47f825c91b78c6bcababca5fa4c8d668524624692926d97e3",
+    "stdout":
+        "b4f52ed32d6f59d0334d21943b7a9952a3b44954442d2b2fb94c5b86727a2215",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_lineage_outputs_are_frozen(name, golden_root):
+    assert lineage_digests(golden_root, name) == GOLDEN_LINEAGE[name]
+
+
+def test_report_outputs_are_frozen(golden_root):
+    assert report_digests(golden_root) == GOLDEN_REPORT
