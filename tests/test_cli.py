@@ -249,6 +249,19 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, command, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("low", "1e-3"), ("high", True)])
+def test_mistyped_search_space_bound_exits_2(tmp_path, capsys, key, value):
+    data = get_preset("twobasin-rs").to_json_dict()
+    data["search_space"][0][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "validate", "--config", str(path))
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith(f"search_space[0].{key}:")
+
+
 # ------------------------------------------------------------- cli: report
 
 def test_report_aggregates_runs(tmp_path, capsys):
@@ -310,6 +323,22 @@ def test_lineage_bad_agent_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "lineage", str(out), "--agent", "99")
     assert code == 1
     assert json.loads(err)["error"] == "LineageError"
+
+
+@pytest.mark.parametrize("command", ["lineage", "report"])
+def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, command):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    metrics = out / "metrics.csv"
+    with open(metrics, "a", encoding="utf-8") as fh:
+        fh.write("401,3\n")
+    argv = [command, str(out)] + (["--out", str(tmp_path / "report")] if command == "report" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{metrics}: line 18: ")
 
 
 # -------------------------------------------------------------- subprocess

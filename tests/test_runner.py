@@ -184,6 +184,51 @@ def test_config_json_rejects_values_of_the_wrong_type(field, value):
         ExperimentConfig.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("low", "1e-3"),
+        ("low", True),
+        ("high", True),
+        ("high", None),
+        ("high", [5.0]),
+        pytest.param("low", 10**400, id="low-int-beyond-float"),
+        ("scale", 1),
+        ("name", 5),
+    ],
+)
+def test_config_json_rejects_search_space_values_of_the_wrong_type(key, value):
+    data = small_config().to_json_dict()
+    data["search_space"][0][key] = value
+    with pytest.raises(ConfigError, match=rf"^search_space\[0\]\.{key}:"):
+        ExperimentConfig.from_json_dict(data)
+
+
+@pytest.mark.parametrize("space", ["sigma", {"name": "sigma"}, [["sigma", 0.1, 1.0]], None])
+def test_config_json_rejects_a_search_space_that_is_not_a_list_of_objects(space):
+    data = small_config().to_json_dict()
+    data["search_space"] = space
+    with pytest.raises(ConfigError, match="^search_space:"):
+        ExperimentConfig.from_json_dict(data)
+
+
+def test_config_json_takes_integer_bounds_as_floats():
+    data = small_config().to_json_dict()
+    data["search_space"][0].update(low=1, high=5)
+    cfg = ExperimentConfig.from_json_dict(data)
+    assert cfg.to_json_dict()["search_space"][0] == {
+        "name": "sigma", "low": 1.0, "high": 5.0, "scale": "log-uniform",
+    }
+
+
+@pytest.mark.parametrize("value", [5, True, ["runs"], {"dir": "runs"}])
+def test_config_json_rejects_out_dir_that_is_not_a_string(value):
+    data = small_config().to_json_dict()
+    data["out_dir"] = value
+    with pytest.raises(ConfigError, match="^out_dir:"):
+        ExperimentConfig.from_json_dict(data)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(preset_names()))
 def test_config_json_round_trips_every_preset(name):
@@ -496,6 +541,25 @@ def test_interrupted_log_truncation_keeps_the_log(tmp_path, monkeypatch, log):
     assert _run_files(part) == _run_files(full)
 
 
+@pytest.mark.parametrize(
+    "log,torn",
+    [("metrics.csv", "1"), ("events.jsonl", '{"round":1')],
+)
+def test_resume_drops_a_torn_last_line(tmp_path, log, torn):
+    """A kill mid-write leaves a last line without its newline."""
+    cfg = small_config(
+        "pbt_bt", num_agents=8, total_steps=75, elite_capacity=4, backtrack_period=3,
+        checkpoint_every=1,
+    )
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+    run_experiment(cfg, seed=2, out_dir=part, stop_after_round=12)
+    with open(part / log, "a", encoding="utf-8") as fh:
+        fh.write(torn)
+    run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert _run_files(part) == _run_files(full)
+
+
 def test_resume_rejects_checkpoint_of_another_master_seed(tmp_path):
     cfg = small_config("rs", checkpoint_every=1)
     out = tmp_path / "run"
@@ -569,3 +633,17 @@ def test_event_json_round_trip():
         make_event(kind=ELITE_RESTORE, source_round=4, hyperparams_after=(1.0, 2.5)),
     ]:
         assert event_from_json_line(ev.to_json_line()) == ev
+
+
+# ------------------------------------------------------------ metrics.csv
+
+@pytest.mark.parametrize(
+    "tail,line",
+    [("401,3\n", 6), ("401,3", 6), ("4,0,0,1.0,2.0,3.0\n", 6), ("\n4,x,0,1.0,2.0\n", 7)],
+)
+def test_read_metrics_names_the_file_and_line_of_a_malformed_row(tmp_path, tail, line):
+    path = tmp_path / "metrics.csv"
+    rows = [f"{r},{a},0,{r + a / 10!r},0.5" for r in (1, 2) for a in (0, 1)]
+    path.write_text("round,agent_id,subpop_id,fitness,sigma\n" + "\n".join(rows) + "\n" + tail)
+    with pytest.raises(ValueError, match=rf"^{path}: line {line}: "):
+        read_metrics(path)
