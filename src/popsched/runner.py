@@ -90,6 +90,24 @@ def _json_bool(data: dict, key: str) -> bool:
     return value
 
 
+def _json_str(data: dict, key: str, default=None, *, nullable: bool = False, field: str = ""):
+    value = data.get(key, default)
+    if not (isinstance(value, str) or (nullable and value is None)):
+        kind = "a string or null" if nullable else "a string"
+        raise ConfigError(f"{field or key}: expected {kind}, got {value!r}")
+    return value
+
+
+def _json_float(data: dict, key: str, field: str) -> float:
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field}: integer too large for a float") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str
@@ -214,17 +232,21 @@ class ExperimentConfig:
         missing = [k for k in required if k not in data]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
+        space = data["search_space"]
+        if not isinstance(space, list) or not all(isinstance(e, dict) for e in space):
+            raise ConfigError(f"search_space: expected a list of objects, got {space!r}")
         entries = []
-        for e in data["search_space"]:
+        for i, e in enumerate(space):
             extra = set(e) - {"name", "low", "high", "scale"}
             if extra:
                 raise ConfigError(f"search_space: unknown entry keys {sorted(extra)}")
+            at = f"search_space[{i}]"
             entries.append(
                 SpaceEntry(
-                    name=e["name"],
-                    low=float(e["low"]),
-                    high=float(e["high"]),
-                    scale=e.get("scale", "log-uniform"),
+                    name=_json_str(e, "name", field=f"{at}.name"),
+                    low=_json_float(e, "low", f"{at}.low"),
+                    high=_json_float(e, "high", f"{at}.high"),
+                    scale=_json_str(e, "scale", "log-uniform", field=f"{at}.scale"),
                 )
             )
         cfg = cls(
@@ -245,7 +267,7 @@ class ExperimentConfig:
             backtrack_period=_json_int(data, "backtrack_period", nullable=True),
             checkpoint_every=_json_int(data, "checkpoint_every", 0),
             workers=_json_int(data, "workers", 1),
-            out_dir=data.get("out_dir"),
+            out_dir=_json_str(data, "out_dir", nullable=True),
         )
         cfg.validate()
         return cfg
@@ -310,21 +332,25 @@ def read_metrics(path) -> list[MetricRow]:
     rows: list[MetricRow] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        hp_count = len(header) - 4
-        for line in fh:
+        for line_no, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            rows.append(
-                MetricRow(
-                    round=int(parts[0]),
-                    agent_id=int(parts[1]),
-                    subpop_id=int(parts[2]),
-                    fitness=float(parts[3]),
-                    hyperparams=tuple(float(v) for v in parts[4 : 4 + hp_count]),
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
+                rows.append(
+                    MetricRow(
+                        round=int(parts[0]),
+                        agent_id=int(parts[1]),
+                        subpop_id=int(parts[2]),
+                        fitness=float(parts[3]),
+                        hyperparams=tuple(float(v) for v in parts[4:]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return rows
 
 
@@ -480,6 +506,8 @@ def _truncate_log(path: Path, keep_round: int, is_csv: bool) -> None:
     kept = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()  # torn by a kill mid-write
     for idx, line in enumerate(lines):
         if is_csv and idx == 0:
             kept.append(line)
