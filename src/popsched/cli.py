@@ -29,14 +29,14 @@ from .lineage import LineageError, replay_run, schedule_csv_lines
 from .presets import get_preset, preset_names
 from .reporting import (
     aggregate_curve,
-    best_fitness_by_round,
+    best_fitness_of_columns,
     compare_final,
     config_label,
     render_table,
     write_curves_csv,
     write_report_csv,
 )
-from .runner import ExperimentConfig, load_run_config, read_metrics, run_experiment
+from .runner import ExperimentConfig, _read_metric_columns, load_run_config, run_experiment
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -104,9 +104,9 @@ def cmd_report(args) -> int:
     for run_dir in args.run_dirs:
         run_dir = Path(run_dir)
         config, _ = load_run_config(run_dir)
-        rows = read_metrics(run_dir / "metrics.csv")
-        label = config_label(config)
-        curves_by_label.setdefault(label, []).append(best_fitness_by_round(rows))
+        rounds, _, _, fitness, *_ = _read_metric_columns(run_dir / "metrics.csv")
+        curve = best_fitness_of_columns(rounds, fitness)
+        curves_by_label.setdefault(config_label(config), []).append(curve)
     curves = [aggregate_curve(label, cs) for label, cs in sorted(curves_by_label.items())]
     finals = {label: [c[-1] for c in cs] for label, cs in curves_by_label.items()}
     summaries = compare_final(finals)
@@ -121,7 +121,6 @@ def cmd_report(args) -> int:
 
 def cmd_lineage(args) -> int:
     run_dir = Path(args.run_dir)
-    config, _ = load_run_config(run_dir)
     agent = None if args.agent == "best" else int(args.agent)
     report = replay_run(
         run_dir,
@@ -130,7 +129,7 @@ def cmd_lineage(args) -> int:
         verify_rounds=args.replay,
     )
     out_path = Path(args.out) if args.out else run_dir / "schedule.csv"
-    lines = schedule_csv_lines(report.segments, config.search_space.names)
+    lines = schedule_csv_lines(report.segments, report.hp_names)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"agent {report.agent_id} at round {report.final_round}: "

@@ -36,7 +36,7 @@ from .events import (
     EvolutionEvent,
     read_events,
 )
-from .runner import load_run_config, read_metrics
+from .runner import _read_metric_columns, load_run_config
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
 
@@ -292,6 +292,7 @@ class ReplayReport:
     agent_id: int
     final_round: int
     segments: tuple[ScheduleSegment, ...]
+    hp_names: tuple[str, ...]
     replayed_fitness: float
     logged_fitness: float
 
@@ -314,28 +315,25 @@ def replay_run(
     """
     run_dir = Path(run_dir)
     config, seed = load_run_config(run_dir)
-    metrics = read_metrics(run_dir / "metrics.csv")
-    if not metrics:
+    rounds, agents, _, fitness, *hp_columns = _read_metric_columns(run_dir / "metrics.csv")
+    if not rounds:
         raise LineageError(f"{run_dir}: metrics.csv is empty")
     events = read_events(run_dir / "events.jsonl")
-    last = max(row.round for row in metrics)
-    final_round = last if final_round is None else int(final_round)
-    rows = {row.agent_id: row for row in metrics if row.round == final_round}
-    if not rows:
+    final_round = max(rounds) if final_round is None else int(final_round)
+    final = {a: f for r, a, f in zip(rounds, agents, fitness) if r == final_round}
+    if not final:
         raise LineageError(f"{run_dir}: no metrics rows at round {final_round}")
     if agent_id is None:
-        agent_id = min(rows.values(), key=lambda r: (-r.fitness, r.agent_id)).agent_id
-    if agent_id not in rows:
+        agent_id = min(final, key=lambda a: (-final[a], a))
+    if agent_id not in final:
         raise LineageError(f"{run_dir}: no metrics row for agent {agent_id} at round {final_round}")
-    initial_h = {row.agent_id: row.hyperparams for row in metrics if row.round == 1}
+    initial_h = {a: h for r, a, h in zip(rounds, agents, zip(*hp_columns)) if r == 1}
     relevant = [ev for ev in events if ev.round <= final_round]
     segments = reconstruct_schedule(
         relevant, agent_id, final_round, initial_h, config.subpop_size
     )
-    expected = None
-    if verify_rounds:
-        expected = {(row.round, row.agent_id): row.fitness for row in metrics}
-    _, fitness = replay_schedule(
+    expected = dict(zip(zip(rounds, agents), fitness)) if verify_rounds else None
+    _, replayed = replay_schedule(
         segments,
         config.trainable,
         seed,
@@ -348,6 +346,7 @@ def replay_run(
         agent_id=agent_id,
         final_round=final_round,
         segments=tuple(segments),
-        replayed_fitness=fitness,
-        logged_fitness=rows[agent_id].fitness,
+        hp_names=config.search_space.names,
+        replayed_fitness=replayed,
+        logged_fitness=final[agent_id],
     )

@@ -44,15 +44,18 @@ def iqr_bounds(values: Sequence[float]) -> tuple[float, float]:
 
 def best_fitness_by_round(metrics: Sequence[MetricRow]) -> list[float]:
     """Best population fitness per round, indexed by round-1."""
-    if not metrics:
+    return best_fitness_of_columns([row.round for row in metrics], [row.fitness for row in metrics])
+
+
+def best_fitness_of_columns(rounds: Sequence[int], fitness: Sequence[float]) -> list[float]:
+    """best_fitness_by_round from metrics.csv's round and fitness columns."""
+    if not rounds:
         raise ValueError("no metrics rows")
-    last = max(row.round for row in metrics)
-    best = [-math.inf] * last
-    for row in metrics:
-        idx = row.round - 1
-        if row.fitness > best[idx]:
-            best[idx] = row.fitness
-    if any(b == -math.inf for b in best):
+    best = [-math.inf] * max(rounds)
+    for r, f in zip(rounds, fitness):
+        if f > best[r - 1]:
+            best[r - 1] = f
+    if -math.inf in best:
         missing = [i + 1 for i, b in enumerate(best) if b == -math.inf]
         raise ValueError(f"metrics missing rounds {missing}")
     return best
@@ -108,20 +111,15 @@ def aggregate_curve(name: str, per_seed_curves: Sequence[Sequence[float]]) -> Ag
     lengths = {len(c) for c in per_seed_curves}
     if len(lengths) != 1:
         raise ValueError(f"{name}: runs disagree on round grid, lengths {sorted(lengths)}")
-    (n_rounds,) = lengths
-    mids, lows, highs = [], [], []
-    for r in range(n_rounds):
-        col = [c[r] for c in per_seed_curves]
-        mids.append(iqm(col))
-        lo, hi = iqr_bounds(col)
-        lows.append(lo)
-        highs.append(hi)
+    mids = [iqm(col) for col in zip(*per_seed_curves)]
+    # One call for every round's band; same bytes as iqr_bounds per round.
+    lows, highs = np.percentile(np.asarray(per_seed_curves, dtype=float), [25.0, 75.0], axis=0)
     return AggregateCurve(
         name=name,
-        rounds=tuple(range(1, n_rounds + 1)),
+        rounds=tuple(range(1, len(mids) + 1)),
         iqm=tuple(mids),
-        iqr_low=tuple(lows),
-        iqr_high=tuple(highs),
+        iqr_low=tuple(lows.tolist()),
+        iqr_high=tuple(highs.tolist()),
     )
 
 

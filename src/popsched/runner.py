@@ -31,6 +31,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -328,36 +329,43 @@ def _metric_line(row: MetricRow) -> str:
     return ",".join(parts)
 
 
-def read_metrics(path) -> list[MetricRow]:
-    rows: list[MetricRow] = []
+_METRIC_BLOCK = 1000  # lines converted at once: bounds the split rows held
+
+
+def _metric_block(lines: list[str], casts: tuple) -> list[list]:
+    """Convert metrics.csv lines column by column; blank lines are skipped."""
+    rows = [s.split(",") for s in map(str.strip, lines) if s]
+    widths = set(map(len, rows)) - {len(casts)}
+    if widths:
+        raise ValueError(f"expected {len(casts)} fields, got {min(widths)}")
+    return [list(map(cast, cells)) for cast, cells in zip(casts, zip(*rows))]
+
+
+def _read_metric_columns(path) -> list[list]:
+    """metrics.csv by column: rounds, agent ids, subpop ids, fitness, then
+    one column per hyperparameter. No row objects are built."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line_no, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
+        width = max(len(fh.readline().split(",")), 4)  # an empty file has no rows
+        casts = (int, int, int) + (float,) * (width - 3)
+        columns: list[list] = [[] for _ in range(width)]
+        first = 2
+        while block := list(islice(fh, _METRIC_BLOCK)):
             try:
-                if len(parts) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
-                rows.append(
-                    MetricRow(
-                        round=int(parts[0]),
-                        agent_id=int(parts[1]),
-                        subpop_id=int(parts[2]),
-                        fitness=float(parts[3]),
-                        hyperparams=tuple(float(v) for v in parts[4:]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    return rows
+                for column, cells in zip(columns, _metric_block(block, casts)):
+                    column.extend(cells)
+            except ValueError:
+                for line_no, line in enumerate(block, first):  # name the first bad line
+                    try:
+                        _metric_block([line], casts)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            first += len(block)
+    return columns
 
 
-def metric_hyperparam_names(path) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    return tuple(header[4:])
+def read_metrics(path) -> list[MetricRow]:
+    rounds, agents, subpops, fitness, *hyperparams = _read_metric_columns(path)
+    return list(map(MetricRow, rounds, agents, subpops, fitness, zip(*hyperparams)))
 
 
 def load_run_config(run_dir) -> tuple[ExperimentConfig, int]:
