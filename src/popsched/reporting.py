@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .runner import ExperimentConfig, MetricRow
+from .runner import ExperimentConfig, MetricRow, _fmt
 
 
 def iqm(values: Sequence[float]) -> float:
@@ -140,10 +140,6 @@ def config_label(config: ExperimentConfig) -> str:
     if len(parts) == 1:
         return parts[0]
     return f"{parts[0]}[{','.join(parts[1:])}]"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_report_csv(path, summaries: Sequence[AlgorithmSummary]) -> None:
