@@ -341,6 +341,52 @@ def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, co
     assert envelope["message"].startswith(f"{metrics}: line 18: ")
 
 
+
+def _break_event_line(run_dir, line_no, broken):
+    """Replace line line_no of run_dir's events.jsonl by broken(line)."""
+    events = run_dir / "events.jsonl"
+    lines = events.read_text().splitlines(keepends=True)
+    lines[line_no - 1] = broken(lines[line_no - 1].rstrip("\n")) + "\n"
+    events.write_text("".join(lines))
+    return events
+
+
+MALFORMED_EVENT_LINES = {
+    "missing key": lambda line: line.replace('"target_agent_id"', '"target"'),
+    "bad json": lambda line: line[:14],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))
+def test_malformed_event_line_exits_1_naming_file_and_line(tmp_path, capsys, fault):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    events = _break_event_line(out, 3, MALFORMED_EVENT_LINES[fault])
+    code, _, err = run_cli(capsys, "lineage", str(out), "--replay")
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{events}: line 3: ")
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))
+def test_resume_over_a_malformed_event_line_exits_1_naming_file_and_line(
+    tmp_path, capsys, fault
+):
+    path = tiny_config_file(tmp_path, algorithm="pbt", checkpoint_every=1)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    run_experiment(cfg, seed=5, out_dir=out, stop_after_round=3)
+    events = _break_event_line(out, 3, MALFORMED_EVENT_LINES[fault])
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{events}: line 3: ")
+
 # -------------------------------------------------------------- subprocess
 
 def test_module_entry_point_runs(tmp_path):

@@ -591,6 +591,13 @@ def test_result_best_helpers():
     assert res.final_best() == res.best_by_round()[-1]
 
 
+def test_final_best_of_a_run_stopped_early_is_its_last_round_best():
+    res = run_experiment(get_preset("twobasin-rs"), seed=0, stop_after_round=5)
+    last = max(row.fitness for row in res.metrics if row.round == 5)
+    assert res.best_by_round()[-1] == last
+    assert len(res.best_by_round()) == 5
+    assert res.final_best() == last
+
 def test_best_agent_tie_breaks_toward_lower_id():
     cfg = small_config("rs", total_steps=5)
     res = run_experiment(cfg, seed=0)
