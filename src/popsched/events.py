@@ -4,13 +4,19 @@ One event per affected agent per evolution barrier. The JSONL line order
 is the total order in which effects were applied, which is what lineage
 reconstruction relies on for same-round chains (a later sub-population
 may copy state that an earlier one replaced in the same round).
+
+Readers decode events.jsonl a block of lines per json.loads call (see
+_block_columns); a line that is not an event is named by file and line.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, is_, itemgetter
+from typing import Iterable, Sequence
 
 SURVIVE = "survive"
 PERTURBED_CLONE = "perturbed_clone"
@@ -51,17 +57,7 @@ class EvolutionEvent:
             raise ValueError(f"{self.kind} events require a source agent")
 
     def to_json_line(self) -> str:
-        rec = {
-            "round": self.round,
-            "subpop_id": self.subpop_id,
-            "target_agent_id": self.target_agent_id,
-            "kind": self.kind,
-            "source_agent_id": self.source_agent_id,
-            "source_round": self.source_round,
-            "hyperparams_after": list(self.hyperparams_after),
-            "fitness_snapshot": self.fitness_snapshot,
-        }
-        return json.dumps(rec, separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))  # fields in order; tuples as lists
 
 
 def event_from_json_line(line: str) -> EvolutionEvent:
@@ -78,6 +74,60 @@ def event_from_json_line(line: str) -> EvolutionEvent:
     )
 
 
+_FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # to_json_line's keys
+_EVENT_BLOCK = 1000  # lines decoded at once: bounds the records held
+
+
+def _types(*columns) -> set:
+    return set(map(type, chain.from_iterable(columns)))
+
+
+def _block_columns(path, lines: list[str], first: int) -> list[list]:
+    """A block of lines as eight event columns in _FIELDS order.
+
+    One json.loads decodes the joined block. If every line is one braced
+    object and every record has exactly the eight keys, a known kind, int or
+    null ids and float numbers, no record holds a brace, so each line holds
+    one record, as line-by-line decoding finds. Other blocks go line by line.
+    """
+    rows = [s for s in map(str.strip, lines) if s]
+    try:
+        if all(map(str.startswith, rows, repeat("{"))) and all(map(str.endswith, rows, repeat("}"))):
+            recs = json.loads("[" + ",".join(rows) + "]")
+            if len(recs) == len(rows) and set(map(len, recs)) <= {len(_FIELDS)}:
+                cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]  # KeyError unless exact
+                rnd, sub, tgt, kinds, src, src_round, hps, fit = cols
+                if (_types(rnd, sub, tgt) <= {int} and _types(src, src_round) <= {int, type(None)}
+                        and set(kinds) <= set(EVENT_KINDS) and _types(hps) <= {list}
+                        and _types(fit, *hps) <= {float}  # survive <=> no source:
+                        and list(map(SURVIVE.__eq__, kinds)) == list(map(is_, src, repeat(None)))):
+                    cols[6] = list(map(tuple, hps))
+                    return cols
+    except (KeyError, TypeError, ValueError):  # not a JSON array of such objects
+        pass
+    events = []
+    for line_no, line in enumerate(lines, first):
+        try:
+            if line.strip():
+                events.append(event_from_json_line(line.strip()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {line_no}: {type(exc).__name__}: {exc}") from None
+    return [list(map(attrgetter(k), events)) for k in _FIELDS]
+
+
+def _text(path, lines: Sequence[str] | None = None):
+    """path opened for reading, or the lines already read from it."""
+    return open(path, "r", encoding="utf-8") if lines is None else nullcontext(iter(lines))
+
+
+def _event_blocks(path, lines: Sequence[str] | None = None):
+    with _text(path, lines) as fh:
+        first = 1
+        while block := list(islice(fh, _EVENT_BLOCK)):
+            yield _block_columns(path, block, first)
+            first += len(block)
+
+
 def write_events(path, events: Iterable[EvolutionEvent], append: bool = True) -> None:
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as fh:
@@ -86,11 +136,20 @@ def write_events(path, events: Iterable[EvolutionEvent], append: bool = True) ->
             fh.write("\n")
 
 
-def read_events(path) -> list[EvolutionEvent]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(event_from_json_line(line))
-    return out
+def _read_event_columns(path):
+    """events.jsonl as the round, target id and fitness of every event, plus
+    {position: event} for the payload-changing ones (no survive is built)."""
+    rounds, targets, fitness, changed = [], [], [], {}
+    for cols in _event_blocks(path):
+        mask = list(map(SURVIVE.__ne__, cols[3]))
+        events = map(EvolutionEvent, *(compress(col, mask) for col in cols))
+        changed.update(zip(compress(count(len(rounds)), mask), events))
+        rounds += cols[0]
+        targets += cols[2]
+        fitness += cols[7]
+    return rounds, targets, fitness, changed
+
+
+def read_events(path, lines: Sequence[str] | None = None) -> list[EvolutionEvent]:
+    """Every event of path; lines, when given, are its text already read."""
+    return [ev for cols in _event_blocks(path, lines) for ev in map(EvolutionEvent, *cols)]

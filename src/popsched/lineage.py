@@ -29,13 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .events import (
-    ELITE_RESTORE,
-    SOURCED_KINDS,
-    SURVIVE,
-    EvolutionEvent,
-    read_events,
-)
+from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, _read_event_columns
 from .runner import _read_metric_columns, load_run_config
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
@@ -75,10 +69,22 @@ class ScheduleSegment:
 
 def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None) -> None:
     """Structural checks; raises LineageError naming the first broken round."""
+    columns = ([getattr(ev, k) for ev in events] for k in ("round", "target_agent_id", "fitness_snapshot"))
+    changed = {i: ev for i, ev in enumerate(events) if ev.kind != SURVIVE}
+    _check_event_columns(*columns, changed, num_agents)
+
+
+def _check_event_columns(rounds, targets, fitness, changed, num_agents=None) -> None:
+    """validate_event_log over _read_event_columns' output. Only the
+    payload-changing events are walked unless the columns fail a check as a
+    whole; then every event is, so the first broken one in file order is named."""
+    whole = rounds and not (rounds[0] >= 1 and rounds == sorted(rounds) and min(targets) >= 0
+                            and max(targets) < (math.inf if num_agents is None else num_agents)
+                            and all(map(math.isfinite, fitness)))
     prev_round = 0
     changed_at: set[tuple[int, int]] = set()
-    for ev in events:
-        r = ev.round
+    for i in range(len(rounds)) if whole else changed:
+        r = rounds[i]
         if r < 1:
             raise LineageError(f"event log broken at round {r}: rounds start at 1")
         if r < prev_round:
@@ -86,32 +92,30 @@ def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None 
                 f"event log broken at round {r}: rounds decrease after {prev_round}"
             )
         prev_round = r
-        ids = [ev.target_agent_id] + ([ev.source_agent_id] if ev.source_agent_id is not None else [])
-        for aid in ids:
+        ev = changed.get(i)
+        for aid in [targets[i]] + ([ev.source_agent_id] if ev is not None else []):
             if aid < 0 or (num_agents is not None and aid >= num_agents):
                 raise LineageError(f"event log broken at round {r}: agent id {aid} out of range")
-        if ev.kind in SOURCED_KINDS and ev.kind != ELITE_RESTORE:
-            if ev.source_agent_id == ev.target_agent_id:
-                raise LineageError(
-                    f"event log broken at round {r}: agent {ev.target_agent_id} clones itself"
-                )
-            if ev.source_round is not None:
-                raise LineageError(
-                    f"event log broken at round {r}: {ev.kind} carries a source round"
-                )
-        if ev.kind == ELITE_RESTORE:
-            if ev.source_round is None or not 1 <= ev.source_round <= r:
+        if ev is not None:
+            if ev.kind != ELITE_RESTORE:
+                if ev.source_agent_id == ev.target_agent_id:
+                    raise LineageError(
+                        f"event log broken at round {r}: agent {ev.target_agent_id} clones itself"
+                    )
+                if ev.source_round is not None:
+                    raise LineageError(
+                        f"event log broken at round {r}: {ev.kind} carries a source round"
+                    )
+            elif ev.source_round is None or not 1 <= ev.source_round <= r:
                 raise LineageError(
                     f"event log broken at round {r}: elite restore from round {ev.source_round}"
                 )
-        if ev.kind != SURVIVE:
-            key = (r, ev.target_agent_id)
-            if key in changed_at:
+            if (r, ev.target_agent_id) in changed_at:
                 raise LineageError(
                     f"event log broken at round {r}: agent {ev.target_agent_id} rewritten twice"
                 )
-            changed_at.add(key)
-        if not math.isfinite(ev.fitness_snapshot):
+            changed_at.add((r, ev.target_agent_id))
+        if not math.isfinite(fitness[i]):
             raise LineageError(
                 f"event log broken at round {r}: non-finite fitness snapshot"
             )
@@ -318,7 +322,7 @@ def replay_run(
     rounds, agents, _, fitness, *hp_columns = _read_metric_columns(run_dir / "metrics.csv")
     if not rounds:
         raise LineageError(f"{run_dir}: metrics.csv is empty")
-    events = read_events(run_dir / "events.jsonl")
+    ev_rounds, targets, ev_fitness, changed = _read_event_columns(run_dir / "events.jsonl")
     final_round = max(rounds) if final_round is None else int(final_round)
     final = {a: f for r, a, f in zip(rounds, agents, fitness) if r == final_round}
     if not final:
@@ -328,7 +332,8 @@ def replay_run(
     if agent_id not in final:
         raise LineageError(f"{run_dir}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = {a: h for r, a, h in zip(rounds, agents, zip(*hp_columns)) if r == 1}
-    relevant = [ev for ev in events if ev.round <= final_round]
+    _check_event_columns(ev_rounds, targets, ev_fitness, changed, config.num_agents)
+    relevant = [ev for ev in changed.values() if ev.round <= final_round]
     segments = reconstruct_schedule(
         relevant, agent_id, final_round, initial_h, config.subpop_size
     )

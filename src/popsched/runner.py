@@ -21,7 +21,8 @@ The runner owns the experiment directory layout:
 
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
-one, never a partial one.
+one, never a partial one. metrics.csv is parsed by one np.loadtxt call,
+events.jsonl by one json.loads per block of lines; a resume decodes each line once.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .core import (
     SpaceEntry,
     sample_hyperparams,
 )
-from .events import EvolutionEvent, read_events, write_events
+from .events import EvolutionEvent, _text, read_events, write_events
 from .mfpbt import MfpbtConfig, mfpbt_round, subpop_due
 from .pbt import pbt_evolution_step
 from .seeding import agent_trainable_seed, seed_hierarchy
@@ -294,13 +297,8 @@ class ExperimentResult:
     wall_clock: float
 
     def best_by_round(self) -> list[float]:
-        rounds = self.config.num_rounds
-        best = [-math.inf] * rounds
-        for row in self.metrics:
-            idx = row.round - 1
-            if row.fitness > best[idx]:
-                best[idx] = row.fitness
-        return best
+        from .reporting import best_fitness_by_round  # reporting imports this module
+        return best_fitness_by_round(self.metrics)
 
     def final_best(self) -> float:
         return self.best_by_round()[-1]
@@ -329,42 +327,32 @@ def _metric_line(row: MetricRow) -> str:
     return ",".join(parts)
 
 
-_METRIC_BLOCK = 1000  # lines converted at once: bounds the split rows held
-
-
-def _metric_block(lines: list[str], casts: tuple) -> list[list]:
-    """Convert metrics.csv lines column by column; blank lines are skipped."""
-    rows = [s.split(",") for s in map(str.strip, lines) if s]
-    widths = set(map(len, rows)) - {len(casts)}
-    if widths:
-        raise ValueError(f"expected {len(casts)} fields, got {min(widths)}")
-    return [list(map(cast, cells)) for cast, cells in zip(casts, zip(*rows))]
-
-
-def _read_metric_columns(path) -> list[list]:
-    """metrics.csv by column: rounds, agent ids, subpop ids, fitness, then
-    one column per hyperparameter. No row objects are built."""
-    with open(path, "r", encoding="utf-8") as fh:
-        width = max(len(fh.readline().split(",")), 4)  # an empty file has no rows
-        casts = (int, int, int) + (float,) * (width - 3)
-        columns: list[list] = [[] for _ in range(width)]
-        first = 2
-        while block := list(islice(fh, _METRIC_BLOCK)):
+def _read_metric_columns(path, lines: Sequence[str] | None = None) -> list[list]:
+    """metrics.csv by column: rounds, agent ids, subpop ids, fitness, then one
+    column per hyperparameter, parsed by one np.loadtxt call (int64 ids,
+    float64 values); a file it rejects is parsed line by line to name the bad line."""
+    with _text(path, lines) as fh:
+        width = max(len(next(fh, "").split(",")), 4)  # an empty file has no rows
+        dtype = np.dtype(",".join(["i8"] * 3 + ["f8"] * (width - 3)))
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(filter(str.strip, fh), dtype, delimiter=",", comments=None, ndmin=1)
+            return [table[name].tolist() for name in dtype.names]
+        except ValueError as exc:
+            error = exc
+    with _text(path, lines) as fh:
+        for line_no, line in enumerate(islice(fh, 1, None), 2):
             try:
-                for column, cells in zip(columns, _metric_block(block, casts)):
-                    column.extend(cells)
-            except ValueError:
-                for line_no, line in enumerate(block, first):  # name the first bad line
-                    try:
-                        _metric_block([line], casts)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: line {line_no}: {exc}") from None
-            first += len(block)
-    return columns
+                if line.strip():
+                    np.loadtxt([line], dtype, delimiter=",", comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    raise ValueError(f"{path}: {error}")
 
 
-def read_metrics(path) -> list[MetricRow]:
-    rounds, agents, subpops, fitness, *hyperparams = _read_metric_columns(path)
+def read_metrics(path, lines: Sequence[str] | None = None) -> list[MetricRow]:
+    rounds, agents, subpops, fitness, *hyperparams = _read_metric_columns(path, lines)
     return list(map(MetricRow, rounds, agents, subpops, fitness, zip(*hyperparams)))
 
 
@@ -508,25 +496,18 @@ def _write_atomic(path: Path, chunks: list[str]) -> None:
     os.replace(tmp, path)
 
 
-def _truncate_log(path: Path, keep_round: int, is_csv: bool) -> None:
-    if not path.exists():
-        return
-    kept = []
+def _truncate_log(path: Path, keep_round: int, read, header: int = 0) -> list:
+    """Drop a log's records after keep_round, its blank lines and a last line
+    torn by a kill mid-write; returns the kept records. The lines are
+    decoded once, by read(path, lines)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         lines.pop()  # torn by a kill mid-write
-    for idx, line in enumerate(lines):
-        if is_csv and idx == 0:
-            kept.append(line)
-            continue
-        s = line.strip()
-        if not s:
-            continue
-        rnd = int(s.split(",", 1)[0]) if is_csv else json.loads(s)["round"]
-        if rnd <= keep_round:
-            kept.append(line)
-    _write_atomic(path, kept)
+    body = [line for line in lines[header:] if line.strip()]
+    kept = [(line, rec) for line, rec in zip(body, read(path, lines)) if rec.round <= keep_round]
+    _write_atomic(path, lines[:header] + [line for line, _ in kept])
+    return [rec for _, rec in kept]
 
 
 def run_experiment(
@@ -570,10 +551,8 @@ def run_experiment(
             raise ConfigError("resume requested but no checkpoint present")
         with open(snaps[-1], "r", encoding="utf-8") as fh:
             start_round = engine.restore_checkpoint(json.load(fh))
-        _truncate_log(metrics_path, start_round, is_csv=True)
-        _truncate_log(events_path, start_round, is_csv=False)
-        metrics = read_metrics(metrics_path)
-        all_events = read_events(events_path)
+        metrics = _truncate_log(metrics_path, start_round, read_metrics, header=1)
+        all_events = _truncate_log(events_path, start_round, read_events)
     else:
         engine.init_population()
         if run_dir is not None:

@@ -342,6 +342,37 @@ def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, co
 
 
 
+@pytest.mark.parametrize("command", ["lineage", "report"])
+@pytest.mark.parametrize("row", ["1_0,3,0,1.0,0.5", f"{2**63},3,0,1.0,0.5", "#4,3,0,1.0,0.5"])
+def test_metrics_cells_loadtxt_refuses_exit_1_naming_file_and_line(tmp_path, capsys, command, row):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    metrics = out / "metrics.csv"
+    with open(metrics, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    argv = [command, str(out)] + (["--out", str(tmp_path / "report")] if command == "report" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{metrics}: line 18: ")
+
+
+@pytest.mark.parametrize("command", ["lineage", "report"])
+def test_header_only_metrics_exits_1(tmp_path, capsys, command):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    metrics = out / "metrics.csv"
+    metrics.write_text(metrics.read_text().splitlines(keepends=True)[0])
+    argv = [command, str(out)] + (["--out", str(tmp_path / "report")] if command == "report" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == ("LineageError" if command == "lineage" else "ValueError")
+    assert "empty" in envelope["message"] or "no metrics rows" in envelope["message"]
+
 def _break_event_line(run_dir, line_no, broken):
     """Replace line line_no of run_dir's events.jsonl by broken(line)."""
     events = run_dir / "events.jsonl"

@@ -26,7 +26,9 @@ import pytest
 from popsched.cli import main
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.presets import PRESETS, get_preset
-from popsched.runner import ExperimentConfig, run_experiment
+from popsched.runner import ExperimentConfig, _read_metric_columns, run_experiment
+
+from test_logs import assert_readers_match_per_line, per_cell
 
 # Two of every preset's largest evolution and backtracking periods.
 PRESET_ROUNDS = 104
@@ -719,3 +721,12 @@ def test_lineage_outputs_are_frozen(name, golden_root):
 
 def test_report_outputs_are_frozen(golden_root):
     assert report_digests(golden_root) == GOLDEN_REPORT
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_block_readers_equal_line_by_line_decoding(name, golden_root):
+    """Each golden log read in blocks equals its line-by-line decoding."""
+    run_dir = golden_root / name
+    assert_readers_match_per_line(run_dir / "events.jsonl")
+    got, want = _read_metric_columns(run_dir / "metrics.csv"), per_cell(run_dir / "metrics.csv")
+    assert [list(map(repr, c)) for c in got] == [list(map(repr, c)) for c in want]
