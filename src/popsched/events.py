@@ -57,7 +57,7 @@ class EvolutionEvent:
             raise ValueError(f"{self.kind} events require a source agent")
 
     def to_json_line(self) -> str:
-        return json.dumps(vars(self), separators=(",", ":"))  # fields in order; tuples as lists
+        return json.dumps(dict(zip(_FIELDS, _field_values(self))), separators=(",", ":"))
 
 
 def event_from_json_line(line: str) -> EvolutionEvent:
@@ -74,7 +74,8 @@ def event_from_json_line(line: str) -> EvolutionEvent:
     )
 
 
-_FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # to_json_line's keys
+_FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # the JSON keys, in order
+_field_values = attrgetter(*_FIELDS)  # not vars(): that would keep a dict on every event
 _EVENT_BLOCK = 1000  # lines decoded at once: bounds the records held
 
 

@@ -497,9 +497,8 @@ def _write_atomic(path: Path, chunks: list[str]) -> None:
 
 
 def _truncate_log(path: Path, keep_round: int, read, header: int = 0) -> list:
-    """Drop a log's records after keep_round, its blank lines and a last line
-    torn by a kill mid-write; returns the kept records. The lines are
-    decoded once, by read(path, lines)."""
+    """Drop a log's records after keep_round, blank lines and a line torn by a kill
+    mid-write; returns the kept records, decoded once by read(path, lines)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):

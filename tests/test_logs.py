@@ -9,6 +9,7 @@ a line the per-line path rejects must still be rejected, by file and line.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -219,6 +220,19 @@ def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, 
     ):
         with pytest.raises(LineageError, match=message):
             check()
+
+
+def test_writing_events_leaves_no_dict_on_each_event():
+    """Reading an event's __dict__ (vars) would keep a dict on it, about 64 B apiece."""
+    evs = [event_from_json_line(dumps(line(round=1 + i // 4, target=i % 4))) for i in range(1000)]
+    tracemalloc.start()
+    try:
+        for ev in evs:
+            ev.to_json_line()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 16_000
 
 
 # ------------------------------------------------------------- metrics.csv
