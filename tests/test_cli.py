@@ -388,6 +388,18 @@ MALFORMED_EVENT_LINES = {
 }
 
 
+def test_lineage_validates_the_whole_event_log_whatever_the_round(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    last = len((out / "events.jsonl").read_text().splitlines())
+    _break_event_line(out, last, lambda line: line.replace('"target_agent_id":', '"target_agent_id":9', 1))
+    code, _, err = run_cli(capsys, "lineage", str(out), "--round", "1")
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "LineageError"
+    assert "out of range" in envelope["message"]
+
 @pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))
 def test_malformed_event_line_exits_1_naming_file_and_line(tmp_path, capsys, fault):
     path = tiny_config_file(tmp_path, algorithm="pbt")
