@@ -331,23 +331,25 @@ def _read_metric_columns(path, lines: Sequence[str] | None = None) -> list[list]
     """metrics.csv by column: rounds, agent ids, subpop ids, fitness, then one
     column per hyperparameter, parsed by one np.loadtxt call (int64 ids,
     float64 values); a file it rejects is parsed line by line to name the bad line."""
-    with _text(path, lines) as fh:
-        width = max(len(next(fh, "").split(",")), 4)  # an empty file has no rows
-        dtype = np.dtype(",".join(["i8"] * 3 + ["f8"] * (width - 3)))
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(filter(str.strip, fh), dtype, delimiter=",", comments=None, ndmin=1)
-            return [table[name].tolist() for name in dtype.names]
-        except ValueError as exc:
-            error = exc
-    with _text(path, lines) as fh:
-        for line_no, line in enumerate(islice(fh, 1, None), 2):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
+        # older numpy reads an id such as 1.5 or 2**63 through a float, warning only
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        with _text(path, lines) as fh:
+            width = max(len(next(fh, "").split(",")), 4)  # an empty file has no rows
+            dtype = np.dtype(",".join(["i8"] * 3 + ["f8"] * (width - 3)))
             try:
-                if line.strip():
-                    np.loadtxt([line], dtype, delimiter=",", comments=None)
+                table = np.loadtxt(filter(str.strip, fh), dtype, delimiter=",", comments=None, ndmin=1)
+                return [table[name].tolist() for name in dtype.names]
             except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                error = exc
+        with _text(path, lines) as fh:
+            for line_no, line in enumerate(islice(fh, 1, None), 2):
+                try:
+                    if line.strip():
+                        np.loadtxt([line], dtype, delimiter=",", comments=None)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
     raise ValueError(f"{path}: {error}")
 
 

@@ -432,6 +432,24 @@ def test_resume_over_a_malformed_event_line_exits_1_naming_file_and_line(
 
 # -------------------------------------------------------------- subprocess
 
+def test_metrics_id_read_through_a_float_exits_1_from_the_command_line(tmp_path, capsys):
+    # A fresh interpreter has Python's default warning filters, not the test run's.
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    metrics = out / "metrics.csv"
+    with open(metrics, "a", encoding="utf-8") as fh:
+        fh.write("1.5,3,0,1.0,0.5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "popsched.cli", "lineage", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["message"].startswith(f"{metrics}: line 18: ")
+
+
 def test_module_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "popsched.cli", "presets"],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -280,3 +281,19 @@ def test_metric_cells_beyond_int64_or_with_underscores_are_rejected(tmp_path, ro
                     encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{path}: line 4: "):
         _read_metric_columns(path)
+
+
+@pytest.mark.parametrize(
+    "row", ["1.5,0,0,1.0,0.5", "1e3,0,0,1.0,0.5", f"{2**63},0,0,1.0,0.5", "1,0,2.0,1.0,0.5"]
+)
+def test_integer_cells_a_float_parse_would_take_are_rejected_under_any_warning_filter(tmp_path, row):
+    # Some numpy versions read such an id through a float and only warn; with
+    # every warning ignored (DeprecationWarning is ignored outside tests) the
+    # row must still be refused by file and line, not truncated.
+    path = tmp_path / "metrics.csv"
+    path.write_text(f"round,agent_id,subpop_id,fitness,sigma\n1,0,0,1.0,0.5\n\n{row}\n",
+                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=rf"^{path}: line 4: "):
+            _read_metric_columns(path)
