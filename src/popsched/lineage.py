@@ -75,15 +75,11 @@ def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None 
 
 
 def _check_event_columns(rounds, targets, fitness, changed, num_agents=None) -> None:
-    """validate_event_log over _read_event_columns' output. Only the
-    payload-changing events are walked unless the columns fail a check as a
-    whole; then every event is, so the first broken one in file order is named."""
-    whole = rounds and not (rounds[0] >= 1 and rounds == sorted(rounds) and min(targets) >= 0
-                            and max(targets) < (math.inf if num_agents is None else num_agents)
-                            and all(map(math.isfinite, fitness)))
+    """validate_event_log over _read_event_columns' output: every event is
+    walked in file order, so the first broken one is named."""
     prev_round = 0
     changed_at: set[tuple[int, int]] = set()
-    for i in range(len(rounds)) if whole else changed:
+    for i in range(len(rounds)):
         r = rounds[i]
         if r < 1:
             raise LineageError(f"event log broken at round {r}: rounds start at 1")
