@@ -14,10 +14,13 @@ from .core import (
     HyperparamVector,
     Population,
     SpaceEntry,
+    compute_brackets,
+    rank_descending,
     sample_hyperparams,
 )
 from .events import (
     ELITE_RESTORE,
+    EVENT_KINDS,
     MIGRATION_FULL,
     MIGRATION_WEIGHTS_ONLY,
     PERTURBED_CLONE,
@@ -29,18 +32,20 @@ from .events import (
 from .trainables import (
     QuadraticLRTrainable,
     SeedLotteryTrainable,
+    Trainable,
     TRAINABLES,
     TwoBasinTrainable,
     build_trainable,
     transfer_weights,
     two_basin_objective,
 )
-from .pbt import PERTURB_FACTORS, pbt_evolution_step
-from .mfpbt import MfpbtConfig, mfpbt_round, subpop_due
+from .pbt import PERTURB_FACTORS, exploit, explore_perturb, pbt_evolution_step
+from .mfpbt import MfpbtConfig, build_external_pool, mfpbt_round, migrate, subpop_due
 from .baselines import EliteArchive, backtrack, rs_round, update_elites
 from .seeding import agent_trainable_seed, seed_hierarchy
 from .runner import (
     ExperimentConfig,
+    ExperimentResult,
     MetricRow,
     load_run_config,
     read_metrics,
@@ -48,6 +53,7 @@ from .runner import (
 )
 from .lineage import (
     LineageError,
+    ReplayReport,
     ScheduleSegment,
     reconstruct_schedule,
     replay_run,
@@ -56,6 +62,7 @@ from .lineage import (
 )
 from .reporting import (
     AggregateCurve,
+    AlgorithmSummary,
     aggregate_curve,
     best_fitness_by_round,
     compare_final,
@@ -69,12 +76,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentState",
     "AggregateCurve",
+    "AlgorithmSummary",
     "Brackets",
     "ConfigError",
     "ELITE_RESTORE",
+    "EVENT_KINDS",
     "EliteArchive",
     "EvolutionEvent",
     "ExperimentConfig",
+    "ExperimentResult",
     "HyperparamSpace",
     "HyperparamVector",
     "LineageError",
@@ -87,25 +97,33 @@ __all__ = [
     "PRESETS",
     "Population",
     "QuadraticLRTrainable",
+    "ReplayReport",
     "SURVIVE",
     "ScheduleSegment",
     "SeedLotteryTrainable",
     "SpaceEntry",
     "TRAINABLES",
+    "Trainable",
     "TwoBasinTrainable",
     "agent_trainable_seed",
     "aggregate_curve",
     "backtrack",
     "best_fitness_by_round",
+    "build_external_pool",
     "build_trainable",
     "compare_final",
+    "compute_brackets",
+    "exploit",
+    "explore_perturb",
     "get_preset",
     "iqm",
     "iqr_bounds",
     "load_run_config",
     "mfpbt_round",
+    "migrate",
     "pbt_evolution_step",
     "preset_names",
+    "rank_descending",
     "read_events",
     "read_metrics",
     "reconstruct_schedule",
