@@ -12,6 +12,7 @@ import json
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from popsched import events
@@ -273,27 +274,44 @@ def test_a_header_only_metrics_file_has_empty_columns(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["1_0,0,0,1.0,0.5", f"{2**63},0,0,1.0,0.5", "#1,0,0,1.0,0.5", "1,0,0,1_0.5,0.5"]
+    "row",
+    ["1_0,0,0,1.0,0.5", f"{2**63},0,0,1.0,0.5", "#1,0,0,1.0,0.5", "1,0,0,1_0.5,0.5",
+     "1.5,0,0,1.0,0.5", "1e3,0,0,1.0,0.5", "1,0,2.0,1.0,0.5"],
 )
-def test_metric_cells_beyond_int64_or_with_underscores_are_rejected(tmp_path, row):
-    path = tmp_path / "metrics.csv"
-    path.write_text(f"round,agent_id,subpop_id,fitness,sigma\n1,0,0,1.0,0.5\n\n{row}\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{path}: line 4: "):
-        _read_metric_columns(path)
-
-
-@pytest.mark.parametrize(
-    "row", ["1.5,0,0,1.0,0.5", "1e3,0,0,1.0,0.5", f"{2**63},0,0,1.0,0.5", "1,0,2.0,1.0,0.5"]
-)
-def test_integer_cells_a_float_parse_would_take_are_rejected_under_any_warning_filter(tmp_path, row):
-    # Some numpy versions read such an id through a float and only warn; with
-    # every warning ignored (DeprecationWarning is ignored outside tests) the
-    # row must still be refused by file and line, not truncated.
+def test_refused_metric_cells_name_their_line_whatever_the_warning_filters(tmp_path, row):
+    # Some numpy versions read an id such as 1.5 or 2**63 through a float and
+    # only warn; with every warning ignored (DeprecationWarning is ignored
+    # outside tests) the row must still be refused by file and line.
     path = tmp_path / "metrics.csv"
     path.write_text(f"round,agent_id,subpop_id,fitness,sigma\n1,0,0,1.0,0.5\n\n{row}\n",
                     encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match=rf"^{path}: line 4: "):
+            _read_metric_columns(path)
+
+
+def test_an_id_numpy_reads_through_a_float_with_a_warning_is_refused(tmp_path, monkeypatch):
+    # Models the numpy versions that parse 1.5 as an int64 through a float after
+    # a DeprecationWarning, and raise ValueError only when that warning is an error.
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(rows, dtype, **kwargs):
+        rows = list(rows)
+        if any(row.startswith("1.5,") for row in rows):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '1.5' to int64") from exc
+            rows = [row.replace("1.5,", "1,", 1) for row in rows]
+        return loadtxt(rows, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "metrics.csv"
+    path.write_text("round,agent_id,subpop_id,fitness,sigma\n1,0,0,1.0,0.5\n1.5,0,0,1.0,0.5\n",
+                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=rf"^{path}: line 3: "):
             _read_metric_columns(path)
