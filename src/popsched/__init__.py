@@ -40,17 +40,12 @@ from .trainables import (
     two_basin_objective,
 )
 from .pbt import PERTURB_FACTORS, exploit, explore_perturb, pbt_evolution_step
-from .mfpbt import MfpbtConfig, build_external_pool, mfpbt_round, migrate, subpop_due
+from .mfpbt import build_external_pool, mfpbt_round, migrate, subpop_due
 from .baselines import EliteArchive, backtrack, rs_round, update_elites
 from .seeding import agent_trainable_seed, seed_hierarchy
-from .runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    MetricRow,
-    load_run_config,
-    read_metrics,
-    run_experiment,
-)
+from .config import ExperimentConfig
+from .rundir import MetricRow, load_run_config, read_metrics
+from .runner import ExperimentResult, run_experiment
 from .lineage import (
     LineageError,
     ReplayReport,
@@ -91,7 +86,6 @@ __all__ = [
     "MIGRATION_FULL",
     "MIGRATION_WEIGHTS_ONLY",
     "MetricRow",
-    "MfpbtConfig",
     "PERTURBED_CLONE",
     "PERTURB_FACTORS",
     "PRESETS",

@@ -24,6 +24,7 @@ import os
 import sys
 from pathlib import Path
 
+from .config import ExperimentConfig
 from .core import ConfigError
 from .lineage import LineageError, replay_run, schedule_csv_lines
 from .presets import get_preset, preset_names
@@ -36,7 +37,8 @@ from .reporting import (
     write_curves_csv,
     write_report_csv,
 )
-from .runner import ExperimentConfig, _read_metric_columns, load_run_config, run_experiment
+from .rundir import RunDir, load_run_config, read_metric_columns
+from .runner import run_experiment
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -102,9 +104,8 @@ def cmd_presets(args) -> int:
 def cmd_report(args) -> int:
     curves_by_label: dict[str, list[list[float]]] = {}
     for run_dir in args.run_dirs:
-        run_dir = Path(run_dir)
         config, _ = load_run_config(run_dir)
-        rounds, _, _, fitness, *_ = _read_metric_columns(run_dir / "metrics.csv")
+        rounds, _, _, fitness, *_ = read_metric_columns(RunDir(run_dir).metrics)
         curve = best_fitness_of_columns(rounds, fitness)
         curves_by_label.setdefault(config_label(config), []).append(curve)
     curves = [aggregate_curve(label, cs) for label, cs in sorted(curves_by_label.items())]
@@ -120,15 +121,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_lineage(args) -> int:
-    run_dir = Path(args.run_dir)
     agent = None if args.agent == "best" else int(args.agent)
     report = replay_run(
-        run_dir,
+        args.run_dir,
         agent_id=agent,
         final_round=args.round,
         verify_rounds=args.replay,
     )
-    out_path = Path(args.out) if args.out else run_dir / "schedule.csv"
+    out_path = Path(args.out) if args.out else RunDir(args.run_dir).schedule
     lines = schedule_csv_lines(report.segments, report.hp_names)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -116,28 +116,28 @@ def _block_columns(path, lines: list[str], first: int) -> list[list]:
     return [list(map(attrgetter(k), events)) for k in _FIELDS]
 
 
-def _text(path, lines: Sequence[str] | None = None):
+def text(path, lines: Sequence[str] | None = None):
     """path opened for reading, or the lines already read from it."""
     return open(path, "r", encoding="utf-8") if lines is None else nullcontext(iter(lines))
 
 
 def _event_blocks(path, lines: Sequence[str] | None = None):
-    with _text(path, lines) as fh:
+    with text(path, lines) as fh:
         first = 1
         while block := list(islice(fh, _EVENT_BLOCK)):
             yield _block_columns(path, block, first)
             first += len(block)
 
 
-def write_events(path, events: Iterable[EvolutionEvent], append: bool = True) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
+def write_events(path, events: Iterable[EvolutionEvent]) -> None:
+    """Append events to path, one JSON line each."""
+    with open(path, "a", encoding="utf-8") as fh:
         for ev in events:
             fh.write(ev.to_json_line())
             fh.write("\n")
 
 
-def _read_event_columns(path):
+def read_event_columns(path):
     """events.jsonl as the round, target id and fitness of every event, plus
     {position: event} for the payload-changing ones (no survive is built)."""
     rounds, targets, fitness, changed = [], [], [], {}

@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, _read_event_columns
-from .runner import _read_metric_columns, load_run_config
+from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, read_event_columns
+from .rundir import RunDir, load_run_config, read_metric_columns
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
 
@@ -75,7 +74,7 @@ def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None 
 
 
 def _check_event_columns(rounds, targets, fitness, changed, num_agents=None) -> None:
-    """validate_event_log over _read_event_columns' output: every event is
+    """validate_event_log over read_event_columns' output: every event is
     walked in file order, so the first broken one is named."""
     prev_round = 0
     changed_at: set[tuple[int, int]] = set()
@@ -313,20 +312,20 @@ def replay_run(
     verify_rounds cross-checks every intermediate round of the lineage
     against the log and raises on the first divergence.
     """
-    run_dir = Path(run_dir)
+    run = RunDir(run_dir)
     config, seed = load_run_config(run_dir)
-    rounds, agents, _, fitness, *hp_columns = _read_metric_columns(run_dir / "metrics.csv")
+    rounds, agents, _, fitness, *hp_columns = read_metric_columns(run.metrics)
     if not rounds:
-        raise LineageError(f"{run_dir}: metrics.csv is empty")
-    ev_rounds, targets, ev_fitness, changed = _read_event_columns(run_dir / "events.jsonl")
+        raise LineageError(f"{run.root}: metrics.csv is empty")
+    ev_rounds, targets, ev_fitness, changed = read_event_columns(run.events)
     final_round = max(rounds) if final_round is None else int(final_round)
     final = {a: f for r, a, f in zip(rounds, agents, fitness) if r == final_round}
     if not final:
-        raise LineageError(f"{run_dir}: no metrics rows at round {final_round}")
+        raise LineageError(f"{run.root}: no metrics rows at round {final_round}")
     if agent_id is None:
         agent_id = min(final, key=lambda a: (-final[a], a))
     if agent_id not in final:
-        raise LineageError(f"{run_dir}: no metrics row for agent {agent_id} at round {final_round}")
+        raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = {a: h for r, a, h in zip(rounds, agents, zip(*hp_columns)) if r == 1}
     _check_event_columns(ev_rounds, targets, ev_fitness, changed, config.num_agents)
     relevant = [ev for ev in changed.values() if ev.round <= final_round]

@@ -2,9 +2,10 @@
 
 The population is split into M sub-populations that all train and are
 evaluated every round, but sub-population i only runs its evolution step
-every deltas[i] rounds. After a sub-population evolves, its
-migration-open quarter is compared against the best agents of the rest of
-the population and may import their state.
+every population.deltas[i] rounds (ExperimentConfig checks deltas[0] == 1).
+After a sub-population evolves, its migration-open quarter is compared
+against the best agents of the rest of the population and may import
+their state.
 
 Migration is asymmetric by default, which is what keeps slow (steady)
 sub-populations from being flooded by transient leaders: when the better
@@ -24,31 +25,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Brackets, ConfigError, HyperparamSpace, HyperparamVector, Population, compute_brackets
+from .core import Brackets, HyperparamSpace, HyperparamVector, Population, compute_brackets
 from .events import MIGRATION_FULL, MIGRATION_WEIGHTS_ONLY, EvolutionEvent
 from .pbt import pbt_evolution_step
 from .trainables import transfer_weights
-
-
-@dataclass(frozen=True)
-class MfpbtConfig:
-    """Sub-population periods plus the migration/exploration switches."""
-
-    deltas: tuple[int, ...]
-    symmetric_migration: bool = False
-    variance_exploitation: bool = False
-    clamp_hyperparams: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.deltas:
-            raise ConfigError("deltas must not be empty")
-        if self.deltas[0] != 1:
-            raise ConfigError(f"deltas must start at 1, got {self.deltas}")
-        if list(self.deltas) != sorted(set(self.deltas)):
-            raise ConfigError(f"deltas must be strictly increasing, got {self.deltas}")
-        for d in self.deltas:
-            if int(d) != d or d < 1:
-                raise ConfigError(f"deltas must be positive integers, got {self.deltas}")
 
 
 def subpop_due(round_no: int, delta: int) -> bool:
@@ -143,14 +123,15 @@ def mfpbt_round(
     population: Population,
     round_no: int,
     evolve_rngs: Mapping[int, np.random.Generator],
-    config: MfpbtConfig,
+    *,
+    symmetric_migration: bool = False,
+    variance_exploitation: bool = False,
     space: HyperparamSpace | None = None,
+    clamp: bool = False,
 ) -> list[EvolutionEvent]:
-    """Evolve and migrate every due sub-population, ascending index order."""
-    if population.num_subpops != len(config.deltas):
-        raise ConfigError("population and config disagree on sub-population count")
+    """Evolve and migrate every due sub-population (see subpop_due), ascending index order."""
     events: list[EvolutionEvent] = []
-    for i, delta in enumerate(config.deltas):
+    for i, delta in enumerate(population.deltas):
         if not subpop_due(round_no, delta):
             continue
         step = pbt_evolution_step(
@@ -158,9 +139,9 @@ def mfpbt_round(
             evolve_rngs,
             round_no,
             i,
-            variance_exploitation=config.variance_exploitation,
+            variance_exploitation=variance_exploitation,
             space=space,
-            clamp=config.clamp_hyperparams,
+            clamp=clamp,
         )
         events.extend(step)
         # The step's events list the sub-population in snapshot rank order.
@@ -173,8 +154,8 @@ def mfpbt_round(
                 brackets,
                 pool,
                 round_no,
-                symmetric=config.symmetric_migration,
-                variance_exploitation=config.variance_exploitation,
+                symmetric=symmetric_migration,
+                variance_exploitation=variance_exploitation,
             )
         )
     return events

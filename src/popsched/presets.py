@@ -21,7 +21,7 @@ Two families:
 from __future__ import annotations
 
 from .core import HyperparamSpace, SpaceEntry
-from .runner import ExperimentConfig
+from .config import ExperimentConfig
 
 # Frozen by calibration (see CALIBRATION.md): the walkers start on the
 # slope of the local basin so short-horizon selection favors small sigma.

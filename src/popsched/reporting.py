@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .runner import ExperimentConfig, MetricRow, _fmt
+from .config import ExperimentConfig
+from .rundir import MetricRow, fmt
 
 
 def iqm(values: Sequence[float]) -> float:
@@ -147,7 +148,7 @@ def write_report_csv(path, summaries: Sequence[AlgorithmSummary]) -> None:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["algorithm", "num_runs", "iqm", "iqr_low", "iqr_high", "within_best_iqr"])
         for s in summaries:
-            out.writerow([s.name, s.num_runs, _fmt(s.iqm), _fmt(s.iqr_low), _fmt(s.iqr_high),
+            out.writerow([s.name, s.num_runs, fmt(s.iqm), fmt(s.iqr_low), fmt(s.iqr_high),
                           "1" if s.within_best_iqr else "0"])
 
 
@@ -157,7 +158,7 @@ def write_curves_csv(path, curves: Sequence[AggregateCurve]) -> None:
         out.writerow(["algorithm", "round", "iqm", "iqr_low", "iqr_high"])
         for c in curves:
             for i, r in enumerate(c.rounds):
-                out.writerow([c.name, r, _fmt(c.iqm[i]), _fmt(c.iqr_low[i]), _fmt(c.iqr_high[i])])
+                out.writerow([c.name, r, fmt(c.iqm[i]), fmt(c.iqr_low[i]), fmt(c.iqr_high[i])])
 
 
 def render_table(summaries: Sequence[AlgorithmSummary]) -> str:

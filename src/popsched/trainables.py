@@ -67,8 +67,6 @@ class Trainable(Protocol):
 
     def set_hyperparams(self, hyperparams: Mapping[str, float]) -> None: ...
 
-    def get_hyperparams(self) -> dict[str, float]: ...
-
 
 def two_basin_objective(x: float) -> float:
     """Two Gaussian bumps: local maximum 1 at x=0, global maximum 2 at x=10."""
@@ -104,9 +102,6 @@ class _RngBase:
 
     def set_hyperparams(self, hyperparams: Mapping[str, float]) -> None:
         self._hyperparams = {k: float(v) for k, v in hyperparams.items()}
-
-    def get_hyperparams(self) -> dict[str, float]:
-        return dict(self._hyperparams)
 
     def export_weights(self) -> dict:
         raise NotImplementedError

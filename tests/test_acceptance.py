@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from popsched.cli import main as cli_main
+from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry, compute_brackets, rank_descending
 from popsched.events import ELITE_RESTORE, PERTURBED_CLONE, SURVIVE
 from popsched.lineage import replay_run
@@ -30,7 +31,7 @@ from popsched.mfpbt import build_external_pool, migrate
 from popsched.pbt import pbt_evolution_step
 from popsched.presets import get_preset
 from popsched.reporting import compare_final, iqm, iqr_bounds
-from popsched.runner import ExperimentConfig, run_experiment
+from popsched.runner import run_experiment
 from popsched.seeding import seed_hierarchy
 
 from conftest import make_population, streams, weights

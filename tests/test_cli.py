@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from popsched.cli import main
+from popsched.config import ExperimentConfig
 from popsched.presets import PRESETS, get_preset, preset_names
-from popsched.runner import ExperimentConfig
 
 
 # ---------------------------------------------------------------- presets
@@ -231,6 +231,31 @@ def test_run_resume_with_another_seed_exits_2(tmp_path, capsys):
     envelope = json.loads(err)
     assert envelope["error"] == "ConfigError"
     assert envelope["message"].startswith("seeds:")
+
+
+def test_run_resume_with_another_config_exits_2_and_touches_nothing(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, algorithm="pbt", checkpoint_every=1)
+    other = tiny_config_file(tmp_path, "other.json", algorithm="pbt", checkpoint_every=1, deltas=[4])
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    cfg = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    run_experiment(cfg, seed=5, out_dir=out, stop_after_round=2)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    code, _, err = run_cli(capsys, "run", "--config", str(other), "--out", str(out), "--resume")
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("deltas:")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_refused_resume_creates_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "X" / "deep"
+    code, _, err = run_cli(capsys, "run", "--preset", "twobasin-rs", "--out", str(out), "--resume")
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "X").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -14,6 +14,7 @@ from popsched.core import (
     ConfigError,
     HyperparamSpace,
     HyperparamVector,
+    Population,
     SpaceEntry,
     compute_brackets,
     rank_descending,
@@ -233,6 +234,10 @@ def test_population_layout_checks():
         make_population([1.0] * 8, deltas=(1, 1))
     with pytest.raises(ConfigError, match="positive integers"):
         make_population([1.0] * 8, deltas=(1, 0))
+    with pytest.raises(ConfigError, match="positive integers"):
+        make_population([1.0] * 8, deltas=(1, 2.5))
+    with pytest.raises(ConfigError, match="at least one period"):
+        Population(agents=make_population([1.0] * 4).agents, deltas=())
 
 
 def test_population_agent_order_enforced():

@@ -24,9 +24,11 @@ from pathlib import Path
 import pytest
 
 from popsched.cli import main
+from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.presets import PRESETS, get_preset
-from popsched.runner import ExperimentConfig, _read_metric_columns, run_experiment
+from popsched.rundir import read_metric_columns
+from popsched.runner import run_experiment
 
 from test_logs import assert_readers_match_per_line, per_cell
 
@@ -728,5 +730,5 @@ def test_block_readers_equal_line_by_line_decoding(name, golden_root):
     """Each golden log read in blocks equals its line-by-line decoding."""
     run_dir = golden_root / name
     assert_readers_match_per_line(run_dir / "events.jsonl")
-    got, want = _read_metric_columns(run_dir / "metrics.csv"), per_cell(run_dir / "metrics.csv")
+    got, want = read_metric_columns(run_dir / "metrics.csv"), per_cell(run_dir / "metrics.csv")
     assert [list(map(repr, c)) for c in got] == [list(map(repr, c)) for c in want]

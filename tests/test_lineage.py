@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.events import (
     ELITE_RESTORE,
@@ -21,7 +22,7 @@ from popsched.lineage import (
     schedule_csv_lines,
     validate_event_log,
 )
-from popsched.runner import ExperimentConfig, run_experiment
+from popsched.runner import run_experiment
 
 
 def ev(round=1, target=3, kind=PERTURBED_CLONE, source=0, source_round=None,

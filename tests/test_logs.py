@@ -18,12 +18,13 @@ import pytest
 from popsched import events
 from popsched.events import (
     SURVIVE,
-    _read_event_columns,
+    read_event_columns,
     event_from_json_line,
     read_events,
 )
 from popsched.lineage import LineageError, _check_event_columns, validate_event_log
-from popsched.runner import _read_metric_columns, run_experiment
+from popsched.rundir import read_metric_columns
+from popsched.runner import run_experiment
 
 from test_runner import small_config
 
@@ -52,11 +53,11 @@ def per_line(text: str) -> list:
 
 
 def assert_readers_match_per_line(path) -> None:
-    """read_events and _read_event_columns equal per-line decoding of path."""
+    """read_events and read_event_columns equal per-line decoding of path."""
     want = per_line(path.read_text(encoding="utf-8"))
     # repr, not ==: 2 == 2.0, but an int where per-line decoding gives a float is a fault.
     assert repr(read_events(path)) == repr(want)
-    rounds, targets, fitness, changed = _read_event_columns(path)
+    rounds, targets, fitness, changed = read_event_columns(path)
     assert repr(rounds) == repr([ev.round for ev in want])
     assert repr(targets) == repr([ev.target_agent_id for ev in want])
     assert repr(fitness) == repr([ev.fitness_snapshot for ev in want])
@@ -70,7 +71,7 @@ def write_lines(tmp_path, lines: list[str]):
 
 
 def rejects_naming(path, line_no: int) -> None:
-    for read in (read_events, _read_event_columns):
+    for read in (read_events, read_event_columns):
         with pytest.raises(ValueError, match=rf"^{path}: line {line_no}: "):
             read(path)
 
@@ -90,7 +91,7 @@ def test_a_written_log_is_decoded_in_blocks_not_line_by_line(tmp_path, monkeypat
 
     monkeypatch.setattr(events, "event_from_json_line", fail)
     assert read_events(path) == want
-    assert _read_event_columns(path)[3] == {
+    assert read_event_columns(path)[3] == {
         i: ev for i, ev in enumerate(want) if ev.kind != SURVIVE
     }
 
@@ -196,7 +197,7 @@ def test_resume_decodes_each_event_line_once(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "loads", counting_loads)
     res = run_experiment(cfg, seed=2, out_dir=tmp_path, resume=True)
     assert len(decoded) == num_lines  # every line of events.jsonl, once
-    assert loads.count("{") == 1  # the checkpoint: no event line is decoded on its own
+    assert loads.count("{") == 2  # checkpoint and config.json: no event line is decoded on its own
     assert res.metrics[-1].round == cfg.num_rounds
 
 
@@ -215,7 +216,7 @@ def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, 
         dumps(first),
         dumps(line(round=2, target=3, source=3)),  # clones itself
     ])
-    rounds, targets, fitness, changed = _read_event_columns(path)
+    rounds, targets, fitness, changed = read_event_columns(path)
     for check in (
         lambda: _check_event_columns(rounds, targets, fitness, changed, 8),
         lambda: validate_event_log(read_events(path), 8),
@@ -260,7 +261,7 @@ def test_metric_columns_equal_per_cell_conversion_bit_for_bit(tmp_path):
         "2,1,0,+3,00012,.5\n",
         encoding="utf-8",
     )
-    got, want = _read_metric_columns(path), per_cell(path)
+    got, want = read_metric_columns(path), per_cell(path)
     assert [list(map(repr, c)) for c in got] == [list(map(repr, c)) for c in want]
     assert [type(v) for c in got for v in c] == [type(v) for c in want for v in c]
 
@@ -268,9 +269,9 @@ def test_metric_columns_equal_per_cell_conversion_bit_for_bit(tmp_path):
 def test_a_header_only_metrics_file_has_empty_columns(tmp_path):
     path = tmp_path / "metrics.csv"
     path.write_text("round,agent_id,subpop_id,fitness,sigma\n", encoding="utf-8")
-    assert _read_metric_columns(path) == [[] for _ in range(5)]
+    assert read_metric_columns(path) == [[] for _ in range(5)]
     path.write_text("", encoding="utf-8")
-    assert _read_metric_columns(path) == [[] for _ in range(4)]
+    assert read_metric_columns(path) == [[] for _ in range(4)]
 
 
 @pytest.mark.parametrize(
@@ -288,7 +289,7 @@ def test_refused_metric_cells_name_their_line_whatever_the_warning_filters(tmp_p
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match=rf"^{path}: line 4: "):
-            _read_metric_columns(path)
+            read_metric_columns(path)
 
 
 def test_an_id_numpy_reads_through_a_float_with_a_warning_is_refused(tmp_path, monkeypatch):
@@ -314,4 +315,4 @@ def test_an_id_numpy_reads_through_a_float_with_a_warning_is_refused(tmp_path, m
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match=rf"^{path}: line 3: "):
-            _read_metric_columns(path)
+            read_metric_columns(path)

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from popsched.core import ConfigError, compute_brackets, rank_descending
+from popsched.core import compute_brackets, rank_descending
 from popsched.events import MIGRATION_FULL, MIGRATION_WEIGHTS_ONLY, PERTURBED_CLONE, SURVIVE
 from popsched.mfpbt import (
-    MfpbtConfig,
     PoolEntry,
     build_external_pool,
     migrate,
@@ -18,21 +17,6 @@ from popsched.mfpbt import (
 from popsched.pbt import pbt_evolution_step
 
 from conftest import evolve_rngs_for, make_population, own_streams, streams, weights
-
-
-# ----------------------------------------------------------------- config
-
-def test_config_validation():
-    MfpbtConfig((1,))
-    MfpbtConfig((1, 4, 8, 16))
-    with pytest.raises(ConfigError, match="must not be empty"):
-        MfpbtConfig(())
-    with pytest.raises(ConfigError, match="start at 1"):
-        MfpbtConfig((2, 4))
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        MfpbtConfig((1, 4, 4))
-    with pytest.raises(ConfigError, match="positive integers"):
-        MfpbtConfig((1, 2.5))
 
 
 def test_subpop_due_schedule():
@@ -217,15 +201,14 @@ def test_round_gates_by_delta():
     fits = [float(v) for v in np.random.default_rng(8).permutation(16)]
     pop = make_population(fits, deltas=(1, 2))
     rngs = evolve_rngs_for(pop)
-    cfg = MfpbtConfig((1, 2))
 
-    odd = mfpbt_round(pop, 7, rngs, cfg)
+    odd = mfpbt_round(pop, 7, rngs)
     assert odd and all(e.subpop_id == 0 for e in odd)
     assert all(e.target_agent_id < 8 for e in odd)
 
     for a in pop.agents:
         a.snapshot_fitness = float(np.random.default_rng(9).random()) + a.agent_id
-    both = mfpbt_round(pop, 8, rngs, cfg)
+    both = mfpbt_round(pop, 8, rngs)
     ids = [e.subpop_id for e in both]
     assert set(ids) == {0, 1}
     assert ids == sorted(ids)
@@ -236,19 +219,13 @@ def test_round_with_one_subpop_equals_plain_evolution_step():
     pop_a = make_population(fits)
     pop_b = make_population(fits)
 
-    ev_a = mfpbt_round(pop_a, 4, evolve_rngs_for(pop_a, 99), MfpbtConfig((1,)))
+    ev_a = mfpbt_round(pop_a, 4, evolve_rngs_for(pop_a, 99))
     ev_b = pbt_evolution_step(pop_b.agents, evolve_rngs_for(pop_b, 99), 4, 0)
 
     assert ev_a == ev_b
     for a, b in zip(pop_a.agents, pop_b.agents):
         assert a.hyperparams == b.hyperparams
         assert a.trainable.export_payload() == b.trainable.export_payload()
-
-
-def test_round_rejects_mismatched_config():
-    pop = make_population([1.0] * 8, deltas=(1, 2))
-    with pytest.raises(ConfigError, match="disagree"):
-        mfpbt_round(pop, 1, evolve_rngs_for(pop), MfpbtConfig((1,)))
 
 
 @pytest.mark.parametrize(
@@ -262,7 +239,6 @@ def test_round_event_replay_oracle(n, deltas):
         [float(v) for v in rng.permutation(n)], deltas=deltas
     )
     rngs = evolve_rngs_for(pop, master_seed=n)
-    cfg = MfpbtConfig(deltas)
 
     for round_no in range(1, 9):
         snap = {a.agent_id: a.snapshot_fitness for a in pop.agents}
@@ -270,7 +246,7 @@ def test_round_event_replay_oracle(n, deltas):
         tracked = dict(pre_h)
         due = [i for i in range(len(deltas)) if round_no % deltas[i] == 0]
 
-        events = mfpbt_round(pop, round_no, rngs, cfg)
+        events = mfpbt_round(pop, round_no, rngs)
 
         assert [e.subpop_id for e in events] == sorted(e.subpop_id for e in events)
         assert set(e.subpop_id for e in events) <= set(due)

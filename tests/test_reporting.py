@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.reporting import (
     AggregateCurve,
@@ -23,7 +24,7 @@ from popsched.reporting import (
     write_curves_csv,
     write_report_csv,
 )
-from popsched.runner import ExperimentConfig, MetricRow
+from popsched.rundir import MetricRow
 
 
 # -------------------------------------------------------------------- iqm

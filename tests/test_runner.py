@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsched import runner
+from popsched import rundir, runner
+from popsched.config import ExperimentConfig
 from popsched.core import ConfigError, HyperparamSpace, SpaceEntry
 from popsched.presets import get_preset, preset_names
 from popsched.events import (
@@ -21,13 +22,8 @@ from popsched.events import (
     EvolutionEvent,
     event_from_json_line,
 )
-from popsched.runner import (
-    ExperimentConfig,
-    MetricRow,
-    load_run_config,
-    read_metrics,
-    run_experiment,
-)
+from popsched.rundir import MetricRow, load_run_config, read_metrics
+from popsched.runner import run_experiment
 from popsched.seeding import agent_trainable_seed
 from popsched.trainables import build_trainable
 
@@ -69,6 +65,8 @@ def small_config(algorithm="rs", **overrides) -> ExperimentConfig:
         ("elite_capacity/backtrack_period", dict(elite_capacity=4)),
         ("checkpoint_every", dict(checkpoint_every=-1)),
         ("workers", dict(workers=0)),
+        ("deltas", dict(deltas=())),
+        ("deltas", dict(algorithm="mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2.5))),
     ],
 )
 def test_validation_errors_name_the_field(field, overrides):
@@ -451,6 +449,16 @@ def test_resume_error_cases(tmp_path):
         run_experiment(cfg, seed=0, out_dir=out, resume=True)
 
 
+def test_resume_refuses_another_config_naming_the_first_differing_field(tmp_path):
+    cfg = small_config("pbt", checkpoint_every=1)
+    run_experiment(cfg, seed=3, out_dir=tmp_path, stop_after_round=2)
+    before = _run_files(tmp_path)
+    other = dataclasses.replace(cfg, deltas=(2,), checkpoint_every=2)
+    with pytest.raises(ConfigError, match=r"^deltas: .*config\.json has \[1\], but this run has \[2\]$"):
+        run_experiment(other, seed=3, out_dir=tmp_path, resume=True)
+    assert _run_files(tmp_path) == before
+
+
 def _run_files(run_dir: Path) -> dict[str, bytes]:
     """Every byte-compared file of a run directory, hidden ones included."""
     return {
@@ -475,7 +483,7 @@ def _fail_on_rename_to(monkeypatch, name: str) -> None:
             raise OSError(f"interrupted before {name} was replaced")
         real_replace(src, dst)
 
-    monkeypatch.setattr(runner.os, "replace", replace)
+    monkeypatch.setattr(rundir.os, "replace", replace)
 
 
 def test_failed_checkpoint_write_leaves_a_resumable_run(tmp_path, monkeypatch):
