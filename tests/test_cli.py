@@ -170,6 +170,22 @@ def test_run_without_out_needs_env_root(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "root" / "tiny-seed5" / "metrics.csv").exists()
 
 
+def test_run_without_out_uses_the_config_out_dir(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "from-config"
+    path = tiny_config_file(tmp_path, out_dir=str(out))
+    monkeypatch.setenv("POPSCHED_OUT_ROOT", str(tmp_path / "root"))
+    code, stdout, _ = run_cli(capsys, "run", "--config", str(path))
+    assert code == 0
+    assert f"run complete: {out}" in stdout
+    assert (out / "metrics.csv").exists()
+    assert not (tmp_path / "root").exists()
+
+    flag = tmp_path / "from-flag"
+    code, _, _ = run_cli(capsys, "run", "--config", str(path), "--out", str(flag))
+    assert code == 0
+    assert (flag / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
     path = tiny_config_file(tmp_path)
@@ -436,6 +452,21 @@ def test_malformed_event_line_exits_1_naming_file_and_line(tmp_path, capsys, fau
     envelope = json.loads(err)
     assert envelope["error"] == "ValueError"
     assert envelope["message"].startswith(f"{events}: line 3: ")
+
+
+def test_event_id_written_as_a_string_exits_1_naming_file_and_line(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    events = _break_event_line(
+        out, 4, lambda line: line.replace('"source_agent_id":1,', '"source_agent_id":"1",')
+    )
+    assert '"source_agent_id":"1"' in events.read_text().splitlines()[3]
+    code, _, err = run_cli(capsys, "lineage", str(out))
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{events}: line 4: ")
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))

@@ -2,8 +2,9 @@
 
 The readers decode a block of lines per C call. Whatever they accept
 must equal what `event_from_json_line` (per event line) and per-cell
-`int`/`float` conversion (per metrics row) make of the same text, and
-a line the per-line path rejects must still be rejected, by file and line.
+`int`/`float` conversion (per metrics row) make of the same text. An
+event line is accepted only as `to_json_line` writes it, and a refused
+line is named by file and line.
 """
 
 from __future__ import annotations
@@ -139,16 +140,22 @@ def test_a_line_holding_two_objects_is_rejected(tmp_path):
         dict(source_round=1.5),
         dict(fitness_snapshot=2),
         dict(hyperparams_after=[1, 0.5]),
+        dict(hyperparams_after="12"),
+        dict(round=2.7),
+        dict(target_agent_id=1.9),
     ],
     ids=lambda odd: "-".join(f"{k}={v!r}" for k, v in odd.items()),
 )
 def test_records_outside_the_writer_format_are_read_exactly_as_line_by_line(tmp_path, odd):
+    """Line by line refuses each of them, so the block readers refuse them too."""
     path = write_lines(tmp_path, [
         dumps(line(kind=SURVIVE)),
         dumps({**line(round=2), **odd}),
         dumps(line(round=3, target=1, kind=SURVIVE)),
     ])
-    assert_readers_match_per_line(path)
+    rejects_naming(path, 2)
+    with pytest.raises(ValueError):
+        event_from_json_line(dumps({**line(round=2), **odd}))
 
 
 def test_blank_lines_are_skipped_and_counted(tmp_path):
