@@ -61,17 +61,8 @@ class EvolutionEvent:
 
 
 def event_from_json_line(line: str) -> EvolutionEvent:
-    rec = json.loads(line)
-    return EvolutionEvent(
-        round=int(rec["round"]),
-        subpop_id=int(rec["subpop_id"]),
-        target_agent_id=int(rec["target_agent_id"]),
-        kind=rec["kind"],
-        source_agent_id=rec["source_agent_id"],
-        source_round=rec["source_round"],
-        hyperparams_after=tuple(float(v) for v in rec["hyperparams_after"]),
-        fitness_snapshot=float(rec["fitness_snapshot"]),
-    )
+    """The event of one line, refused unless it is what to_json_line writes."""
+    return EvolutionEvent(*(col[0] for col in _columns([json.loads(line)])))
 
 
 _FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # the JSON keys, in order
@@ -83,35 +74,55 @@ def _types(*columns) -> set:
     return set(map(type, chain.from_iterable(columns)))
 
 
+def _columns(recs: list) -> list[list]:
+    """Decoded records as eight event columns in _FIELDS order.
+
+    A record is accepted only as to_json_line writes it: an object with
+    exactly the eight keys, a known kind, int ids, int or null sources,
+    float numbers, and a source exactly when the kind is not survive.
+    """
+    if not (all(map(isinstance, recs, repeat(dict)))
+            and all(map(_FIELDS.__eq__, map(dict.keys, recs)))):
+        raise ValueError(f"want an object with exactly the keys {', '.join(_FIELDS)}")
+    cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]
+    rnd, sub, tgt, kinds, src, src_round, hps, fit = cols
+    if not _types(rnd, sub, tgt) <= {int}:
+        raise ValueError("round, subpop_id and target_agent_id must be integers")
+    if not _types(src, src_round) <= {int, type(None)}:
+        raise ValueError("source_agent_id and source_round must be integers or null")
+    if not all(map(EVENT_KINDS.__contains__, kinds)):
+        raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}")
+    if not (_types(hps) <= {list} and _types(fit, *hps) <= {float}):
+        raise ValueError("hyperparams_after must be a list of floats, fitness_snapshot a float")
+    if list(map(SURVIVE.__eq__, kinds)) != list(map(is_, src, repeat(None))):
+        raise ValueError("survive events carry no source; every other kind names one")
+    cols[6] = list(map(tuple, hps))
+    return cols
+
+
 def _block_columns(path, lines: list[str], first: int) -> list[list]:
     """A block of lines as eight event columns in _FIELDS order.
 
     One json.loads decodes the joined block. If every line is one braced
-    object and every record has exactly the eight keys, a known kind, int or
-    null ids and float numbers, no record holds a brace, so each line holds
-    one record, as line-by-line decoding finds. Other blocks go line by line.
+    object, as many records come back as lines, and _columns accepts them,
+    no record holds a brace (the only string is a known kind), so each line
+    holds one record. Otherwise the block goes line by line, and the first
+    line that event_from_json_line refuses is named by file and line.
     """
     rows = [s for s in map(str.strip, lines) if s]
     try:
         if all(map(str.startswith, rows, repeat("{"))) and all(map(str.endswith, rows, repeat("}"))):
             recs = json.loads("[" + ",".join(rows) + "]")
-            if len(recs) == len(rows) and set(map(len, recs)) <= {len(_FIELDS)}:
-                cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]  # KeyError unless exact
-                rnd, sub, tgt, kinds, src, src_round, hps, fit = cols
-                if (_types(rnd, sub, tgt) <= {int} and _types(src, src_round) <= {int, type(None)}
-                        and set(kinds) <= set(EVENT_KINDS) and _types(hps) <= {list}
-                        and _types(fit, *hps) <= {float}  # survive <=> no source:
-                        and list(map(SURVIVE.__eq__, kinds)) == list(map(is_, src, repeat(None)))):
-                    cols[6] = list(map(tuple, hps))
-                    return cols
-    except (KeyError, TypeError, ValueError):  # not a JSON array of such objects
+            if len(recs) == len(rows):
+                return _columns(recs)
+    except ValueError:  # not a JSON array of such objects
         pass
     events = []
     for line_no, line in enumerate(lines, first):
         try:
             if line.strip():
                 events.append(event_from_json_line(line.strip()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {type(exc).__name__}: {exc}") from None
     return [list(map(attrgetter(k), events)) for k in _FIELDS]
 
