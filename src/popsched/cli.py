@@ -9,7 +9,7 @@ Subcommands:
     lineage   reconstruct (and optionally replay) a schedule from a run
 
 Environment override: POPSCHED_OUT_ROOT provides a default root for run
-directories.
+directories given neither by --out nor by the config's out_dir.
 
 Failures print a single machine-readable JSON object on stderr. Exit
 codes: 0 success, 1 runtime or data fault, 2 invalid configuration or
@@ -63,11 +63,16 @@ def _config_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _default_out(args, config: ExperimentConfig, seed: int) -> Path:
+    """The run directory: --out, else the config's out_dir, else under POPSCHED_OUT_ROOT."""
     if args.out:
         return Path(args.out)
+    if config.out_dir:
+        return Path(config.out_dir)
     root = os.environ.get("POPSCHED_OUT_ROOT")
     if not root:
-        raise ConfigError("no --out given and POPSCHED_OUT_ROOT is not set")
+        raise ConfigError(
+            "no --out given, the config has no out_dir and POPSCHED_OUT_ROOT is not set"
+        )
     label = args.preset if args.preset else Path(args.config).stem
     return Path(root) / f"{label}-seed{seed}"
 
