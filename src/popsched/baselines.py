@@ -1,9 +1,8 @@
-"""Baseline schedulers: random search and PBT with backtracking.
+"""PBT with backtracking: the elite archive and its restores.
 
-Random search samples hyperparameters once and never mutates anything, so
-it emits no events at all. PBT with backtracking keeps an archive of the
-best population snapshots seen so far and periodically replaces the worst
-half (capped at the archive capacity) with elite clones.
+The archive keeps the best population snapshots seen so far, and every
+backtrack period the worst half (capped at the archive capacity) takes
+elite clones. Random search, the other baseline, emits no events.
 """
 
 from __future__ import annotations
@@ -14,11 +13,6 @@ from typing import Sequence
 from .core import AgentState, ConfigError, HyperparamVector, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
 from .trainables import Trainable, build_trainable, transfer_weights
-
-
-def rs_round(population: Population, round_no: int) -> list[EvolutionEvent]:
-    """Random search never mutates the population."""
-    return []
 
 
 @dataclass(frozen=True)

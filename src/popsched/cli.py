@@ -30,7 +30,7 @@ from .lineage import LineageError, replay_run, schedule_csv_lines
 from .presets import get_preset, preset_names
 from .reporting import (
     aggregate_curve,
-    best_fitness_of_columns,
+    best_fitness_by_round,
     compare_final,
     config_label,
     render_table,
@@ -70,9 +70,7 @@ def _default_out(args, config: ExperimentConfig, seed: int) -> Path:
         return Path(config.out_dir)
     root = os.environ.get("POPSCHED_OUT_ROOT")
     if not root:
-        raise ConfigError(
-            "no --out given, the config has no out_dir and POPSCHED_OUT_ROOT is not set"
-        )
+        raise ConfigError("no --out, config out_dir or POPSCHED_OUT_ROOT given")
     label = args.preset if args.preset else Path(args.config).stem
     return Path(root) / f"{label}-seed{seed}"
 
@@ -111,7 +109,7 @@ def cmd_report(args) -> int:
     for run_dir in args.run_dirs:
         config, _ = load_run_config(run_dir)
         rounds, _, _, fitness, *_ = read_metric_columns(RunDir(run_dir).metrics)
-        curve = best_fitness_of_columns(rounds, fitness)
+        curve = best_fitness_by_round(rounds, fitness)
         curves_by_label.setdefault(config_label(config), []).append(curve)
     curves = [aggregate_curve(label, cs) for label, cs in sorted(curves_by_label.items())]
     finals = {label: [c[-1] for c in cs] for label, cs in curves_by_label.items()}

@@ -86,14 +86,11 @@ def _columns(recs: list) -> list[list]:
         raise ValueError(f"want an object with exactly the keys {', '.join(_FIELDS)}")
     cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]
     rnd, sub, tgt, kinds, src, src_round, hps, fit = cols
-    if not _types(rnd, sub, tgt) <= {int}:
-        raise ValueError("round, subpop_id and target_agent_id must be integers")
-    if not _types(src, src_round) <= {int, type(None)}:
-        raise ValueError("source_agent_id and source_round must be integers or null")
+    if not (_types(rnd, sub, tgt) <= {int} and _types(src, src_round) <= {int, type(None)}
+            and _types(hps) <= {list} and _types(fit, *hps) <= {float}):
+        raise ValueError("want integer ids (sources may be null) and float numbers")
     if not all(map(EVENT_KINDS.__contains__, kinds)):
         raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}")
-    if not (_types(hps) <= {list} and _types(fit, *hps) <= {float}):
-        raise ValueError("hyperparams_after must be a list of floats, fitness_snapshot a float")
     if list(map(SURVIVE.__eq__, kinds)) != list(map(is_, src, repeat(None))):
         raise ValueError("survive events carry no source; every other kind names one")
     cols[6] = list(map(tuple, hps))
@@ -103,11 +100,10 @@ def _columns(recs: list) -> list[list]:
 def _block_columns(path, lines: list[str], first: int) -> list[list]:
     """A block of lines as eight event columns in _FIELDS order.
 
-    One json.loads decodes the joined block. If every line is one braced
-    object, as many records come back as lines, and _columns accepts them,
-    no record holds a brace (the only string is a known kind), so each line
-    holds one record. Otherwise the block goes line by line, and the first
-    line that event_from_json_line refuses is named by file and line.
+    One json.loads decodes the joined block. If every line is braced, as
+    many records come back as lines, and _columns accepts them, no record
+    holds a brace (the only string is a known kind), so each line holds one
+    record. Other blocks go line by line, naming the first refused line.
     """
     rows = [s for s in map(str.strip, lines) if s]
     try:

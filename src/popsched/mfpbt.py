@@ -2,7 +2,9 @@
 
 The population is split into M sub-populations that all train and are
 evaluated every round, but sub-population i only runs its evolution step
-every population.deltas[i] rounds (ExperimentConfig checks deltas[0] == 1).
+every population.deltas[i] rounds (ExperimentConfig checks deltas[0] == 1
+for mfpbt). PBT runs as the one-sub-population case, with any period:
+its external pool is empty, so nothing migrates.
 After a sub-population evolves, its migration-open quarter is compared
 against the best agents of the rest of the population and may import
 their state.

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .rundir import MetricRow, fmt
+from .rundir import fmt
 
 
 def iqm(values: Sequence[float]) -> float:
@@ -43,13 +43,8 @@ def iqr_bounds(values: Sequence[float]) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def best_fitness_by_round(metrics: Sequence[MetricRow]) -> list[float]:
-    """Best population fitness per round, indexed by round-1."""
-    return best_fitness_of_columns([row.round for row in metrics], [row.fitness for row in metrics])
-
-
-def best_fitness_of_columns(rounds: Sequence[int], fitness: Sequence[float]) -> list[float]:
-    """best_fitness_by_round from metrics.csv's round and fitness columns."""
+def best_fitness_by_round(rounds: Sequence[int], fitness: Sequence[float]) -> list[float]:
+    """Best population fitness per round, indexed by round-1, from metrics columns."""
     if not rounds:
         raise ValueError("no metrics rows")
     best = [-math.inf] * max(rounds)

@@ -2,7 +2,9 @@
 
 Every round each agent trains t_ready steps and is evaluated; at the
 round barrier the configured scheduler may rewrite agents in place,
-emitting the events that describe what it did. Each round appends (and
+emitting the events that describe what it did. Random search does
+nothing there; every other barrier runs mfpbt_round (PBT as its
+one-sub-population case) unless PBT with backtracking backtracks. Each round appends (and
 flushes) its metrics, then runs the barrier, then appends its events,
 then writes its checkpoint, so a crashed run leaves a valid prefix on
 disk that a resume picks up.
@@ -23,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import EliteArchive, backtrack, rs_round, update_elites
+from .baselines import EliteArchive, backtrack, update_elites
 from .config import ExperimentConfig
 from .core import AgentState, ConfigError, HyperparamVector, Population, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
 from .mfpbt import mfpbt_round, subpop_due
-from .pbt import pbt_evolution_step
 from .reporting import best_fitness_by_round
 from .rundir import MetricRow, RunDir, read_metrics, truncate_log
 from .seeding import agent_trainable_seed, seed_hierarchy
@@ -46,7 +47,8 @@ class ExperimentResult:
     wall_clock: float
 
     def best_by_round(self) -> list[float]:
-        return best_fitness_by_round(self.metrics)
+        return best_fitness_by_round([r.round for r in self.metrics],
+                                     [r.fitness for r in self.metrics])
 
     def final_best(self) -> float:
         return self.best_by_round()[-1]
@@ -99,27 +101,15 @@ class _Engine:
         cfg = self.config
         pop = self.population
         if cfg.algorithm == "rs":
-            return rs_round(pop, round_no)
-        if cfg.algorithm == "mfpbt":
-            return mfpbt_round(
-                pop, round_no, self.evolve_rngs, symmetric_migration=cfg.symmetric_migration,
-                variance_exploitation=cfg.variance_exploitation, space=self.space,
-                clamp=cfg.clamp_hyperparams,
-            )
+            return []
         if cfg.algorithm == "pbt_bt":
             update_elites(self.archive, pop, round_no)
             if subpop_due(round_no, cfg.backtrack_period):
                 # Backtracking replaces this round's exploitation step.
                 return backtrack(pop, self.archive, round_no)
-        if not subpop_due(round_no, cfg.deltas[0]):
-            return []
-        return pbt_evolution_step(
-            pop.agents,
-            self.evolve_rngs,
-            round_no,
-            0,
-            variance_exploitation=cfg.variance_exploitation,
-            space=self.space,
+        return mfpbt_round(
+            pop, round_no, self.evolve_rngs, symmetric_migration=cfg.symmetric_migration,
+            variance_exploitation=cfg.variance_exploitation, space=self.space,
             clamp=cfg.clamp_hyperparams,
         )
 

@@ -7,23 +7,33 @@ import json
 import numpy as np
 import pytest
 
-from popsched.baselines import EliteArchive, backtrack, rs_round, update_elites
+from popsched.baselines import EliteArchive, backtrack, update_elites
 from popsched.core import ConfigError, HyperparamVector
 from popsched.events import ELITE_RESTORE
-
-from popsched.trainables import transfer_weights
+from popsched.runner import run_experiment
+from popsched.seeding import agent_trainable_seed
+from popsched.trainables import build_trainable, transfer_weights
 
 from conftest import make_population, own_streams, streams, weights
+from test_runner import small_config
 
 
 def test_random_search_never_emits_events():
-    pop = make_population([4.0, 3.0, 2.0, 1.0])
-    before_h = [a.hyperparams for a in pop.agents]
-    before_w = [a.trainable.export_payload() for a in pop.agents]
-    for r in range(1, 6):
-        assert rs_round(pop, r) == []
-    assert [a.hyperparams for a in pop.agents] == before_h
-    assert [a.trainable.export_payload() for a in pop.agents] == before_w
+    cfg = small_config("rs", total_steps=25)
+    res = run_experiment(cfg, seed=3)
+    assert cfg.num_rounds == 5
+    assert res.events == []
+    for i, h in res.initial_hyperparams.items():
+        rows = [r for r in res.metrics if r.agent_id == i]
+        assert [r.hyperparams for r in rows] == [h.values] * cfg.num_rounds
+        # No weights arrive from another agent: training alone gives the same fitness.
+        alone = build_trainable(cfg.trainable)
+        alone.init(agent_trainable_seed(3, i), cfg.search_space.to_mapping(h))
+        fitness = []
+        for _ in rows:
+            alone.train(cfg.t_ready)
+            fitness.append(float(alone.evaluate(cfg.eval_repeats)))
+        assert [r.fitness for r in rows] == fitness
 
 
 # ---------------------------------------------------------------- archive

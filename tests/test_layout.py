@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "popsched"
+import popsched
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "popsched"
+PUBLIC_API = {
+    "run_experiment", "get_preset", "replay_run", "iqm", "ExperimentConfig",  # README example
+    "iqr_bounds", "TwoBasinTrainable", "SeedLotteryTrainable",  # scripts/calibrate.py
+    "ConfigError", "LineageError",  # what the functions above raise
+}
 RUN_FILES = {"config.json", "metrics.csv", "events.jsonl", "checkpoints", "result.json", "schedule.csv"}
 
 
@@ -42,3 +51,42 @@ def test_only_rundir_joins_run_directory_file_names():
     joined = {name: joined_names(tree) for name, tree in trees()}
     assert sorted(joined.pop("rundir.py")) == sorted(RUN_FILES)
     assert {name: names for name, names in joined.items() if names} == {}
+
+
+def package_names_used(tree) -> set[str]:
+    """Names taken from the top-level package: `from popsched import X` and `popsched.X`."""
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "popsched"
+        for alias in node.names
+    }
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "popsched"
+    }
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    return {name for name in imported | attributes if name not in submodules and not name.startswith("_")}
+
+
+def test_the_package_exports_the_library_api():
+    assert set(popsched.__all__) == PUBLIC_API
+    assert len(popsched.__all__) == len(PUBLIC_API)
+    assert all(hasattr(popsched, name) for name in popsched.__all__)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in sorted(PUBLIC_API) if not re.search(rf"\b{name}\b", library)] == []
+
+
+def test_scripts_and_the_benchmark_take_only_exported_names_from_the_package():
+    paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    assert paths
+    used = {
+        name: path.relative_to(ROOT).as_posix()
+        for path in paths
+        for name in package_names_used(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert {"run_experiment", "get_preset", "iqm"} <= set(used)
+    assert {name: where for name, where in used.items() if name not in popsched.__all__} == {}

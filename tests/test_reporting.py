@@ -102,13 +102,18 @@ def row(r, a, f):
     return MetricRow(round=r, agent_id=a, subpop_id=0, fitness=f, hyperparams=(1.0,))
 
 
+def columns(metrics):
+    """The round and fitness columns best_fitness_by_round takes."""
+    return [m.round for m in metrics], [m.fitness for m in metrics]
+
+
 def test_best_fitness_by_round_examples():
     metrics = [row(1, 0, 1.0), row(1, 1, 3.0), row(2, 0, 2.0), row(2, 1, 0.5)]
-    assert best_fitness_by_round(metrics) == [3.0, 2.0]
+    assert best_fitness_by_round(*columns(metrics)) == [3.0, 2.0]
     with pytest.raises(ValueError, match="no metrics rows"):
-        best_fitness_by_round([])
+        best_fitness_by_round([], [])
     with pytest.raises(ValueError, match=r"metrics missing rounds \[2\]"):
-        best_fitness_by_round([row(1, 0, 1.0), row(3, 0, 1.0)])
+        best_fitness_by_round(*columns([row(1, 0, 1.0), row(3, 0, 1.0)]))
 
 
 def test_best_fitness_matches_naive_max(rng):
@@ -125,7 +130,7 @@ def test_best_fitness_matches_naive_max(rng):
             max(m.fitness for m in metrics if m.round == r)
             for r in range(1, rounds + 1)
         ]
-        assert best_fitness_by_round(metrics) == expected
+        assert best_fitness_by_round(*columns(metrics)) == expected
 
 
 # --------------------------------------------------------- comparisons
