@@ -4,10 +4,10 @@ Every round each agent trains t_ready steps and is evaluated; at the
 round barrier the configured scheduler may rewrite agents in place,
 emitting the events that describe what it did. Random search does
 nothing there; every other barrier runs mfpbt_round (PBT as its
-one-sub-population case) unless PBT with backtracking backtracks. Each round appends (and
-flushes) its metrics, then runs the barrier, then appends its events,
-then writes its checkpoint, so a crashed run leaves a valid prefix on
-disk that a resume picks up.
+one-sub-population case) unless PBT with backtracking backtracks.
+Each round appends (and flushes) its metrics, then runs the barrier,
+then appends its events, then writes its checkpoint, so a crashed run
+leaves a valid prefix on disk that a resume picks up.
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -426,6 +427,7 @@ def _break_event_line(run_dir, line_no, broken):
 MALFORMED_EVENT_LINES = {
     "missing key": lambda line: line.replace('"target_agent_id"', '"target"'),
     "bad json": lambda line: line[:14],
+    "string id": lambda line: re.sub(r'"target_agent_id":(\d+)', r'"target_agent_id":"\1"', line),
 }
 
 
