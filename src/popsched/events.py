@@ -78,18 +78,18 @@ def _columns(recs: list) -> list[list]:
     """Decoded records as eight event columns in _FIELDS order.
 
     A record is accepted only as to_json_line writes it: an object with
-    exactly the eight keys, a known kind, int ids, int or null sources,
-    float numbers, and a source exactly when the kind is not survive.
+    exactly the eight keys (KeyError names a missing one), a known kind,
+    int ids, int or null sources, float numbers, and a source exactly
+    when the kind is not survive; anything else raises ValueError.
     """
-    if not (all(map(isinstance, recs, repeat(dict)))
-            and all(map(_FIELDS.__eq__, map(dict.keys, recs)))):
+    if not (all(map(isinstance, recs, repeat(dict))) and set(map(len, recs)) <= {len(_FIELDS)}):
         raise ValueError(f"want an object with exactly the keys {', '.join(_FIELDS)}")
-    cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]
+    cols = [list(map(itemgetter(k), recs)) for k in _FIELDS]  # KeyError unless exact
     rnd, sub, tgt, kinds, src, src_round, hps, fit = cols
     if not (_types(rnd, sub, tgt) <= {int} and _types(src, src_round) <= {int, type(None)}
             and _types(hps) <= {list} and _types(fit, *hps) <= {float}):
         raise ValueError("want integer ids (sources may be null) and float numbers")
-    if not all(map(EVENT_KINDS.__contains__, kinds)):
+    if not (_types(kinds) <= {str} and set(kinds) <= set(EVENT_KINDS)):
         raise ValueError(f"kind must be one of {', '.join(EVENT_KINDS)}")
     if list(map(SURVIVE.__eq__, kinds)) != list(map(is_, src, repeat(None))):
         raise ValueError("survive events carry no source; every other kind names one")
@@ -111,14 +111,14 @@ def _block_columns(path, lines: list[str], first: int) -> list[list]:
             recs = json.loads("[" + ",".join(rows) + "]")
             if len(recs) == len(rows):
                 return _columns(recs)
-    except ValueError:  # not a JSON array of such objects
+    except (KeyError, ValueError):  # not a JSON array of such objects
         pass
     events = []
     for line_no, line in enumerate(lines, first):
         try:
             if line.strip():
                 events.append(event_from_json_line(line.strip()))
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: line {line_no}: {type(exc).__name__}: {exc}") from None
     return [list(map(attrgetter(k), events)) for k in _FIELDS]
 
