@@ -7,6 +7,7 @@ elite clones. Random search, the other baseline, emits no events.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,11 +46,13 @@ class EliteArchive:
             raise ConfigError(f"elite capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.entries: list[EliteEntry] = []
+        self._json: tuple[list[EliteEntry], str] | None = None  # (entries, their JSON text)
 
     def update(self, agents: Sequence[AgentState], round_no: int) -> None:
         """Merge this round's snapshots and keep the top capacity.
 
-        Only the snapshots that make the cut are exported.
+        Only the snapshots that make the cut are exported; when none does,
+        entries stays the same list, and so does its cached JSON.
         """
         for a in agents:
             if a.snapshot_fitness is None:
@@ -57,6 +60,8 @@ class EliteArchive:
         merged = [((-e.fitness, e.agent_id, e.round), e) for e in self.entries]
         merged += [((-a.snapshot_fitness, a.agent_id, round_no), a) for a in agents]
         merged.sort(key=lambda pair: pair[0])
+        if all(isinstance(item, EliteEntry) for _, item in merged[: self.capacity]):
+            return
         self.entries = [
             item if isinstance(item, EliteEntry) else EliteEntry(
                 payload=item.trainable.export_payload(),
@@ -68,8 +73,11 @@ class EliteArchive:
             for _, item in merged[: self.capacity]
         ]
 
-    def min_fitness(self) -> float | None:
-        return self.entries[-1].fitness if self.entries else None
+    def json_text(self) -> str:
+        """json.dumps(self.to_json_dict()), encoded again only once entries is replaced."""
+        if self._json is None or self._json[0] is not self.entries:
+            self._json = (self.entries, json.dumps(self.to_json_dict(), check_circular=False))
+        return self._json[1]
 
     def to_json_dict(self) -> dict:
         return {

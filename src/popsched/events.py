@@ -57,7 +57,15 @@ class EvolutionEvent:
             raise ValueError(f"{self.kind} events require a source agent")
 
     def to_json_line(self) -> str:
-        return json.dumps(dict(zip(_FIELDS, _field_values(self))), separators=(",", ":"))
+        """json.dumps(dict(zip(_FIELDS, values)), separators=(",", ":")), from one template:
+        ids by repr (None as null), a known kind needs no escape, floats by _json_floats."""
+        src, src_round = self.source_agent_id, self.source_round
+        return (f'{{"round":{self.round!r},"subpop_id":{self.subpop_id!r},'
+                f'"target_agent_id":{self.target_agent_id!r},"kind":"{self.kind}",'
+                f'"source_agent_id":{"null" if src is None else repr(src)},'
+                f'"source_round":{"null" if src_round is None else repr(src_round)},'
+                f'"hyperparams_after":[{_json_floats(self.hyperparams_after)}],'
+                f'"fitness_snapshot":{_json_floats((self.fitness_snapshot,))}}}')
 
 
 def event_from_json_line(line: str) -> EvolutionEvent:
@@ -66,8 +74,14 @@ def event_from_json_line(line: str) -> EvolutionEvent:
 
 
 _FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # the JSON keys, in order
-_field_values = attrgetter(*_FIELDS)  # not vars(): that would keep a dict on every event
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float repr -> json
 _EVENT_BLOCK = 1000  # lines decoded at once: bounds the records held
+
+
+def _json_floats(values) -> str:
+    """Floats joined by commas as json writes them: float.__repr__, or NaN/Infinity/-Infinity."""
+    text = ",".join(map(float.__repr__, values))
+    return text if "n" not in text else ",".join(_NON_FINITE.get(v, v) for v in text.split(","))
 
 
 def _types(*columns) -> set:
@@ -137,11 +151,10 @@ def _event_blocks(path, lines: Sequence[str] | None = None):
 
 
 def write_events(path, events: Iterable[EvolutionEvent]) -> None:
-    """Append events to path, one JSON line each."""
+    """Append events to path, one JSON line each, in one write."""
+    lines = "".join([ev.to_json_line() + "\n" for ev in events])
     with open(path, "a", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(ev.to_json_line())
-            fh.write("\n")
+        fh.write(lines)
 
 
 def read_event_columns(path):

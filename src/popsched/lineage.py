@@ -128,10 +128,10 @@ def reconstruct_schedule(
     The target snapshot is the post-training, pre-barrier state of that
     round, i.e. exactly what metrics.csv records there. subpop_size tags
     each segment with its carrier's sub-population (0 when omitted).
+    events must be validated already (replay_run checks the whole log).
     """
     if final_round < 1:
         raise LineageError(f"final_round must be >= 1, got {final_round}")
-    validate_event_log(events)
 
     def subpop_of(aid: int) -> int:
         return aid // subpop_size if subpop_size else 0

@@ -9,8 +9,9 @@
 
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
-one, never a partial one. metrics.csv is parsed by one np.loadtxt call;
-a resume decodes each log line once.
+one, never a partial one. A resume rewrites a log only when it drops a
+torn line, a blank line or a record after the checkpoint. metrics.csv is
+parsed by one np.loadtxt call; a resume decodes each log line once.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class RunDir:
                 values = map(fmt, (row.fitness, *row.hyperparams))
                 fh.write(",".join([str(row.round), str(row.agent_id), str(row.subpop_id), *values]) + "\n")
 
-    def write_checkpoint(self, round_no: int, state: dict) -> None:
-        # json.dumps takes the C encoder; json.dump never does. Same bytes.
-        _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [json.dumps(state)])
+    def write_checkpoint(self, round_no: int, state: str) -> None:
+        """state: the engine state as json.dumps writes it (runner.checkpoint_text)."""
+        _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [state])
 
     def resume_state(self, config: ExperimentConfig, seed: int) -> dict:
         """The latest checkpoint, once config.json matches this run's echo.
@@ -158,14 +159,17 @@ def read_metrics(path, lines: Sequence[str] | None = None) -> list[MetricRow]:
 
 def truncate_log(path: Path, keep_round: int, read, header: int = 0) -> list:
     """Drop a log's records after keep_round, blank lines and a line torn by a kill
-    mid-write; returns the kept records, decoded once by read(path, lines)."""
+    mid-write; returns the kept records, decoded once by read(path, lines).
+    A log with nothing to drop is left as it is."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
+    logged = len(lines) - header
     if lines and not lines[-1].endswith("\n"):
         lines.pop()  # torn by a kill mid-write
     body = [line for line in lines[header:] if line.strip()]
     kept = [(line, rec) for line, rec in zip(body, read(path, lines)) if rec.round <= keep_round]
-    _write_atomic(path, lines[:header] + [line for line, _ in kept])
+    if len(kept) != logged:  # a record, a blank line or a torn one to drop
+        _write_atomic(path, lines[:header] + [line for line, _ in kept])
     return [rec for _, rec in kept]
 
 

@@ -7,7 +7,10 @@ nothing there; every other barrier runs mfpbt_round (PBT as its
 one-sub-population case) unless PBT with backtracking backtracks.
 Each round appends (and flushes) its metrics, then runs the barrier,
 then appends its events, then writes its checkpoint, so a crashed run
-leaves a valid prefix on disk that a resume picks up.
+leaves a valid prefix on disk that a resume picks up. A checkpoint is
+json.dumps of the engine state with the elite archive's JSON spliced in,
+encoded only when the archive changed; a trainable is given hyperparameters
+only when its agent's vector changed (or was restored).
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
@@ -18,6 +21,7 @@ formatted by the rundir module.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -73,6 +77,7 @@ class _Engine:
             i: seed_hierarchy(self.seed, i, "evolve") for i in range(config.num_agents)
         }
         self.population: Population | None = None
+        self.pushed: dict[int, HyperparamVector] = {}  # agent id -> vector its trainable holds
 
     def init_population(self) -> None:
         cfg = self.config
@@ -82,6 +87,7 @@ class _Engine:
             h = sample_hyperparams(self.space, seed_hierarchy(self.seed, i, "init"))
             trainable = build_trainable(cfg.trainable)
             trainable.init(agent_trainable_seed(self.seed, i), self.space.to_mapping(h))
+            self.pushed[i] = h
             agents.append(
                 AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h)
             )
@@ -90,7 +96,9 @@ class _Engine:
     def train_eval_round(self) -> None:
         cfg = self.config
         for a in self.population.agents:
-            a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
+            if self.pushed.get(a.agent_id) is not a.hyperparams:  # set by the barrier or a restore
+                a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
+                self.pushed[a.agent_id] = a.hyperparams
             a.trainable.train(cfg.t_ready)
             fitness = float(a.trainable.evaluate(cfg.eval_repeats))
             if not math.isfinite(fitness):
@@ -133,6 +141,12 @@ class _Engine:
             "agents": agents,
             "archive": self.archive.to_json_dict() if self.archive is not None else None,
         }
+
+    def checkpoint_text(self, round_no: int) -> str:
+        """json.dumps(self.checkpoint_dict(round_no)); its last key, the archive, is cached text."""
+        archive = self.archive.json_text() if self.archive is not None else "null"
+        head = json.dumps({**self.checkpoint_dict(round_no), "archive": None}, check_circular=False)
+        return head[: -len("null}")] + archive + "}"
 
     def restore_checkpoint(self, data: dict) -> int:
         if data["master_seed"] != self.seed:
@@ -227,7 +241,7 @@ def run_experiment(
         if run is not None and events:
             write_events(run.events, events)
         if run is not None and config.checkpoint_every > 0 and round_no % config.checkpoint_every == 0:
-            run.write_checkpoint(round_no, engine.checkpoint_dict(round_no))
+            run.write_checkpoint(round_no, engine.checkpoint_text(round_no))
 
     result = ExperimentResult(
         config=config,

@@ -52,7 +52,7 @@ def test_archive_keeps_top_entries():
         (4.0, 3, 1),
         (3.0, 0, 1),
     ]
-    assert archive.min_fitness() == 3.0
+    assert archive.entries[-1].fitness == 3.0
 
 
 def test_archive_merges_across_rounds():
@@ -84,7 +84,7 @@ def test_archive_min_fitness_never_decreases(rng):
         for a in pop.agents:
             a.snapshot_fitness = float(rng.normal())
         update_elites(archive, pop, r)
-        cur = archive.min_fitness()
+        cur = archive.entries[-1].fitness
         if prev is not None:
             assert cur >= prev
         prev = cur

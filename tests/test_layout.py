@@ -90,3 +90,26 @@ def test_scripts_and_the_benchmark_take_only_exported_names_from_the_package():
     }
     assert {"run_experiment", "get_preset", "iqm"} <= set(used)
     assert {name: where for name, where in used.items() if name not in popsched.__all__} == {}
+
+
+# The popsched.runner attributes perfbench/tracing.py wraps to time the persist
+# workload's layers (events, metrics reads, elite archive, backtracking, rounds).
+TRACED_RUNNER_NAMES = {
+    "write_events", "read_events", "read_metrics", "update_elites", "backtrack",
+    "mfpbt_round", "build_trainable",
+}
+
+
+def test_the_runner_looks_up_the_traced_names_at_call_time():
+    """Each name is imported into runner and read by name inside a function, so a
+    wrapper set on the module attribute sees every call."""
+    tree = dict(trees())["runner.py"]
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read_in_functions = {
+        node.id
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert TRACED_RUNNER_NAMES - imported == set()
+    assert TRACED_RUNNER_NAMES - read_in_functions == set()

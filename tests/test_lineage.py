@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from popsched import lineage
 from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.events import (
@@ -323,6 +324,22 @@ def test_replay_run_error_cases(tmp_path):
         replay_run(out, agent_id=99)
     with pytest.raises(LineageError, match="no metrics rows at round 99"):
         replay_run(out, final_round=99)
+
+
+def test_replay_run_validates_each_event_once(tmp_path, monkeypatch):
+    """replay_run checks the whole log once; reconstruction does not check it again."""
+    out = tmp_path / "run"
+    res = run_experiment(mfpbt_config(), seed=31, out_dir=out)
+    checked = []
+    real_check = lineage._check_event_columns
+
+    def check(rounds, *args):
+        checked.append(len(rounds))
+        return real_check(rounds, *args)
+
+    monkeypatch.setattr(lineage, "_check_event_columns", check)
+    assert replay_run(out, verify_rounds=True).exact
+    assert checked == [len(res.events)]
 
 
 # ------------------------------------------------------------ csv export

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsched import events
 from popsched.events import (
@@ -243,6 +245,22 @@ def test_writing_events_leaves_no_dict_on_each_event():
     finally:
         tracemalloc.stop()
     assert retained < 16_000
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]
+any_float = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+an_id = st.integers(min_value=0, max_value=2**63)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.tuples(an_id, an_id, an_id, an_id), kind=st.sampled_from(events.EVENT_KINDS),
+       source_round=st.none() | an_id, hyperparams=st.lists(any_float, max_size=4), fitness=any_float)
+def test_to_json_line_is_what_json_dumps_writes(ids, kind, source_round, hyperparams, fitness):
+    rnd, subpop, target, source = ids
+    ev = events.EvolutionEvent(rnd, subpop, target, kind, None if kind == SURVIVE else source,
+                               source_round, tuple(hyperparams), fitness)
+    values = [getattr(ev, k) for k in events._FIELDS]
+    assert ev.to_json_line() == json.dumps(dict(zip(events._FIELDS, values)), separators=(",", ":"))
 
 
 # ------------------------------------------------------------- metrics.csv

@@ -25,7 +25,7 @@ from popsched.events import (
 from popsched.rundir import MetricRow, load_run_config, read_metrics
 from popsched.runner import run_experiment
 from popsched.seeding import agent_trainable_seed
-from popsched.trainables import build_trainable
+from popsched.trainables import TwoBasinTrainable, build_trainable
 
 
 def small_config(algorithm="rs", **overrides) -> ExperimentConfig:
@@ -527,6 +527,104 @@ def test_resume_ignores_temp_file_of_an_interrupted_checkpoint(tmp_path, monkeyp
     ]
     assert len(names) == 5  # the leftover temp file of round 5
     run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert _run_files(part) == _run_files(full)
+
+
+def test_checkpoint_text_is_json_dumps_of_checkpoint_dict_at_every_round(tmp_path, monkeypatch):
+    """Admissions, backtracks and a resume from the middle; the archive's JSON is
+    encoded at round 1, after each change, and once for the restored archive."""
+    cfg = small_config(
+        "pbt_bt", num_agents=8, total_steps=75, elite_capacity=4, backtrack_period=3,
+        checkpoint_every=1,
+    )
+    texts, archive_encodes = {}, []
+    real_text, real_dumps = runner._Engine.checkpoint_text, json.dumps
+
+    def checkpoint_text(self, round_no):
+        text = real_text(self, round_no)
+        assert text == real_dumps(self.checkpoint_dict(round_no))
+        texts[round_no] = text
+        return text
+
+    def dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "capacity" in obj:
+            archive_encodes.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(runner._Engine, "checkpoint_text", checkpoint_text)
+    monkeypatch.setattr(json, "dumps", dumps)
+    run_experiment(cfg, seed=4, out_dir=tmp_path, stop_after_round=6)
+    res = run_experiment(cfg, seed=4, out_dir=tmp_path, resume=True)
+    monkeypatch.undo()
+
+    rounds = range(1, cfg.num_rounds + 1)
+    assert sorted(texts) == list(rounds)
+    for r in rounds:
+        assert (tmp_path / "checkpoints" / f"round_{r:06d}.json").read_text() == texts[r]
+    archives = {r: json.loads(texts[r])["archive"] for r in rounds}
+    changed = [r for r in rounds if r in (1, 7) or archives[r] != archives[r - 1]]
+    assert archive_encodes == [archives[r] for r in changed]
+    assert 7 < max(changed) < cfg.num_rounds  # admissions after the resume, then none
+    restores = {ev.round for ev in res.events if ev.kind == ELITE_RESTORE}
+    assert min(restores) < 6 < max(restores)
+
+
+def test_a_resume_with_nothing_to_drop_leaves_both_logs_untouched(tmp_path):
+    cfg = _checkpointed_pbt_bt()
+    run_experiment(cfg, seed=2, out_dir=tmp_path, stop_after_round=6)
+    logs = [tmp_path / "metrics.csv", tmp_path / "events.jsonl"]
+    before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in logs]
+    res = run_experiment(cfg, seed=2, out_dir=tmp_path, resume=True, stop_after_round=6)
+    assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in logs] == before
+    assert res.metrics[-1].round == res.events[-1].round == 6
+
+    with open(logs[1], "a", encoding="utf-8") as fh:
+        fh.write("\n")  # a blank line is dropped, so the log is rewritten
+    run_experiment(cfg, seed=2, out_dir=tmp_path, resume=True, stop_after_round=6)
+    assert logs[1].stat().st_ino != before[1][0]
+    assert "" not in logs[1].read_text().split("\n")[:-1]
+
+
+def test_hyperparams_are_pushed_to_a_trainable_only_after_a_change(tmp_path, monkeypatch):
+    """Each round pushes the agents an exploit gave new hyperparameters; a resumed
+    run's first round pushes every agent, whose restored trainable holds none."""
+    cfg = small_config("pbt", num_agents=8, total_steps=60, checkpoint_every=1)
+    pushed: list[dict] = []  # per round: agent id -> the mapping it was given
+    owner: dict[int, int] = {}
+    real_set, real_round = TwoBasinTrainable.set_hyperparams, runner._Engine.train_eval_round
+
+    def set_hyperparams(self, hyperparams):
+        if owner:  # inside a round, not a trainable's own init
+            pushed[-1][owner[id(self)]] = dict(hyperparams)
+        real_set(self, hyperparams)
+
+    def train_eval_round(engine):
+        owner.update((id(a.trainable), a.agent_id) for a in engine.population.agents)
+        pushed.append({})
+        try:
+            real_round(engine)
+        finally:
+            owner.clear()
+
+    monkeypatch.setattr(TwoBasinTrainable, "set_hyperparams", set_hyperparams)
+    monkeypatch.setattr(runner._Engine, "train_eval_round", train_eval_round)
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=5, out_dir=part, stop_after_round=6)
+    res = run_experiment(cfg, seed=5, out_dir=part, resume=True)
+    monkeypatch.undo()
+
+    assert len(pushed) == cfg.num_rounds
+    clones = {r: {} for r in range(cfg.num_rounds + 1)}
+    for ev in res.events:
+        if ev.kind != SURVIVE:
+            clones[ev.round][ev.target_agent_id] = {"sigma": ev.hyperparams_after[0]}
+    assert pushed[0] == {}  # init gave every trainable its hyperparameters
+    assert set(pushed[6]) == set(range(cfg.num_agents))
+    for r in range(2, cfg.num_rounds + 1):
+        if r != 7:
+            assert pushed[r - 1] == clones[r - 1], r
+    assert sum(map(len, pushed)) < cfg.num_agents * cfg.num_rounds / 2
+    run_experiment(cfg, seed=5, out_dir=full)
     assert _run_files(part) == _run_files(full)
 
 
