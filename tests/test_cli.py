@@ -304,6 +304,32 @@ def test_mistyped_search_space_bound_exits_2(tmp_path, capsys, key, value):
     assert envelope["message"].startswith(f"search_space[0].{key}:")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "two_basin", "paramz": {"start_x": 5.0}},
+        [["kind", "two_basin"], ["params", {"start_x": 5.0}]],
+        {"kind": "two_basin", "params": [["start_x", 5.0]]},
+        {"kind": "two_basin", "params": {"start_x": "5"}},
+        {"kind": "two_basin", "params": {"start_x": True}},
+        {"kind": "quadratic_lr", "params": {"curvature": [1.0, "10"]}},
+        "ab",
+        {"kind": "cnn", "params": {}},
+        {"kind": "two_basin", "params": {"nope": 1.0}},
+        {"kind": "two_basin", "params": {"forget_prob": 2.0}},
+    ],
+    ids=["mistyped-key", "pairs", "pairs-params", "string-param", "bool-param",
+         "string-in-list", "string", "unknown-kind", "unknown-param", "forget-prob"],
+)
+def test_bad_trainable_spec_exits_2(tmp_path, capsys, spec):
+    path = tiny_config_file(tmp_path, trainable=spec)
+    code, _, err = run_cli(capsys, "validate", "--config", str(path))
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("trainable")
+
+
 # ------------------------------------------------------------- cli: report
 
 def test_report_aggregates_runs(tmp_path, capsys):
