@@ -53,9 +53,13 @@ def _json_str(data: dict, key: str, default=None, *, nullable: bool = False, fie
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_float(data: dict, key: str, field: str) -> float:
     value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -144,7 +148,10 @@ class ExperimentConfig:
             raise ConfigError(f"checkpoint_every: need >= 0, got {self.checkpoint_every}")
         if self.workers < 1:
             raise ConfigError(f"workers: need >= 1, got {self.workers}")
-        build_trainable(self.trainable)  # raises on unknown kind or bad params
+        try:
+            build_trainable(self.trainable)
+        except ValueError as exc:  # unknown kind or bad params
+            raise ConfigError(f"trainable: {exc}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,6 +195,15 @@ class ExperimentConfig:
         missing = [k for k in required if k not in data]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
+        trainable = data["trainable"]
+        if not (isinstance(trainable, dict) and "kind" in trainable
+                and set(trainable) <= {"kind", "params"}):
+            raise ConfigError(f"trainable: expected an object of kind and params, got {trainable!r}")
+        params = trainable.get("params", {})
+        if not isinstance(params, dict) or not all(
+            _is_number(v) or (isinstance(v, list) and all(map(_is_number, v))) for v in params.values()
+        ):
+            raise ConfigError(f"trainable.params: expected numbers or lists of numbers, got {params!r}")
         space = data["search_space"]
         if not isinstance(space, list) or not all(isinstance(e, dict) for e in space):
             raise ConfigError(f"search_space: expected a list of objects, got {space!r}")
@@ -214,7 +230,7 @@ class ExperimentConfig:
             total_steps=_json_int(data, "total_steps"),
             eval_repeats=_json_int(data, "eval_repeats", 1),
             search_space=HyperparamSpace(tuple(entries)),
-            trainable=dict(data["trainable"]),
+            trainable=dict(trainable),
             variance_exploitation=_json_bool(data, "variance_exploitation"),
             symmetric_migration=_json_bool(data, "symmetric_migration"),
             clamp_hyperparams=_json_bool(data, "clamp_hyperparams"),
