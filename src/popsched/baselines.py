@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .core import AgentState, ConfigError, HyperparamVector, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
-from .trainables import Trainable, build_trainable, transfer_weights
+from .trainables import Trainable
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class EliteEntry:
 
     def restore_weights(self, target: Trainable) -> None:
         """Copy this snapshot's weights into a live trainable; its streams stay."""
-        source = build_trainable({"kind": self.payload["kind"]})
-        source.import_payload(self.payload)
-        transfer_weights(source, target)
+        if self.payload["kind"] != target.kind:
+            raise ValueError(f"cannot restore a {self.payload['kind']!r} snapshot into {target.kind!r}")
+        target.import_weights(self.payload["weights"])
 
 
 class EliteArchive:

@@ -1,10 +1,12 @@
-"""Trainable contract and built-in synthetic trainables.
+"""The Trainable base class and the built-in synthetic trainables.
 
-A trainable owns a small state vector plus private random streams, and
-exposes train / evaluate / payload export-import. The runner keeps one
-live trainable per agent for the whole run. Payloads are the persisted
-form of that state (checkpoints, elite-archive snapshots, the result of
-a lineage replay) and follow a fixed schema:
+Trainable is the whole contract. It owns the private random streams, the
+hyperparameters, init(seed, hyperparams) and the payload codec; a
+subclass sets `kind` and supplies the model: _reset, train, advance_rng,
+evaluate, export_weights and import_weights. The runner keeps one live
+trainable per agent for the whole run. Payloads are the persisted form
+of that state (checkpoints, elite-archive snapshots, the result of a
+lineage replay) and follow a fixed schema:
 
     {
       "format": 1,
@@ -14,12 +16,12 @@ a lineage replay) and follow a fixed schema:
     }
 
 `weights` is the cloneable part. `rng` pins the private streams so that
-import_payload() restores behavior bit-for-bit. export_payload() returns
-fresh containers: no dict or list in it is shared with the trainable or
-with an earlier export, so a caller may keep or change it freely.
-Cloning between agents goes through transfer_weights(), which copies
-only the weights from one live trainable into another and leaves the
-receiving agent's streams untouched.
+import_payload() restores behavior bit-for-bit. Neither export_payload()
+nor import_payload() shares a dict or list between payload and
+trainable, so a caller may keep or change a payload freely. Cloning
+between agents goes through transfer_weights(), which copies only the
+weights from one live trainable into another and leaves the receiving
+agent's streams untouched.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
@@ -32,9 +34,8 @@ what allows lineage replay to fast-forward a stream with advance_rng().
 
 from __future__ import annotations
 
-import copy
 import math
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping
 
 import numpy as np
 
@@ -45,36 +46,13 @@ _EVAL_SUBSTREAM = 2
 _INIT_SUBSTREAM = 3
 
 
-@runtime_checkable
-class Trainable(Protocol):
-    """Behavioral contract every trainable implements."""
-
-    kind: str
-
-    def init(self, seed: int, hyperparams: Mapping[str, float]) -> None: ...
-
-    def train(self, num_steps: int) -> None: ...
-
-    def evaluate(self, num_repeats: int = 1) -> float: ...
-
-    def export_payload(self) -> dict: ...
-
-    def import_payload(self, payload: dict) -> None: ...
-
-    def export_weights(self) -> dict: ...
-
-    def import_weights(self, weights: dict) -> None: ...
-
-    def set_hyperparams(self, hyperparams: Mapping[str, float]) -> None: ...
-
-
 def two_basin_objective(x: float) -> float:
     """Two Gaussian bumps: local maximum 1 at x=0, global maximum 2 at x=10."""
     return math.exp(-0.5 * x * x) + 2.0 * math.exp(-0.5 * (x - 10.0) * (x - 10.0))
 
 
-class _RngBase:
-    """Common stream bookkeeping for the built-ins."""
+class Trainable:
+    """Base of every trainable: streams, hyperparameters, init and payloads."""
 
     kind = "base"
 
@@ -84,29 +62,40 @@ class _RngBase:
         self._rng_train: np.random.Generator | None = None
         self._hyperparams: dict[str, float] = {}
 
-    def _init_streams(self, seed: int) -> None:
+    def init(self, seed: int, hyperparams: Mapping[str, float]) -> None:
+        """Fresh state for seed: streams seeded, hyperparameters set, then _reset()."""
         self._seed = int(seed)
         self._steps = 0
-        self._rng_train = np.random.default_rng(
-            np.random.SeedSequence((self._seed, _TRAIN_SUBSTREAM))
-        )
+        self._rng_train = self._stream(_TRAIN_SUBSTREAM)
+        self.set_hyperparams(hyperparams)
+        self._reset()
 
-    def _init_rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self._seed, _INIT_SUBSTREAM)))
-
-    def _eval_rng(self) -> np.random.Generator:
-        # Derived from the current step counter: evaluation is pure.
-        return np.random.default_rng(
-            np.random.SeedSequence((self._seed, _EVAL_SUBSTREAM, self._steps))
-        )
+    def _stream(self, *key: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence((self._seed, *key)))
 
     def set_hyperparams(self, hyperparams: Mapping[str, float]) -> None:
         self._hyperparams = {k: float(v) for k, v in hyperparams.items()}
 
+    def _reset(self) -> None:
+        """Put the weights at their initial values; streams and hyperparameters are set."""
+        raise NotImplementedError
+
+    def train(self, num_steps: int) -> None:
+        raise NotImplementedError
+
+    def advance_rng(self, num_steps: int) -> None:
+        """Consume exactly what train(num_steps) would, without training."""
+        raise NotImplementedError
+
+    def evaluate(self, num_repeats: int = 1) -> float:
+        raise NotImplementedError
+
     def export_weights(self) -> dict:
+        """The weights in fresh containers."""
         raise NotImplementedError
 
     def import_weights(self, weights: dict) -> None:
+        """Set the weights from fresh values built out of weights."""
         raise NotImplementedError
 
     def export_payload(self) -> dict:
@@ -132,11 +121,11 @@ class _RngBase:
         self._seed = int(rng["seed"])
         self._steps = int(rng["steps"])
         self._rng_train = np.random.default_rng()
-        self._rng_train.bit_generator.state = copy.deepcopy(rng["train_state"])
-        self.import_weights(copy.deepcopy(payload["weights"]))
+        self._rng_train.bit_generator.state = rng["train_state"]  # the setter copies it
+        self.import_weights(payload["weights"])  # which builds fresh values
 
 
-class TwoBasinTrainable(_RngBase):
+class TwoBasinTrainable(Trainable):
     """Stochastic hill climb on the two-basin objective.
 
     Each step proposes x' = x + sigma * g with g standard normal and keeps
@@ -166,9 +155,7 @@ class TwoBasinTrainable(_RngBase):
         self.eval_noise = float(eval_noise)
         self._x = self.start_x
 
-    def init(self, seed: int, hyperparams: Mapping[str, float]) -> None:
-        self._init_streams(seed)
-        self.set_hyperparams(hyperparams)
+    def _reset(self) -> None:
         self._x = self.start_x
 
     def train(self, num_steps: int) -> None:
@@ -201,7 +188,6 @@ class TwoBasinTrainable(_RngBase):
         self._steps += num_steps
 
     def advance_rng(self, num_steps: int) -> None:
-        """Consume exactly what train(num_steps) would, without training."""
         self._rng_train.standard_normal(num_steps)
         if self.forget_prob > 0.0:
             self._rng_train.random(num_steps)
@@ -211,7 +197,8 @@ class TwoBasinTrainable(_RngBase):
         base = two_basin_objective(self._x)
         if self.eval_noise == 0.0:
             return base
-        draws = self._eval_rng().standard_normal(num_repeats)
+        # Keyed by the step counter, not drawn from the train stream: evaluation is pure.
+        draws = self._stream(_EVAL_SUBSTREAM, self._steps).standard_normal(num_repeats)
         return float(np.mean(base + self.eval_noise * draws))
 
     def export_weights(self) -> dict:
@@ -221,7 +208,7 @@ class TwoBasinTrainable(_RngBase):
         self._x = float(weights["x"])
 
 
-class QuadraticLRTrainable(_RngBase):
+class QuadraticLRTrainable(Trainable):
     """Gradient descent on a diagonal quadratic bowl.
 
     theta[j] <- theta[j] * (1 - lr * a[j]) each step; fitness is the
@@ -250,9 +237,7 @@ class QuadraticLRTrainable(_RngBase):
             raise ValueError("theta0 and curvature dimensions differ")
         self._theta = list(self.theta0)
 
-    def init(self, seed: int, hyperparams: Mapping[str, float]) -> None:
-        self._init_streams(seed)
-        self.set_hyperparams(hyperparams)
+    def _reset(self) -> None:
         self._theta = list(self.theta0)
 
     def train(self, num_steps: int) -> None:
@@ -281,7 +266,7 @@ class QuadraticLRTrainable(_RngBase):
         self._theta = [float(t) for t in weights["theta"]]
 
 
-class SeedLotteryTrainable(_RngBase):
+class SeedLotteryTrainable(Trainable):
     """Pure seed lottery: progress rate is decided once at init.
 
     A per-agent drift is drawn log-normally (median `drift_median`,
@@ -307,10 +292,8 @@ class SeedLotteryTrainable(_RngBase):
         self._level = 0.0
         self._drift = 0.0
 
-    def init(self, seed: int, hyperparams: Mapping[str, float]) -> None:
-        self._init_streams(seed)
-        self.set_hyperparams(hyperparams)
-        z = float(self._init_rng().standard_normal())
+    def _reset(self) -> None:
+        z = float(self._stream(_INIT_SUBSTREAM).standard_normal())
         self._drift = self.drift_median * math.exp(self.drift_sigma_log * z)
         self._level = 0.0
 
@@ -337,7 +320,7 @@ class SeedLotteryTrainable(_RngBase):
         self._drift = float(weights["drift"])
 
 
-TRAINABLES: dict[str, type] = {
+TRAINABLES: dict[str, type[Trainable]] = {
     TwoBasinTrainable.kind: TwoBasinTrainable,
     QuadraticLRTrainable.kind: QuadraticLRTrainable,
     SeedLotteryTrainable.kind: SeedLotteryTrainable,

@@ -8,9 +8,13 @@ import math
 import numpy as np
 import pytest
 
+from popsched.baselines import EliteEntry
+from popsched.core import HyperparamVector
 from popsched.trainables import (
+    TRAINABLES,
     QuadraticLRTrainable,
     SeedLotteryTrainable,
+    Trainable,
     TwoBasinTrainable,
     build_trainable,
     transfer_weights,
@@ -287,6 +291,32 @@ def test_export_payload_shares_nothing_with_the_trainable(cls, h):
     assert t.evaluate() == twin.evaluate()
 
 
+@pytest.mark.parametrize("cls,h", ALL_KINDS)
+def test_import_payload_shares_nothing_with_the_payload(cls, h):
+    src = cls()
+    src.init(5, h)
+    src.train(20)
+    payload = src.export_payload()
+    t = cls()
+    t.import_payload(payload)
+    imported = t.export_payload()
+
+    _scramble(payload)
+    assert payload != imported
+    assert t.export_payload() == imported
+
+
+@pytest.mark.parametrize(
+    "name,cls", sorted(TRAINABLES.items()), ids=sorted(TRAINABLES)
+)
+def test_every_registered_trainable_supplies_the_contract(name, cls):
+    assert cls in {c for c, _ in ALL_KINDS}
+    assert issubclass(cls, Trainable)
+    assert cls.kind == name
+    for method in ("_reset", "train", "advance_rng", "evaluate", "export_weights", "import_weights"):
+        assert method in vars(cls), method
+
+
 def test_eval_repeats_equivalent_without_noise():
     t = TwoBasinTrainable(eval_noise=0.0)
     t.init(0, {"sigma": 1.0})
@@ -352,6 +382,46 @@ def test_transfer_weights_rejects_kind_mismatch():
     b.init(0, {"lr": 0.1})
     with pytest.raises(ValueError, match="across kinds"):
         transfer_weights(a, b)
+
+
+def _snapshot(cls, h) -> EliteEntry:
+    """An elite entry as a checkpoint holds it: the payload after a JSON round trip."""
+    src = cls()
+    src.init(3, h)
+    src.train(25)
+    payload = json.loads(json.dumps(src.export_payload()))
+    return EliteEntry(payload, HyperparamVector((1.0,)), src.evaluate(), agent_id=0, round=1)
+
+
+@pytest.mark.parametrize("cls,h", ALL_KINDS)
+def test_restore_weights_matches_transfer_from_an_imported_payload(cls, h):
+    entry = _snapshot(cls, h)
+    old, new = cls(), cls()
+    for t in (old, new):
+        t.init(8, h)
+        t.train(5)
+    # The reference: a throwaway trainable takes the whole payload, then lends its weights.
+    source = build_trainable({"kind": entry.payload["kind"]})
+    source.import_payload(entry.payload)
+    transfer_weights(source, old)
+
+    entry.restore_weights(new)
+    assert new.export_payload() == old.export_payload()
+    new.train(10)
+    old.train(10)
+    assert new.export_payload() == old.export_payload()
+
+
+@pytest.mark.parametrize("cls,h", ALL_KINDS)
+def test_restore_weights_rejects_a_snapshot_of_another_kind(cls, h):
+    entry = _snapshot(cls, h)
+    other, other_h = next((c, oh) for c, oh in ALL_KINDS if c is not cls)
+    target = other()
+    target.init(8, other_h)
+    before = target.export_payload()
+    with pytest.raises(ValueError, match="snapshot"):
+        entry.restore_weights(target)
+    assert target.export_payload() == before
 
 
 def test_import_payload_rejects_bad_format_and_kind():
