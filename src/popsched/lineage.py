@@ -136,47 +136,19 @@ def reconstruct_schedule(
     def subpop_of(aid: int) -> int:
         return aid // subpop_size if subpop_size else 0
 
-    # Per-target indices of payload-changing events, keyed by file position.
-    by_target: dict[int, list[tuple[int, int, EvolutionEvent]]] = {}
-    for seq, ev in enumerate(events):
-        if ev.kind != SURVIVE:
-            by_target.setdefault(ev.target_agent_id, []).append((ev.round, seq, ev))
-
-    def last_before(aid: int, cursor: tuple[int, int]) -> tuple[int, int, EvolutionEvent] | None:
-        recs = by_target.get(aid)
-        if not recs:
-            return None
-        keys = [(r, s) for r, s, _ in recs]
-        idx = bisect_left(keys, cursor)
-        return recs[idx - 1] if idx > 0 else None
-
+    # One index walks the log backward: every hop lands at an earlier position.
+    rounds = [ev.round for ev in events]
     segments: list[ScheduleSegment] = []
-    cur = agent_id
-    cursor = (final_round, -1)  # exclude all of final_round's own events
-    upper = final_round
-    hops = 0
-    limit = len(events) + 2
+    cur, upper = agent_id, final_round
+    i = bisect_left(rounds, final_round)  # exclude all of final_round's own events
     while True:
-        hops += 1
-        if hops > limit:
-            raise LineageError("event log broken: lineage walk does not terminate")
-        found = last_before(cur, cursor)
-        if found is None:
-            if cur not in initial_hyperparams:
-                raise LineageError(f"no initial hyperparameters for root agent {cur}")
-            segments.append(
-                ScheduleSegment(
-                    start_round=0,
-                    end_round=upper,
-                    agent_id=cur,
-                    subpop_id=subpop_of(cur),
-                    hyperparams=tuple(float(v) for v in initial_hyperparams[cur]),
-                    trained=True,
-                    kind="init",
-                )
-            )
+        i -= 1
+        while i >= 0 and (events[i].target_agent_id != cur or events[i].kind == SURVIVE):
+            i -= 1
+        if i < 0:
             break
-        e, seq, ev = found
+        ev = events[i]
+        e = ev.round
         if upper > e:
             segments.append(
                 ScheduleSegment(
@@ -203,13 +175,24 @@ def reconstruct_schedule(
                         kind="archive_dwell",
                     )
                 )
-            cur = ev.source_agent_id
-            cursor = (sr, -1)  # snapshot was taken before round sr's events
+            i = bisect_left(rounds, sr, hi=i)  # snapshot was taken before round sr's events
             upper = sr
         else:
-            cur = ev.source_agent_id
-            cursor = (e, seq)  # live state: later same-round events excluded
-            upper = e
+            upper = e  # live state: later same-round events excluded
+        cur = ev.source_agent_id
+    if cur not in initial_hyperparams:
+        raise LineageError(f"no initial hyperparameters for root agent {cur}")
+    segments.append(
+        ScheduleSegment(
+            start_round=0,
+            end_round=upper,
+            agent_id=cur,
+            subpop_id=subpop_of(cur),
+            hyperparams=tuple(float(v) for v in initial_hyperparams[cur]),
+            trained=True,
+            kind="init",
+        )
+    )
     segments.reverse()
     return segments
 
