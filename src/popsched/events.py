@@ -24,10 +24,8 @@ MIGRATION_WEIGHTS_ONLY = "migration_weights_only"
 MIGRATION_FULL = "migration_full"
 ELITE_RESTORE = "elite_restore"
 
+# Every kind but survive replaces the target's payload from some source.
 EVENT_KINDS = (SURVIVE, PERTURBED_CLONE, MIGRATION_WEIGHTS_ONLY, MIGRATION_FULL, ELITE_RESTORE)
-
-# Kinds that replace the target's payload from some source.
-SOURCED_KINDS = (PERTURBED_CLONE, MIGRATION_WEIGHTS_ONLY, MIGRATION_FULL, ELITE_RESTORE)
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class EvolutionEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == SURVIVE and self.source_agent_id is not None:
             raise ValueError("survive events carry no source")
-        if self.kind in SOURCED_KINDS and self.source_agent_id is None:
+        if self.kind != SURVIVE and self.source_agent_id is None:
             raise ValueError(f"{self.kind} events require a source agent")
 
     def to_json_line(self) -> str:

@@ -31,54 +31,21 @@ SIGMA_SPACE = HyperparamSpace((SpaceEntry("sigma", 0.05, 5.0),))
 LR_SPACE = HyperparamSpace((SpaceEntry("lr", 1e-3, 1.0),))
 RATE_SPACE = HyperparamSpace((SpaceEntry("rate", 0.1, 10.0),))
 
-
-def _two_basin_benchmark(**overrides) -> ExperimentConfig:
-    base = dict(
-        algorithm="mfpbt",
-        num_agents=16,
-        num_subpops=4,
-        deltas=(1, 4, 8, 16),
-        t_ready=50,
-        total_steps=20_000,
-        eval_repeats=1,
-        search_space=SIGMA_SPACE,
-        trainable={"kind": "two_basin", "params": {"start_x": TWO_BASIN_START_X}},
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+# Base shapes; each preset is one of them with a few fields replaced.
+_BENCHMARK = dict(
+    algorithm="mfpbt", num_agents=16, num_subpops=4, deltas=(1, 4, 8, 16), t_ready=50,
+    total_steps=20_000, eval_repeats=1, search_space=SIGMA_SPACE,
+    trainable={"kind": "two_basin", "params": {"start_x": TWO_BASIN_START_X}},
+)
+_REFERENCE = dict(_BENCHMARK, num_agents=32, deltas=(1, 10, 25, 50))
+_LOTTERY = dict(
+    _BENCHMARK, t_ready=20, total_steps=2_000, search_space=RATE_SPACE,
+    trainable={"kind": "seed_lottery", "params": {}}, variance_exploitation=True,
+)
 
 
-def _reference_shape(**overrides) -> ExperimentConfig:
-    base = dict(
-        algorithm="mfpbt",
-        num_agents=32,
-        num_subpops=4,
-        deltas=(1, 10, 25, 50),
-        t_ready=50,
-        total_steps=20_000,
-        eval_repeats=1,
-        search_space=SIGMA_SPACE,
-        trainable={"kind": "two_basin", "params": {"start_x": TWO_BASIN_START_X}},
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def _seed_lottery(**overrides) -> ExperimentConfig:
-    base = dict(
-        algorithm="mfpbt",
-        num_agents=16,
-        num_subpops=4,
-        deltas=(1, 4, 8, 16),
-        t_ready=20,
-        total_steps=2_000,
-        eval_repeats=1,
-        search_space=RATE_SPACE,
-        trainable={"kind": "seed_lottery", "params": {}},
-        variance_exploitation=True,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+def _preset(base: dict, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(**{**base, **overrides})
 
 
 def _single_delta(delta: int, **overrides) -> dict:
@@ -87,26 +54,27 @@ def _single_delta(delta: int, **overrides) -> dict:
 
 PRESETS: dict[str, ExperimentConfig] = {
     # Greediness benchmark (16 agents, deltas 1/4/8/16).
-    "twobasin-mfpbt": _two_basin_benchmark(),
-    "twobasin-mfpbt-sym": _two_basin_benchmark(symmetric_migration=True),
-    "twobasin-rs": _two_basin_benchmark(algorithm="rs", num_subpops=1, deltas=(1,)),
-    "twobasin-pbt-delta1": _two_basin_benchmark(**_single_delta(1)),
-    "twobasin-pbt-delta4": _two_basin_benchmark(**_single_delta(4)),
-    "twobasin-pbt-delta8": _two_basin_benchmark(**_single_delta(8)),
-    "twobasin-pbt-delta16": _two_basin_benchmark(**_single_delta(16)),
+    "twobasin-mfpbt": _preset(_BENCHMARK),
+    "twobasin-mfpbt-sym": _preset(_BENCHMARK, symmetric_migration=True),
+    "twobasin-rs": _preset(_BENCHMARK, algorithm="rs", num_subpops=1, deltas=(1,)),
+    "twobasin-pbt-delta1": _preset(_BENCHMARK, **_single_delta(1)),
+    "twobasin-pbt-delta4": _preset(_BENCHMARK, **_single_delta(4)),
+    "twobasin-pbt-delta8": _preset(_BENCHMARK, **_single_delta(8)),
+    "twobasin-pbt-delta16": _preset(_BENCHMARK, **_single_delta(16)),
     # Canonical 32-agent shapes.
-    "mfpbt-default": _reference_shape(),
-    "mfpbt-symmetric": _reference_shape(symmetric_migration=True),
-    "mfpbt-geometric": _reference_shape(deltas=(1, 2, 4, 8), t_ready=300, total_steps=19_200),
-    "mfpbt-n16": _reference_shape(num_agents=16),
-    "mfpbt-n64": _reference_shape(num_agents=64),
-    "pbt-delta1": _reference_shape(**_single_delta(1)),
-    "pbt-delta10": _reference_shape(**_single_delta(10)),
-    "pbt-delta25": _reference_shape(**_single_delta(25)),
-    "pbt-delta50": _reference_shape(**_single_delta(50)),
-    "rs-default": _reference_shape(algorithm="rs", num_subpops=1, deltas=(1,)),
+    "mfpbt-default": _preset(_REFERENCE),
+    "mfpbt-symmetric": _preset(_REFERENCE, symmetric_migration=True),
+    "mfpbt-geometric": _preset(_REFERENCE, deltas=(1, 2, 4, 8), t_ready=300, total_steps=19_200),
+    "mfpbt-n16": _preset(_REFERENCE, num_agents=16),
+    "mfpbt-n64": _preset(_REFERENCE, num_agents=64),
+    "pbt-delta1": _preset(_REFERENCE, **_single_delta(1)),
+    "pbt-delta10": _preset(_REFERENCE, **_single_delta(10)),
+    "pbt-delta25": _preset(_REFERENCE, **_single_delta(25)),
+    "pbt-delta50": _preset(_REFERENCE, **_single_delta(50)),
+    "rs-default": _preset(_REFERENCE, algorithm="rs", num_subpops=1, deltas=(1,)),
     # Backtracking on a payload-corrupting variant of the hill climb.
-    "pbt-bt-default": _reference_shape(
+    "pbt-bt-default": _preset(
+        _REFERENCE,
         algorithm="pbt_bt",
         num_subpops=1,
         deltas=(1,),
@@ -118,7 +86,8 @@ PRESETS: dict[str, ExperimentConfig] = {
         },
     ),
     # Learning-rate collapse testbed.
-    "quadratic-mfpbt": _reference_shape(
+    "quadratic-mfpbt": _preset(
+        _REFERENCE,
         num_agents=16,
         t_ready=25,
         total_steps=2_500,
@@ -127,9 +96,9 @@ PRESETS: dict[str, ExperimentConfig] = {
         deltas=(1, 4, 8, 16),
     ),
     # Seed-lottery pair for variance exploitation vs a frozen baseline.
-    "seedlottery-mfpbt-var": _seed_lottery(),
-    "seedlottery-rs": _seed_lottery(
-        algorithm="rs", num_subpops=1, deltas=(1,), variance_exploitation=False
+    "seedlottery-mfpbt-var": _preset(_LOTTERY),
+    "seedlottery-rs": _preset(
+        _LOTTERY, algorithm="rs", num_subpops=1, deltas=(1,), variance_exploitation=False
     ),
 }
 
