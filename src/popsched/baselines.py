@@ -28,8 +28,9 @@ class EliteEntry:
 
     def restore_weights(self, target: Trainable) -> None:
         """Copy this snapshot's weights into a live trainable; its streams stay."""
-        if self.payload["kind"] != target.kind:
-            raise ValueError(f"cannot restore a {self.payload['kind']!r} snapshot into {target.kind!r}")
+        kind = self.payload["kind"]
+        if kind != target.kind:
+            raise ValueError(f"cannot restore a {kind!r} snapshot into a {target.kind!r} trainable")
         target.import_weights(self.payload["weights"])
 
 

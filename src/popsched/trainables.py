@@ -16,12 +16,13 @@ lineage replay) and follow a fixed schema:
     }
 
 `weights` is the cloneable part. `rng` pins the private streams so that
-import_payload() restores behavior bit-for-bit. Neither export_payload()
-nor import_payload() shares a dict or list between payload and
-trainable, so a caller may keep or change a payload freely. Cloning
-between agents goes through transfer_weights(), which copies only the
-weights from one live trainable into another and leaves the receiving
-agent's streams untouched.
+import_payload() restores behavior bit-for-bit. export_payload() returns
+fresh containers, shared with neither the trainable nor an earlier
+export, and import_payload() keeps no container of its payload, so a
+caller may keep or change a payload freely. Cloning between agents goes
+through transfer_weights(), which copies only the weights from one live
+trainable into another and leaves the receiving agent's streams
+untouched.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
