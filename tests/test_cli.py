@@ -514,6 +514,36 @@ def test_resume_over_a_malformed_event_line_exits_1_naming_file_and_line(
     assert envelope["error"] == "ValueError"
     assert envelope["message"].startswith(f"{events}: line 3: ")
 
+
+def test_resume_refuses_an_event_log_that_lineage_refuses_and_touches_nothing(
+    tmp_path, capsys
+):
+    """A well-formed round-1 survive line that targets agent 999 of 32."""
+    data = get_preset("pbt-bt-default").to_json_dict()
+    data.update(total_steps=500, checkpoint_every=1)
+    path = tmp_path / "pbt-bt.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(data), seed=0, out_dir=out, stop_after_round=7)
+    events = out / "events.jsonl"
+    line_no = next(i for i, line in enumerate(events.read_text().splitlines(), 1)
+                   if '"kind":"survive"' in line and '"round":1,' in line)
+    _break_event_line(out, line_no, lambda line: re.sub(
+        r'"target_agent_id":\d+', '"target_agent_id":999', line))
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    reason = "event log broken at round 1: agent id 999 out of range"
+
+    code, _, err = run_cli(capsys, "lineage", str(out))
+    assert code == 1
+    assert json.loads(err)["message"].endswith(reason)
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
+    assert code == 1
+    message = json.loads(err)["message"]
+    assert str(events) in message and message.endswith(reason)
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
 # -------------------------------------------------------------- subprocess
 
 def test_metrics_id_read_through_a_float_exits_1_from_the_command_line(tmp_path, capsys):
