@@ -26,6 +26,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .baselines import EliteArchive, backtrack, update_elites
 from .config import ExperimentConfig
 from .core import AgentState, ConfigError, HyperparamVector, Population, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
+from .lineage import LineageError, validate_event_log
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
 from .rundir import MetricRow, RunDir, read_metrics, truncate_log
@@ -179,6 +181,16 @@ class _Engine:
         return int(data["round"])
 
 
+def _read_checked_events(path, lines, num_agents: int) -> list[EvolutionEvent]:
+    """read_events, then the structural check `popsched lineage` runs on the same log."""
+    events = read_events(path, lines)
+    try:
+        validate_event_log(events, num_agents)
+    except LineageError as exc:
+        raise LineageError(f"{path}: {exc}") from None
+    return events
+
+
 def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -192,7 +204,8 @@ def run_experiment(
     With out_dir=None the run happens entirely in memory (no files).
     resume=True picks up from the latest checkpoint in out_dir and
     truncates any partial rows written after it; it refuses a directory
-    whose config.json differs from this run's config, and touches no file then.
+    whose config.json differs from this run's config, or whose event log
+    `popsched lineage` would refuse, and touches no file then.
     """
     config.validate()
     seed = config.seeds[0] if seed is None else int(seed)
@@ -210,8 +223,11 @@ def run_experiment(
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
         start_round = engine.restore_checkpoint(run.resume_state(config, seed))
+        # events first: a log the lineage check refuses leaves both logs as they are
+        all_events = truncate_log(
+            run.events, start_round, partial(_read_checked_events, num_agents=config.num_agents)
+        )
         metrics = truncate_log(run.metrics, start_round, read_metrics, header=1)
-        all_events = truncate_log(run.events, start_round, read_events)
     else:
         engine.init_population()
         if run is not None:
