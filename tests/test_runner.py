@@ -113,6 +113,33 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
+# config.json's keys in the order resume compares them (it names the first that differs).
+ECHO_KEYS = [
+    "version", "algorithm", "num_agents", "num_subpops", "deltas", "t_ready", "total_steps",
+    "eval_repeats", "search_space", "trainable", "variance_exploitation", "symmetric_migration",
+    "clamp_hyperparams", "seeds", "elite_capacity", "backtrack_period", "checkpoint_every",
+    "workers", "out_dir",
+]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_config_json_keys_keep_their_order(name):
+    assert list(get_preset(name).to_json_dict()) == ECHO_KEYS
+
+
+def test_config_json_of_only_the_required_keys_takes_every_default():
+    data = {
+        "version": 1, "algorithm": "pbt", "num_agents": 8, "t_ready": 5, "total_steps": 20,
+        "search_space": [{"name": "lr", "low": 0.01, "high": 1.0}],
+        "trainable": {"kind": "quadratic_lr", "params": {}},
+    }
+    assert ExperimentConfig.from_json_dict(data) == ExperimentConfig(
+        algorithm="pbt", num_agents=8, t_ready=5, total_steps=20,
+        search_space=HyperparamSpace((SpaceEntry("lr", 0.01, 1.0),)),
+        trainable={"kind": "quadratic_lr", "params": {}},
+    )
+
+
 def test_config_json_rejects_unknown_keys():
     data = small_config().to_json_dict()
     data["learning_rate"] = 0.1
@@ -208,6 +235,30 @@ def test_config_json_rejects_a_search_space_that_is_not_a_list_of_objects(space)
     data["search_space"] = space
     with pytest.raises(ConfigError, match="^search_space:"):
         ExperimentConfig.from_json_dict(data)
+
+
+SIGMA_ENTRY = {"name": "sigma", "low": 0.05, "high": 5.0, "scale": "log-uniform"}
+
+
+@pytest.mark.parametrize(
+    "space,prefix",
+    [
+        pytest.param([], "search_space: hyperparameter space must contain", id="empty"),
+        pytest.param([SIGMA_ENTRY] * 2, "search_space: duplicate hyperparameter names", id="duplicate"),
+        pytest.param([SIGMA_ENTRY, dict(SIGMA_ENTRY, name="1x")],
+                     "search_space[1]: hyperparameter name '1x' is not an identifier", id="name"),
+        pytest.param([dict(SIGMA_ENTRY, low=-1.0)], "search_space[0]: sigma: need 0 < low <= high",
+                     id="low"),
+        pytest.param([dict(SIGMA_ENTRY, scale="linear")],
+                     "search_space[0]: sigma: unsupported scale 'linear'", id="scale"),
+    ],
+)
+def test_config_json_search_space_errors_start_with_the_field(space, prefix):
+    data = small_config().to_json_dict()
+    data["search_space"] = space
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_json_dict(data)
+    assert str(exc.value).startswith(prefix)
 
 
 def test_config_json_takes_integer_bounds_as_floats():
