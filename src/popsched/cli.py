@@ -88,8 +88,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args)
-    config.validate()
+    config = _load_config(args)  # get_preset and from_json_dict both validate
     print(json.dumps(config.to_json_dict(), indent=2, sort_keys=True))
     return 0
 

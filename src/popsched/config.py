@@ -2,20 +2,22 @@
 
 ExperimentConfig holds everything a run depends on: the scheduler, the
 population and its sub-population periods (deltas), the migration and
-exploration switches, the trainable and the search space. from_json_dict
-takes JSON integers and booleans only where those belong and names the
-bad field; validate() raises ConfigError whose message starts with it.
+exploration switches, the trainable and the search space. Each field is
+declared once, in ExperimentConfig in config.json's key order: its JSON
+shape, its default (none for a required key) and any lower bound. The
+JSON codec and validate() loop over those declarations; every error is a
+ConfigError whose message starts with the bad field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 from .core import ConfigError, HyperparamSpace, SpaceEntry
 from .trainables import build_trainable
 
 ALGORITHMS = ("rs", "pbt", "mfpbt", "pbt_bt")
-
 CONFIG_VERSION = 1
 
 
@@ -23,70 +25,98 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_int(data: dict, key: str, default=None, *, nullable: bool = False):
-    value = data.get(key, default)
-    if not (_is_int(value) or (nullable and value is None)):
-        kind = "an integer or null" if nullable else "an integer"
-        raise ConfigError(f"{key}: expected {kind}, got {value!r}")
-    return value
-
-
-def _json_ints(data: dict, key: str, default: list) -> tuple[int, ...]:
-    value = data.get(key, default)
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
-        raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-    return tuple(value)
-
-
-def _json_bool(data: dict, key: str) -> bool:
-    value = data.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key}: expected true or false, got {value!r}")
-    return value
-
-
-def _json_str(data: dict, key: str, default=None, *, nullable: bool = False, field: str = ""):
-    value = data.get(key, default)
-    if not (isinstance(value, str) or (nullable and value is None)):
-        kind = "a string or null" if nullable else "a string"
-        raise ConfigError(f"{field or key}: expected {kind}, got {value!r}")
-    return value
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_float(data: dict, key: str, field: str) -> float:
-    value = data.get(key)
-    if not _is_number(value):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
+class _Shape(NamedTuple):
+    """A JSON value's shape: what it must be, and its codec once it is."""
+
+    expected: str
+    test: Callable[[Any], bool]
+    decode: Callable = lambda value: value
+    encode: Callable = lambda value: value
+
+
+def _parse(name: str, shape: _Shape, value):
+    """value decoded by shape; a ConfigError naming the field when it does not fit."""
+    if not shape.test(value):
+        raise ConfigError(f"{name}: expected {shape.expected}, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{field}: integer too large for a float") from None
+        return shape.decode(value)
+    except OverflowError:  # an integer bound float() cannot hold
+        raise ConfigError(f"{name}: integer too large for a float") from None
 
 
-@dataclass(frozen=True)
+def _space_from_json(space: list) -> HyperparamSpace:
+    """The entries' own errors are prefixed with search_space[i], the space's with search_space."""
+    entries = []
+    for i, e in enumerate(space):
+        extra = set(e) - set(_ENTRY_SHAPES)
+        if extra:
+            raise ConfigError(f"search_space: unknown entry keys {sorted(extra)}")
+        at = f"search_space[{i}]"
+        e = {"scale": "log-uniform", **e}
+        values = [_parse(f"{at}.{key}", shape, e.get(key)) for key, shape in _ENTRY_SHAPES.items()]
+        try:
+            entries.append(SpaceEntry(*values))
+        except ConfigError as exc:
+            raise ConfigError(f"{at}: {exc}") from None
+    try:
+        return HyperparamSpace(tuple(entries))
+    except ConfigError as exc:
+        raise ConfigError(f"search_space: {exc}") from None
+
+
+def _trainable_from_json(spec: dict) -> dict:
+    _parse("trainable.params", PARAMS, spec.get("params", {}))
+    return dict(spec)
+
+
+INT = _Shape("an integer", _is_int)
+INT_OR_NULL = _Shape("an integer or null", lambda v: v is None or _is_int(v))
+INTS = _Shape("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple, list)
+BOOL = _Shape("true or false", lambda v: isinstance(v, bool))
+STR = _Shape("a string", lambda v: isinstance(v, str))
+STR_OR_NULL = _Shape("a string or null", lambda v: v is None or isinstance(v, str))
+NUMBER = _Shape("a number", _is_number, float)
+SPACE = _Shape("a list of objects", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+               _space_from_json, lambda space: [asdict(e) for e in space.entries])
+TRAINABLE = _Shape(
+    "an object of kind and params",
+    lambda v: isinstance(v, dict) and "kind" in v and set(v) <= {"kind", "params"},
+    _trainable_from_json, lambda spec: {"kind": spec.get("kind"), "params": dict(spec.get("params") or {})},
+)
+PARAMS = _Shape("numbers or lists of numbers", lambda v: isinstance(v, dict) and all(
+    _is_number(x) or (isinstance(x, list) and all(map(_is_number, x))) for x in v.values()))
+_ENTRY_SHAPES = {"name": STR, "low": NUMBER, "high": NUMBER, "scale": STR}
+
+
+def _field(shape: _Shape, default=MISSING, *, least: int | None = None):
+    """A config field: its JSON shape, its default, and the least value it takes."""
+    return field(default=default, metadata={"shape": shape, "least": least})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    algorithm: str
-    num_agents: int
-    t_ready: int
-    total_steps: int
-    search_space: HyperparamSpace
-    trainable: dict
-    num_subpops: int = 1
-    deltas: tuple[int, ...] = (1,)
-    eval_repeats: int = 1
-    variance_exploitation: bool = False
-    symmetric_migration: bool = False
-    clamp_hyperparams: bool = False
-    seeds: tuple[int, ...] = (0,)
-    elite_capacity: int | None = None
-    backtrack_period: int | None = None
-    checkpoint_every: int = 0
-    workers: int = 1  # kept so older config echoes parse; a run is one process
-    out_dir: str | None = None
+    algorithm: str = _field(STR)
+    num_agents: int = _field(INT, least=4)
+    num_subpops: int = _field(INT, 1, least=1)
+    deltas: tuple[int, ...] = _field(INTS, (1,))
+    t_ready: int = _field(INT, least=1)
+    total_steps: int = _field(INT)
+    eval_repeats: int = _field(INT, 1, least=1)
+    search_space: HyperparamSpace = _field(SPACE)
+    trainable: dict = _field(TRAINABLE)
+    variance_exploitation: bool = _field(BOOL, False)
+    symmetric_migration: bool = _field(BOOL, False)
+    clamp_hyperparams: bool = _field(BOOL, False)
+    seeds: tuple[int, ...] = _field(INTS, (0,))
+    elite_capacity: int | None = _field(INT_OR_NULL, None)
+    backtrack_period: int | None = _field(INT_OR_NULL, None)
+    checkpoint_every: int = _field(INT, 0, least=0)
+    workers: int = _field(INT, 1, least=1)  # kept so older config echoes parse; a run is one process
+    out_dir: str | None = _field(STR_OR_NULL, None)
 
     @property
     def num_rounds(self) -> int:
@@ -99,39 +129,28 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.num_agents < 4:
-            raise ConfigError(f"num_agents: need at least 4, got {self.num_agents}")
-        if self.num_subpops < 1:
-            raise ConfigError(f"num_subpops: need at least 1, got {self.num_subpops}")
+        for f in fields(self):
+            least, value = f.metadata["least"], getattr(self, f.name)
+            if least is not None and value < least:
+                raise ConfigError(f"{f.name}: need >= {least}, got {value}")
         if self.num_agents % self.num_subpops != 0:
-            raise ConfigError(
-                f"num_agents: {self.num_agents} not divisible by num_subpops {self.num_subpops}"
-            )
+            raise ConfigError(f"num_agents: {self.num_agents} not divisible by "
+                              f"num_subpops {self.num_subpops}")
         if self.subpop_size % 4 != 0:
-            raise ConfigError(
-                f"num_agents: sub-population size {self.subpop_size} must be a multiple of 4"
-            )
+            raise ConfigError(f"num_agents: sub-population size {self.subpop_size} must be a multiple of 4")
         if len(self.deltas) != self.num_subpops:
-            raise ConfigError(
-                f"deltas: got {len(self.deltas)} periods for {self.num_subpops} sub-populations"
-            )
-        if list(self.deltas) != sorted(set(self.deltas)) or any(
-            int(d) != d or d < 1 for d in self.deltas
-        ):
+            raise ConfigError(f"deltas: got {len(self.deltas)} periods for "
+                              f"{self.num_subpops} sub-populations")
+        if list(self.deltas) != sorted(set(self.deltas)) or any(int(d) != d or d < 1 for d in self.deltas):
             raise ConfigError(f"deltas: must be strictly increasing positive integers, got {self.deltas}")
         if self.algorithm == "mfpbt":
             if self.deltas[0] != 1:
                 raise ConfigError(f"deltas: must start at 1, got {self.deltas}")
         elif self.num_subpops != 1:
             raise ConfigError(f"num_subpops: {self.algorithm} runs a single population")
-        if self.t_ready < 1:
-            raise ConfigError(f"t_ready: need >= 1, got {self.t_ready}")
         if self.total_steps < self.t_ready or self.total_steps % self.t_ready != 0:
-            raise ConfigError(
-                f"total_steps: {self.total_steps} must be a positive multiple of t_ready {self.t_ready}"
-            )
-        if self.eval_repeats < 1:
-            raise ConfigError(f"eval_repeats: need >= 1, got {self.eval_repeats}")
+            raise ConfigError(f"total_steps: {self.total_steps} must be a positive multiple "
+                              f"of t_ready {self.t_ready}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one master seed")
         if any(int(s) != s or s < 0 for s in self.seeds):
@@ -141,108 +160,30 @@ class ExperimentConfig:
                 raise ConfigError(f"elite_capacity: pbt_bt needs >= 1, got {self.elite_capacity}")
             if self.backtrack_period is None or self.backtrack_period < 1:
                 raise ConfigError(f"backtrack_period: pbt_bt needs >= 1, got {self.backtrack_period}")
-        else:
-            if self.elite_capacity is not None or self.backtrack_period is not None:
-                raise ConfigError("elite_capacity/backtrack_period: only valid for pbt_bt")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every: need >= 0, got {self.checkpoint_every}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: need >= 1, got {self.workers}")
+        elif self.elite_capacity is not None or self.backtrack_period is not None:
+            raise ConfigError("elite_capacity/backtrack_period: only valid for pbt_bt")
         try:
             build_trainable(self.trainable)
         except ValueError as exc:  # unknown kind or bad params
             raise ConfigError(f"trainable: {exc}") from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "algorithm": self.algorithm,
-            "num_agents": self.num_agents,
-            "num_subpops": self.num_subpops,
-            "deltas": list(self.deltas),
-            "t_ready": self.t_ready,
-            "total_steps": self.total_steps,
-            "eval_repeats": self.eval_repeats,
-            "search_space": [
-                {"name": e.name, "low": e.low, "high": e.high, "scale": e.scale}
-                for e in self.search_space.entries
-            ],
-            "trainable": {
-                "kind": self.trainable.get("kind"),
-                "params": dict(self.trainable.get("params") or {}),
-            },
-            "variance_exploitation": self.variance_exploitation,
-            "symmetric_migration": self.symmetric_migration,
-            "clamp_hyperparams": self.clamp_hyperparams,
-            "seeds": list(self.seeds),
-            "elite_capacity": self.elite_capacity,
-            "backtrack_period": self.backtrack_period,
-            "checkpoint_every": self.checkpoint_every,
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-        }
+        echo = {f.name: f.metadata["shape"].encode(getattr(self, f.name)) for f in fields(self)}
+        return {"version": CONFIG_VERSION, **echo}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {"version", *(f.name for f in fields(cls))}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if data.get("version") != CONFIG_VERSION:
             raise ConfigError(f"version: expected {CONFIG_VERSION}, got {data.get('version')!r}")
-        required = ("algorithm", "num_agents", "t_ready", "total_steps", "search_space", "trainable")
-        missing = [k for k in required if k not in data]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        trainable = data["trainable"]
-        if not (isinstance(trainable, dict) and "kind" in trainable
-                and set(trainable) <= {"kind", "params"}):
-            raise ConfigError(f"trainable: expected an object of kind and params, got {trainable!r}")
-        params = trainable.get("params", {})
-        if not isinstance(params, dict) or not all(
-            _is_number(v) or (isinstance(v, list) and all(map(_is_number, v))) for v in params.values()
-        ):
-            raise ConfigError(f"trainable.params: expected numbers or lists of numbers, got {params!r}")
-        space = data["search_space"]
-        if not isinstance(space, list) or not all(isinstance(e, dict) for e in space):
-            raise ConfigError(f"search_space: expected a list of objects, got {space!r}")
-        entries = []
-        for i, e in enumerate(space):
-            extra = set(e) - {"name", "low", "high", "scale"}
-            if extra:
-                raise ConfigError(f"search_space: unknown entry keys {sorted(extra)}")
-            at = f"search_space[{i}]"
-            entries.append(
-                SpaceEntry(
-                    name=_json_str(e, "name", field=f"{at}.name"),
-                    low=_json_float(e, "low", f"{at}.low"),
-                    high=_json_float(e, "high", f"{at}.high"),
-                    scale=_json_str(e, "scale", "log-uniform", field=f"{at}.scale"),
-                )
-            )
-        cfg = cls(
-            algorithm=data["algorithm"],
-            num_agents=_json_int(data, "num_agents"),
-            num_subpops=_json_int(data, "num_subpops", 1),
-            deltas=_json_ints(data, "deltas", [1]),
-            t_ready=_json_int(data, "t_ready"),
-            total_steps=_json_int(data, "total_steps"),
-            eval_repeats=_json_int(data, "eval_repeats", 1),
-            search_space=HyperparamSpace(tuple(entries)),
-            trainable=dict(trainable),
-            variance_exploitation=_json_bool(data, "variance_exploitation"),
-            symmetric_migration=_json_bool(data, "symmetric_migration"),
-            clamp_hyperparams=_json_bool(data, "clamp_hyperparams"),
-            seeds=_json_ints(data, "seeds", [0]),
-            elite_capacity=_json_int(data, "elite_capacity", nullable=True),
-            backtrack_period=_json_int(data, "backtrack_period", nullable=True),
-            checkpoint_every=_json_int(data, "checkpoint_every", 0),
-            workers=_json_int(data, "workers", 1),
-            out_dir=_json_str(data, "out_dir", nullable=True),
-        )
+        cfg = cls(**{f.name: _parse(f.name, f.metadata["shape"], data[f.name])
+                     for f in fields(cls) if f.name in data})
         cfg.validate()
         return cfg
-
-
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"version"}
