@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,24 @@ def test_config_json_takes_integer_bounds_as_floats():
     assert cfg.to_json_dict()["search_space"][0] == {
         "name": "sigma", "low": 1.0, "high": 5.0, "scale": "log-uniform",
     }
+
+
+@pytest.mark.parametrize(
+    "field,spec",
+    [
+        ("trainable", {"params": {}}),
+        ("trainable", {"kind": "two_basin", "seed": 1}),
+        ("trainable", [{"kind": "two_basin"}]),
+        ("trainable.params", {"kind": "two_basin", "params": []}),
+        ("trainable.params", {"kind": "two_basin", "params": {"start_x": "-2"}}),
+        ("trainable.params", {"kind": "two_basin", "params": {"start_x": [True]}}),
+    ],
+)
+def test_config_json_rejects_a_mistyped_trainable_by_name(field, spec):
+    data = small_config().to_json_dict()
+    data["trainable"] = spec
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
+        ExperimentConfig.from_json_dict(data)
 
 
 @pytest.mark.parametrize("value", [5, True, ["runs"], {"dir": "runs"}])
