@@ -12,9 +12,9 @@ ConfigError whose message starts with the bad field.
 from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .core import ConfigError, HyperparamSpace, SpaceEntry
+from .core import LOG_UNIFORM, ConfigError, HyperparamSpace, SpaceEntry
 from .trainables import build_trainable
 
 ALGORITHMS = ("rs", "pbt", "mfpbt", "pbt_bt")
@@ -33,7 +33,7 @@ class _Shape(NamedTuple):
     """A JSON value's shape: what it must be, and its codec once it is."""
 
     expected: str
-    test: Callable[[Any], bool]
+    test: Callable[[object], bool]
     decode: Callable = lambda value: value
     encode: Callable = lambda value: value
 
@@ -56,10 +56,10 @@ def _space_from_json(space: list) -> HyperparamSpace:
         if extra:
             raise ConfigError(f"search_space: unknown entry keys {sorted(extra)}")
         at = f"search_space[{i}]"
-        e = {"scale": "log-uniform", **e}
-        values = [_parse(f"{at}.{key}", shape, e.get(key)) for key, shape in _ENTRY_SHAPES.items()]
+        entry = {"scale": LOG_UNIFORM, **e}
+        values = {key: _parse(f"{at}.{key}", shape, entry.get(key)) for key, shape in _ENTRY_SHAPES.items()}
         try:
-            entries.append(SpaceEntry(*values))
+            entries.append(SpaceEntry(**values))
         except ConfigError as exc:
             raise ConfigError(f"{at}: {exc}") from None
     try:
