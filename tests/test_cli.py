@@ -304,6 +304,19 @@ def test_mistyped_search_space_bound_exits_2(tmp_path, capsys, key, value):
     assert envelope["message"].startswith(f"search_space[0].{key}:")
 
 
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+def test_version_that_is_not_the_int_1_exits_2(tmp_path, capsys, value):
+    data = get_preset("twobasin-rs").to_json_dict()
+    data["version"] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "validate", "--config", str(path))
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("version:")
+
+
 @pytest.mark.parametrize(
     "spec",
     [
