@@ -178,7 +178,7 @@ class ExperimentConfig:
         unknown = set(data) - {"version", *(f.name for f in fields(cls))}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if data.get("version") != CONFIG_VERSION:
+        if not _is_int(data.get("version")) or data["version"] != CONFIG_VERSION:
             raise ConfigError(f"version: expected {CONFIG_VERSION}, got {data.get('version')!r}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
