@@ -28,8 +28,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .baselines import EliteArchive, backtrack, update_elites
 from .config import ExperimentConfig
 from .core import AgentState, ConfigError, HyperparamVector, Population, sample_hyperparams
@@ -38,7 +36,7 @@ from .lineage import LineageError, validate_event_log
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
 from .rundir import MetricRow, RunDir, read_metrics, truncate_log
-from .seeding import agent_trainable_seed, seed_hierarchy
+from .seeding import agent_trainable_seed, restore_generator, seed_hierarchy
 from .trainables import build_trainable
 
 
@@ -172,9 +170,7 @@ class _Engine:
                     snapshot_fitness=rec["fitness"],
                 )
             )
-            gen = np.random.default_rng()
-            gen.bit_generator.state = rec["evolve_state"]
-            self.evolve_rngs[i] = gen
+            self.evolve_rngs[i] = restore_generator(rec["evolve_state"])
         self.population = Population(agents=agents, deltas=cfg.deltas)
         if data.get("archive") is not None:
             self.archive = EliteArchive.from_json_dict(data["archive"])

@@ -12,6 +12,10 @@ import numpy as np
 
 STREAM_KINDS = {"init": 0, "train": 1, "eval": 2, "evolve": 3}
 
+# Seeds the placeholder state that restore_generator() overwrites at once; a
+# generator built without a seed would read OS entropy for nothing.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
 
 def seed_hierarchy(master_seed: int, agent_id: int, stream_kind: str) -> np.random.Generator:
     """Return the dedicated random stream for one (agent, kind) pair."""
@@ -23,6 +27,13 @@ def seed_hierarchy(master_seed: int, agent_id: int, stream_kind: str) -> np.rand
         raise ValueError("master_seed and agent_id must be non-negative")
     ss = np.random.SeedSequence((int(master_seed), int(agent_id), code))
     return np.random.default_rng(ss)
+
+
+def restore_generator(state: dict) -> np.random.Generator:
+    """A PCG64 generator continuing from a saved bit-generator state."""
+    bit_generator = np.random.PCG64(_PLACEHOLDER_SEED)
+    bit_generator.state = state  # the setter copies it, and refuses another bit generator's
+    return np.random.Generator(bit_generator)
 
 
 def agent_trainable_seed(master_seed: int, agent_id: int) -> int:

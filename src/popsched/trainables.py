@@ -40,6 +40,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .seeding import restore_generator
+
 PAYLOAD_FORMAT = 1
 
 _TRAIN_SUBSTREAM = 1
@@ -121,8 +123,7 @@ class Trainable:
         rng = payload["rng"]
         self._seed = int(rng["seed"])
         self._steps = int(rng["steps"])
-        self._rng_train = np.random.default_rng()
-        self._rng_train.bit_generator.state = rng["train_state"]  # the setter copies it
+        self._rng_train = restore_generator(rng["train_state"])
         self.import_weights(payload["weights"])  # which builds fresh values
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from popsched.seeding import STREAM_KINDS, agent_trainable_seed, seed_hierarchy
+from popsched.seeding import STREAM_KINDS, agent_trainable_seed, restore_generator, seed_hierarchy
 
 
 def test_same_inputs_same_stream():
@@ -46,6 +46,16 @@ def test_negative_inputs_rejected():
         seed_hierarchy(-1, 0, "train")
     with pytest.raises(ValueError):
         seed_hierarchy(0, -2, "train")
+
+
+def test_restored_generator_continues_the_saved_stream():
+    gen = seed_hierarchy(7, 3, "evolve")
+    gen.random(11)
+    restored = restore_generator(gen.bit_generator.state)
+    assert restored.random(5).tolist() == gen.random(5).tolist()
+    assert restored.integers(0, 9, size=4).tolist() == gen.integers(0, 9, size=4).tolist()
+    with pytest.raises(ValueError):
+        restore_generator(np.random.Generator(np.random.MT19937(0)).bit_generator.state)
 
 
 def test_agent_trainable_seed_stable_and_distinct():
