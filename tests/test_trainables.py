@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsched.baselines import EliteEntry
 from popsched.core import HyperparamVector
@@ -120,6 +122,70 @@ def test_forgetting_can_destroy_progress():
             dipped = True
         prev = cur
     assert dipped
+
+
+class _ReferenceTwoBasin(TwoBasinTrainable):
+    """The hill climb as first written: every proposal evaluated. The oracle for train()."""
+
+    def train(self, num_steps: int) -> None:
+        sigma = self._hyperparams.get("sigma")
+        if sigma is None or sigma <= 0.0:
+            raise ValueError(f"two_basin needs a positive 'sigma' hyperparameter, got {sigma}")
+        exp = math.exp
+        x = self._x
+        fx = exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
+        gs = self._rng_train.standard_normal(num_steps).tolist()
+        if self.forget_prob > 0.0:
+            us = self._rng_train.random(num_steps).tolist()
+            p, scale = self.forget_prob, self.forget_scale
+            for g, u in zip(gs, us):
+                if u < p:
+                    x = x + scale * g
+                    fx = exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
+                    continue
+                xp = x + sigma * g
+                fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
+                if fxp > fx:
+                    x, fx = xp, fxp
+        else:
+            for g in gs:
+                xp = x + sigma * g
+                fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
+                if fxp > fx:
+                    x, fx = xp, fxp
+        self._x = x
+        self._steps += num_steps
+
+
+# The tops of both basins, the valley between them (about 5 - ln(2)/10), the
+# point where train()'s two bounds meet and its float neighbours, and far tails.
+_START_X = st.one_of(
+    st.sampled_from([0.0, 1e-9, -1e-9, 5.0, math.nextafter(5.0, math.inf),
+                     math.nextafter(5.0, -math.inf), 10.0, 5.0 - math.log(2.0) / 10.0, 40.0, -40.0]),
+    st.floats(-40.0, 40.0),
+)
+_SIGMA = st.one_of(st.floats(1e-6, 50.0), st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start_x=_START_X,
+    forget_prob=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    seed=st.integers(0, 2**32),
+    calls=st.lists(st.tuples(_SIGMA, st.integers(1, 300)), min_size=1, max_size=4),
+)
+def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, calls):
+    fast = TwoBasinTrainable(start_x=start_x, forget_prob=forget_prob)
+    ref = _ReferenceTwoBasin(start_x=start_x, forget_prob=forget_prob)
+    fast.init(seed, {"sigma": calls[0][0]})
+    ref.init(seed, {"sigma": calls[0][0]})
+    for sigma, steps in calls:
+        fast.set_hyperparams({"sigma": sigma})
+        ref.set_hyperparams({"sigma": sigma})
+        fast.train(steps)
+        ref.train(steps)
+        assert (fast._x, fast._steps) == (ref._x, ref._steps)
+        assert fast.export_payload() == ref.export_payload()
 
 
 # -------------------------------------------------------- quadratic_lr
