@@ -54,6 +54,25 @@ def two_basin_objective(x: float) -> float:
     return math.exp(-0.5 * x * x) + 2.0 * math.exp(-0.5 * (x - 10.0) * (x - 10.0))
 
 
+# 2 * exp(-12.5): the most either bump of the objective adds on the far side of x = 5.
+_FAR = 2.0 * math.exp(-12.5)
+_PAD = 1e-10
+
+
+def _radius(bound: float) -> float:
+    """-2 ln(bound), padded upward: +inf when bound <= 0."""
+    if bound <= 0.0:
+        return math.inf
+    r = -2.0 * math.log(bound)
+    return r + abs(r) * _PAD + _PAD
+
+
+def _skip_radii(fx: float) -> tuple[float, float]:
+    """(T0, T1) of TwoBasinTrainable's skip test for a walker at fitness fx."""
+    c = fx * (1.0 - 1e-9)
+    return _radius(c - _FAR), _radius((c - 0.5 * _FAR) * 0.5)
+
+
 class Trainable:
     """Base of every trainable: streams, hyperparameters, init and payloads."""
 
@@ -142,6 +161,51 @@ class TwoBasinTrainable(Trainable):
     forgetting used to exercise backtracking. With corruption enabled a
     train step consumes one normal plus one uniform draw; otherwise one
     normal only.
+
+    Without corruption, train() skips the objective for a proposal that
+    provably cannot be accepted, and computes the same trajectory as
+    evaluating every one. With F(x) = exp(-x^2/2) + 2 exp(-(x-10)^2/2),
+    beta = 2 exp(-12.5) and c = fx (1 - 1e-9), where fx is the walker's
+    fitness as computed:
+
+    - for xp <= 5 the right bump is at most beta, so F(xp) <= c once
+      xp^2 >= T0 = -2 ln(c - beta);
+    - for xp > 5 the left bump is at most beta/2, so F(xp) <= c once
+      (xp-10)^2 >= T1 = -2 ln((c - beta/2) / 2).
+
+    A radius is +inf when its log's argument is <= 0. The computed test
+    is exact, not just the real-number one, because of the margins:
+
+    - each radius is padded by 1e-10 relative plus 1e-10 absolute. That
+      is a million units of rounding (2^-53 = 1.1e-16) of the log, the
+      pad arithmetic and the square, so a proposal that passes the
+      test as computed passes it in real numbers too. The radii
+      themselves are at most 2 * 745, because a bound below the least
+      float gives +inf;
+    - the real bound is c, plus a few units of rounding of c times the
+      rounding of beta and of c - beta;
+    - the objective as computed exceeds the real one by a relative error
+      under 1e-12 (an exp argument's rounding is under 4 units, times
+      |argument| <= 745 before the result underflows) plus 1e-322 from
+      subnormal results;
+    - c is 1e-9 * fx below fx, and fx > beta whenever a radius is
+      finite. So a skipped proposal computes F(xp) <= fx, and
+      `fxp > fx` would have rejected it.
+
+    Radii computed from a lower fitness are larger, so they stay sound
+    after an accept. They start at +inf in each train() call and are
+    recomputed at the second evaluated rejection since the last accept.
+    A small-sigma walker climbs by alternating accepts and single
+    rejections, and radii computed at one of those go stale at the next
+    accept; two rejections in a row mark a walker that has stopped
+    improving. Recomputing them costs about four evaluations. Every
+    proposal that passes the test is evaluated and compared exactly as
+    before. After a walker converges, most proposals are skipped.
+
+    The corruption loop evaluates every proposal. A jump can move the
+    walker to a lower fitness at any step, which would make the radii
+    stale in the unsafe direction, and it is not where the benchmark
+    spends its time.
     """
 
     kind = "two_basin"
@@ -181,11 +245,23 @@ class TwoBasinTrainable(Trainable):
                 if fxp > fx:
                     x, fx = xp, fxp
         else:
+            t0 = t1 = math.inf
+            rejects = 0  # evaluated and rejected since the last accept
             for g in gs:
                 xp = x + sigma * g
+                if xp <= 5.0:
+                    if xp * xp >= t0:
+                        continue
+                elif (xp - 10.0) * (xp - 10.0) >= t1:
+                    continue
                 fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
                 if fxp > fx:
                     x, fx = xp, fxp
+                    rejects = 0
+                else:
+                    rejects += 1
+                    if rejects == 2:
+                        t0, t1 = _skip_radii(fx)
         self._x = x
         self._steps += num_steps
 

@@ -18,6 +18,7 @@ from popsched.trainables import (
     SeedLotteryTrainable,
     Trainable,
     TwoBasinTrainable,
+    _skip_radii,
     build_trainable,
     transfer_weights,
     two_basin_objective,
@@ -158,11 +159,13 @@ class _ReferenceTwoBasin(TwoBasinTrainable):
 
 
 # The tops of both basins, the valley between them (about 5 - ln(2)/10), the
-# point where train()'s two bounds meet and its float neighbours, and far tails.
+# point where train()'s two bounds meet and its float neighbours, and far tails;
+# the valley's slopes, where the walker's fitness is close to the bounds' 2 exp(-12.5).
 _START_X = st.one_of(
     st.sampled_from([0.0, 1e-9, -1e-9, 5.0, math.nextafter(5.0, math.inf),
                      math.nextafter(5.0, -math.inf), 10.0, 5.0 - math.log(2.0) / 10.0, 40.0, -40.0]),
     st.floats(-40.0, 40.0),
+    st.floats(3.5, 6.5),
 )
 _SIGMA = st.one_of(st.floats(1e-6, 50.0), st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0 ** e))
 
@@ -186,6 +189,55 @@ def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, 
         ref.train(steps)
         assert (fast._x, fast._steps) == (ref._x, ref._steps)
         assert fast.export_payload() == ref.export_payload()
+
+
+def _objective_as_trained(x: float) -> float:
+    exp = math.exp
+    return exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
+
+
+def _skipped(xp: float, t0: float, t1: float) -> bool:
+    """train()'s skip test for proposal xp."""
+    if xp <= 5.0:
+        return xp * xp >= t0
+    return (xp - 10.0) * (xp - 10.0) >= t1
+
+
+def _with_neighbours(v: float, n: int = 3) -> list[float]:
+    out, lo, hi = [v], v, v
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# Walkers whose fitness is just above 2 exp(-12.5), where the radii turn finite.
+_NEAR_THRESHOLD_X = st.one_of(st.floats(4.8, 5.2), st.floats(14.9, 15.1),
+                              st.sampled_from([4.8589, 4.85895, 15.0, -4.8589]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(x=st.one_of(_START_X, _NEAR_THRESHOLD_X), far=st.floats(-60.0, 60.0))
+def test_two_basin_skip_test_never_skips_an_improving_proposal(x, far):
+    fx = _objective_as_trained(x)
+    t0, t1 = _skip_radii(fx)
+    if fx > 3.0 * math.exp(-12.5):
+        assert t0 < math.inf and t1 < math.inf
+    edges = [5.0, far]
+    if 0.0 <= t0 < math.inf:
+        edges += [math.sqrt(t0), -math.sqrt(t0)]
+    if 0.0 <= t1 < math.inf:
+        edges += [10.0 - math.sqrt(t1), 10.0 + math.sqrt(t1)]
+    for xp in (p for edge in edges for p in _with_neighbours(edge)):
+        if _skipped(xp, t0, t1):
+            assert _objective_as_trained(xp) <= fx, (x, xp)
+
+
+def test_two_basin_skip_test_leaves_only_a_narrow_band_near_the_top():
+    t0, t1 = _skip_radii(_objective_as_trained(0.0))
+    assert _skipped(0.01, t0, t1) and _skipped(-3.0, t0, t1) and _skipped(13.0, t0, t1)
+    assert not _skipped(10.0, t0, t1)
+    assert not _skipped(1e-3, t0, t1)
 
 
 # -------------------------------------------------------- quadratic_lr
