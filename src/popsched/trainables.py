@@ -54,7 +54,7 @@ def two_basin_objective(x: float) -> float:
     return math.exp(-0.5 * x * x) + 2.0 * math.exp(-0.5 * (x - 10.0) * (x - 10.0))
 
 
-# 2 * exp(-12.5): the most either bump of the objective adds on the far side of x = 5.
+# 2 * exp(-12.5): the most the right bump adds at x <= 5; the left one adds half that at x > 5.
 _FAR = 2.0 * math.exp(-12.5)
 _PAD = 1e-10
 
@@ -173,24 +173,24 @@ class TwoBasinTrainable(Trainable):
     - for xp > 5 the left bump is at most beta/2, so F(xp) <= c once
       (xp-10)^2 >= T1 = -2 ln((c - beta/2) / 2).
 
-    A radius is +inf when its log's argument is <= 0. The computed test
-    is exact, not just the real-number one, because of the margins:
+    A radius is +inf when its log's argument is <= 0. The test as
+    computed in floats is exact too. With u = 2^-53 = 1.1e-16:
 
-    - each radius is padded by 1e-10 relative plus 1e-10 absolute. That
-      is a million units of rounding (2^-53 = 1.1e-16) of the log, the
-      pad arithmetic and the square, so a proposal that passes the
-      test as computed passes it in real numbers too. The radii
-      themselves are at most 2 * 745, because a bound below the least
-      float gives +inf;
-    - the real bound is c, plus a few units of rounding of c times the
-      rounding of beta and of c - beta;
+    - each radius is padded by 1e-10 relative plus 1e-10 absolute, a
+      million times the rounding of the log, the pad arithmetic and the
+      square (a few u each). So a skipped proposal meets the real-number
+      inequality for the log's argument as computed, and its near bump
+      is at most that argument (twice it for T1);
+    - that argument exceeds c - beta (or (c - beta/2) / 2) by at most a
+      few u of c, from the rounding of beta and of the subtraction. So
+      the real F(xp) <= c (1 + 4u);
     - the objective as computed exceeds the real one by a relative error
-      under 1e-12 (an exp argument's rounding is under 4 units, times
+      under 1e-12 (an exp argument's rounding is under 4u, times
       |argument| <= 745 before the result underflows) plus 1e-322 from
       subnormal results;
-    - c is 1e-9 * fx below fx, and fx > beta whenever a radius is
-      finite. So a skipped proposal computes F(xp) <= fx, and
-      `fxp > fx` would have rejected it.
+    - c is 1e-9 fx below fx, and fx > beta whenever a radius is finite.
+      So a skipped proposal computes F(xp) <= fx, and `fxp > fx` would
+      have rejected it.
 
     Radii computed from a lower fitness are larger, so they stay sound
     after an accept. They start at +inf in each train() call and are
