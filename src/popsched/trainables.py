@@ -163,49 +163,33 @@ class TwoBasinTrainable(Trainable):
     normal only.
 
     Without corruption, train() skips the objective for a proposal that
-    provably cannot be accepted, and computes the same trajectory as
-    evaluating every one. With F(x) = exp(-x^2/2) + 2 exp(-(x-10)^2/2),
-    beta = 2 exp(-12.5) and c = fx (1 - 1e-9), where fx is the walker's
-    fitness as computed:
+    provably cannot be accepted, so its trajectory is that of evaluating
+    every one. With F(x) = exp(-x^2/2) + 2 exp(-(x-10)^2/2), beta =
+    2 exp(-12.5) and c = fx (1 - 1e-9), fx the walker's fitness as
+    computed: at xp <= 5 the right bump is at most beta, so F(xp) <= c
+    once xp^2 >= T0 = -2 ln(c - beta); at xp > 5 the left bump is at most
+    beta/2, so F(xp) <= c once (xp-10)^2 >= T1 = -2 ln((c - beta/2) / 2).
+    A radius is +inf when its log's argument is <= 0. The test is exact
+    in floats too (u = 2^-53 = 1.1e-16):
 
-    - for xp <= 5 the right bump is at most beta, so F(xp) <= c once
-      xp^2 >= T0 = -2 ln(c - beta);
-    - for xp > 5 the left bump is at most beta/2, so F(xp) <= c once
-      (xp-10)^2 >= T1 = -2 ln((c - beta/2) / 2).
+    - the radii's pad, 1e-10 relative plus 1e-10 absolute, is a million
+      times the rounding of the log, the pad and the square (a few u
+      each), so a skipped proposal meets the real inequality, and with
+      the rounding of beta and of c - beta the real F(xp) <= c (1 + 4u);
+    - F as computed exceeds the real one by under 1e-12 relative (an exp
+      argument's rounding is under 4u, times |argument| <= 745 before
+      the result underflows) plus 1e-322 from subnormal results;
+    - c is 1e-9 fx below fx, and fx > beta when a radius is finite, so a
+      skipped proposal computes F(xp) <= fx: `fxp > fx` would reject it.
 
-    A radius is +inf when its log's argument is <= 0. The test as
-    computed in floats is exact too. With u = 2^-53 = 1.1e-16:
-
-    - each radius is padded by 1e-10 relative plus 1e-10 absolute, a
-      million times the rounding of the log, the pad arithmetic and the
-      square (a few u each). So a skipped proposal meets the real-number
-      inequality for the log's argument as computed, and its near bump
-      is at most that argument (twice it for T1);
-    - that argument exceeds c - beta (or (c - beta/2) / 2) by at most a
-      few u of c, from the rounding of beta and of the subtraction. So
-      the real F(xp) <= c (1 + 4u);
-    - the objective as computed exceeds the real one by a relative error
-      under 1e-12 (an exp argument's rounding is under 4u, times
-      |argument| <= 745 before the result underflows) plus 1e-322 from
-      subnormal results;
-    - c is 1e-9 fx below fx, and fx > beta whenever a radius is finite.
-      So a skipped proposal computes F(xp) <= fx, and `fxp > fx` would
-      have rejected it.
-
-    Radii computed from a lower fitness are larger, so they stay sound
-    after an accept. They start at +inf in each train() call and are
-    recomputed at the second evaluated rejection since the last accept.
-    A small-sigma walker climbs by alternating accepts and single
-    rejections, and radii computed at one of those go stale at the next
-    accept; two rejections in a row mark a walker that has stopped
-    improving. Recomputing them costs about four evaluations. Every
-    proposal that passes the test is evaluated and compared exactly as
-    before. After a walker converges, most proposals are skipped.
-
-    The corruption loop evaluates every proposal. A jump can move the
-    walker to a lower fitness at any step, which would make the radii
-    stale in the unsafe direction, and it is not where the benchmark
-    spends its time.
+    Radii from a lower fitness are larger, so they stay sound after an
+    accept. They start at +inf in each train() call and are recomputed,
+    at about four evaluations' cost, at the second evaluated rejection
+    since the last accept: a small-sigma walker climbs by alternating
+    accepts and single rejections, and radii computed at one of those go
+    stale at the next accept. The corruption loop evaluates every
+    proposal: a jump can lower the walker's fitness at any step, which
+    leaves the radii stale in the unsafe direction.
     """
 
     kind = "two_basin"
