@@ -191,11 +191,6 @@ def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, 
         assert fast.export_payload() == ref.export_payload()
 
 
-def _objective_as_trained(x: float) -> float:
-    exp = math.exp
-    return exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
-
-
 def _skipped(xp: float, t0: float, t1: float) -> bool:
     """train()'s skip test for proposal xp."""
     if xp <= 5.0:
@@ -219,7 +214,8 @@ _NEAR_THRESHOLD_X = st.one_of(st.floats(4.8, 5.2), st.floats(14.9, 15.1),
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(x=st.one_of(_START_X, _NEAR_THRESHOLD_X), far=st.floats(-60.0, 60.0))
 def test_two_basin_skip_test_never_skips_an_improving_proposal(x, far):
-    fx = _objective_as_trained(x)
+    # two_basin_objective computes F with train()'s expression, operation for operation.
+    fx = two_basin_objective(x)
     t0, t1 = _skip_radii(fx)
     if fx > 3.0 * math.exp(-12.5):
         assert t0 < math.inf and t1 < math.inf
@@ -230,11 +226,11 @@ def test_two_basin_skip_test_never_skips_an_improving_proposal(x, far):
         edges += [10.0 - math.sqrt(t1), 10.0 + math.sqrt(t1)]
     for xp in (p for edge in edges for p in _with_neighbours(edge)):
         if _skipped(xp, t0, t1):
-            assert _objective_as_trained(xp) <= fx, (x, xp)
+            assert two_basin_objective(xp) <= fx, (x, xp)
 
 
 def test_two_basin_skip_test_leaves_only_a_narrow_band_near_the_top():
-    t0, t1 = _skip_radii(_objective_as_trained(0.0))
+    t0, t1 = _skip_radii(two_basin_objective(0.0))
     assert _skipped(0.01, t0, t1) and _skipped(-3.0, t0, t1) and _skipped(13.0, t0, t1)
     assert not _skipped(10.0, t0, t1)
     assert not _skipped(1e-3, t0, t1)
