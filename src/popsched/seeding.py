@@ -12,10 +12,6 @@ import numpy as np
 
 STREAM_KINDS = {"init": 0, "train": 1, "eval": 2, "evolve": 3}
 
-# Seeds the placeholder state that restore_generator() overwrites at once; a
-# generator built without a seed would read OS entropy for nothing.
-_PLACEHOLDER_SEED = np.random.SeedSequence(0)
-
 
 def seed_hierarchy(master_seed: int, agent_id: int, stream_kind: str) -> np.random.Generator:
     """Return the dedicated random stream for one (agent, kind) pair."""
@@ -31,7 +27,8 @@ def seed_hierarchy(master_seed: int, agent_id: int, stream_kind: str) -> np.rand
 
 def restore_generator(state: dict) -> np.random.Generator:
     """A PCG64 generator continuing from a saved bit-generator state."""
-    bit_generator = np.random.PCG64(_PLACEHOLDER_SEED)
+    # Seeded, because an unseeded generator reads OS entropy for a state overwritten next.
+    bit_generator = np.random.PCG64(0)
     bit_generator.state = state  # the setter copies it, and refuses another bit generator's
     return np.random.Generator(bit_generator)
 
