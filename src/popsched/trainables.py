@@ -183,9 +183,12 @@ class TwoBasinTrainable(Trainable):
       skipped proposal computes F(xp) <= fx: `fxp > fx` would reject it.
 
     Radii from a lower fitness are larger, so they stay sound after an
-    accept. They start at +inf in each train() call and are recomputed,
-    at about four evaluations' cost, at the second evaluated rejection
-    since the last accept: a small-sigma walker climbs by alternating
+    accept. The walker keeps them between train() calls with the fitness
+    they were computed at, and starts from +inf instead when its fitness
+    has fallen below that one (an imported payload or weight transfer).
+    They are recomputed, at about four evaluations' cost, at the second
+    evaluated rejection since the last accept, unless they are already
+    the current fitness's: a small-sigma walker climbs by alternating
     accepts and single rejections, and radii computed at one of those go
     stale at the next accept. The corruption loop evaluates every
     proposal: a jump can lower the walker's fitness at any step, which
@@ -204,6 +207,7 @@ class TwoBasinTrainable(Trainable):
         self.forget_scale = float(forget_scale)
         self.eval_noise = float(eval_noise)
         self._x = self.start_x
+        self._radii = (math.inf, math.inf, math.inf)  # the skip test's (fitness, T0, T1); see train()
 
     def _reset(self) -> None:
         self._x = self.start_x
@@ -229,7 +233,9 @@ class TwoBasinTrainable(Trainable):
                 if fxp > fx:
                     x, fx = xp, fxp
         else:
-            t0 = t1 = math.inf
+            radii_fx, t0, t1 = self._radii
+            if radii_fx > fx:
+                radii_fx = t0 = t1 = math.inf
             rejects = 0  # evaluated and rejected since the last accept
             for g in gs:
                 xp = x + sigma * g
@@ -244,8 +250,10 @@ class TwoBasinTrainable(Trainable):
                     rejects = 0
                 else:
                     rejects += 1
-                    if rejects == 2:
+                    if rejects == 2 and radii_fx != fx:
                         t0, t1 = _skip_radii(fx)
+                        radii_fx = fx
+            self._radii = (radii_fx, t0, t1)
         self._x = x
         self._steps += num_steps
 

@@ -175,14 +175,19 @@ _SIGMA = st.one_of(st.floats(1e-6, 50.0), st.floats(-6.0, math.log10(50.0)).map(
     start_x=_START_X,
     forget_prob=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
     seed=st.integers(0, 2**32),
-    calls=st.lists(st.tuples(_SIGMA, st.integers(1, 300)), min_size=1, max_size=4),
+    calls=st.lists(st.tuples(_SIGMA, st.integers(1, 300), st.one_of(st.none(), _START_X)),
+                   min_size=1, max_size=4),
 )
 def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, calls):
+    """Chained calls; a call may first move the walker, as a weight transfer does."""
     fast = TwoBasinTrainable(start_x=start_x, forget_prob=forget_prob)
     ref = _ReferenceTwoBasin(start_x=start_x, forget_prob=forget_prob)
     fast.init(seed, {"sigma": calls[0][0]})
     ref.init(seed, {"sigma": calls[0][0]})
-    for sigma, steps in calls:
+    for sigma, steps, moved_to in calls:
+        if moved_to is not None:
+            fast.import_weights({"x": moved_to})
+            ref.import_weights({"x": moved_to})
         fast.set_hyperparams({"sigma": sigma})
         ref.set_hyperparams({"sigma": sigma})
         fast.train(steps)
