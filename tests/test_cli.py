@@ -373,6 +373,21 @@ def test_report_aggregates_runs(tmp_path, capsys):
     assert len(curve_lines) == 1 + 2 * 4  # two labels, four rounds each
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "trailing-slash"])
+def test_report_refuses_a_run_directory_named_twice(tmp_path, capsys, monkeypatch, spelling):
+    cfg = tiny_config_file(tmp_path)
+    for name in ("r0", "r1"):
+        run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / name))
+    monkeypatch.chdir(tmp_path)
+    again = {"same": "r0", "dot-slash": "./r0", "trailing-slash": str(tmp_path / "r0") + "/"}
+    code, _, err = run_cli(capsys, "report", "r0", again[spelling], "r1", "--out", "report")
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith("run_dirs: ")
+    assert not (tmp_path / "report").exists()
+
+
 # ------------------------------------------------------------ cli: lineage
 
 def test_lineage_writes_schedule_and_replays(tmp_path, capsys):
@@ -404,6 +419,22 @@ def test_lineage_bad_agent_exits_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "lineage", str(out), "--agent", "99")
     assert code == 1
     assert json.loads(err)["error"] == "LineageError"
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--agent", "abc"), ("--agent", "-1"), ("--agent", "1.5"),
+                   ("--round", "0"), ("--round", "-2")],
+)
+def test_lineage_flag_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, flag, value):
+    path = tiny_config_file(tmp_path)
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    code, _, err = run_cli(capsys, "lineage", str(out), flag, value)
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith(f"{flag[2:]}: ")
+    assert not (out / "schedule.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["lineage", "report"])
