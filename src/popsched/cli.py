@@ -104,6 +104,10 @@ def cmd_presets(args) -> int:
 
 
 def cmd_report(args) -> int:
+    resolved = [Path(d).resolve() for d in args.run_dirs]
+    if len(set(resolved)) < len(resolved):
+        twice = next(d for d, r in zip(args.run_dirs, resolved) if resolved.count(r) > 1)
+        raise ConfigError(f"run_dirs: {twice!r} names a run directory given more than once")
     curves_by_label: dict[str, list[list[float]]] = {}
     for run_dir in args.run_dirs:
         config, _ = load_run_config(run_dir)
@@ -123,10 +127,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_lineage(args) -> int:
-    agent = None if args.agent == "best" else int(args.agent)
+    agent = args.agent
+    if agent != "best" and not (agent.isdecimal() and agent.isascii()):
+        raise ConfigError(f"agent: expected 'best' or a non-negative integer, got {agent!r}")
+    if args.round is not None and args.round < 1:
+        raise ConfigError(f"round: need >= 1, got {args.round}")
     report = replay_run(
         args.run_dir,
-        agent_id=agent,
+        agent_id=None if agent == "best" else int(agent),
         final_round=args.round,
         verify_rounds=args.replay,
     )
