@@ -1,8 +1,9 @@
 """Experiment runner: synchronous generations over live trainables.
 
-Every round each agent trains t_ready steps and is evaluated; at the
-round barrier the configured scheduler may rewrite agents in place,
-emitting the events that describe what it did. Random search does
+Every round each agent trains t_ready steps, all of them through one
+Trainable.train_all call, and is then evaluated; at the round barrier
+the configured scheduler may rewrite agents in place, emitting the
+events that describe what it did. Random search does
 nothing there; every other barrier runs mfpbt_round (PBT as its
 one-sub-population case) unless PBT with backtracking backtracks.
 Each round appends (and flushes) its metrics, then runs the barrier,
@@ -95,11 +96,14 @@ class _Engine:
 
     def train_eval_round(self) -> None:
         cfg = self.config
-        for a in self.population.agents:
+        agents = self.population.agents
+        for a in agents:
             if self.pushed.get(a.agent_id) is not a.hyperparams:  # set by the barrier or a restore
                 a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
                 self.pushed[a.agent_id] = a.hyperparams
-            a.trainable.train(cfg.t_ready)
+        trainables = [a.trainable for a in agents]
+        type(trainables[0]).train_all(trainables, cfg.t_ready)
+        for a in agents:
             fitness = float(a.trainable.evaluate(cfg.eval_repeats))
             if not math.isfinite(fitness):
                 raise ValueError(f"agent {a.agent_id} produced non-finite fitness {fitness!r}")

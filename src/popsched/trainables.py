@@ -24,6 +24,12 @@ through transfer_weights(), which copies only the weights from one live
 trainable into another and leaves the receiving agent's streams
 untouched.
 
+The runner trains a round's population with one train_all(trainables,
+num_steps) call, which by default calls train() on each in turn. A
+subclass may batch it, but must draw each trainable's streams exactly as
+train() does and leave each with train()'s trajectory, step count and
+stream state.
+
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
 calls cannot change a trajectory.
@@ -105,6 +111,12 @@ class Trainable:
     def train(self, num_steps: int) -> None:
         raise NotImplementedError
 
+    @classmethod
+    def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
+        """train(num_steps) on each trainable, in order; see the module docstring."""
+        for t in trainables:
+            t.train(num_steps)
+
     def advance_rng(self, num_steps: int) -> None:
         """Consume exactly what train(num_steps) would, without training."""
         raise NotImplementedError
@@ -184,15 +196,19 @@ class TwoBasinTrainable(Trainable):
 
     Radii from a lower fitness are larger, so they stay sound after an
     accept. The walker keeps them between train() calls with the fitness
-    they were computed at, and starts from +inf instead when its fitness
-    has fallen below that one (an imported payload or weight transfer).
+    they were computed at, and import_weights() resets them to +inf when
+    it lowers the fitness below that one; it also keeps F(x) beside x.
     They are recomputed, at about four evaluations' cost, at the second
     evaluated rejection since the last accept, unless they are already
     the current fitness's: a small-sigma walker climbs by alternating
     accepts and single rejections, and radii computed at one of those go
     stale at the next accept. The corruption loop evaluates every
     proposal: a jump can lower the walker's fitness at any step, which
-    leaves the radii stale in the unsafe direction.
+    leaves the radii stale in the unsafe direction. train_all() runs the
+    same test on a whole population as array ops, which round alike, up
+    to each walker's first proposal it keeps, and hands the rest of that
+    walker's draws to the one skip loop, _climb(); with corruption it
+    calls train() on each walker.
     """
 
     kind = "two_basin"
@@ -206,56 +222,81 @@ class TwoBasinTrainable(Trainable):
         self.forget_prob = float(forget_prob)
         self.forget_scale = float(forget_scale)
         self.eval_noise = float(eval_noise)
-        self._x = self.start_x
         self._radii = (math.inf, math.inf, math.inf)  # the skip test's (fitness, T0, T1); see train()
+        self._reset()
 
     def _reset(self) -> None:
-        self._x = self.start_x
+        self.import_weights({"x": self.start_x})
 
-    def train(self, num_steps: int) -> None:
+    def _sigma(self) -> float:
         sigma = self._hyperparams.get("sigma")
         if sigma is None or sigma <= 0.0:
             raise ValueError(f"two_basin needs a positive 'sigma' hyperparameter, got {sigma}")
-        exp = math.exp
-        x = self._x
-        fx = exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
+        return sigma
+
+    def train(self, num_steps: int) -> None:
+        sigma = self._sigma()
         gs = self._rng_train.standard_normal(num_steps).tolist()
-        if self.forget_prob > 0.0:
-            us = self._rng_train.random(num_steps).tolist()
-            p, scale = self.forget_prob, self.forget_scale
-            for g, u in zip(gs, us):
-                if u < p:
-                    x = x + scale * g
-                    fx = exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
-                    continue
-                xp = x + sigma * g
-                fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
-                if fxp > fx:
-                    x, fx = xp, fxp
-        else:
-            radii_fx, t0, t1 = self._radii
-            if radii_fx > fx:
-                radii_fx = t0 = t1 = math.inf
-            rejects = 0  # evaluated and rejected since the last accept
-            for g in gs:
-                xp = x + sigma * g
-                if xp <= 5.0:
-                    if xp * xp >= t0:
-                        continue
-                elif (xp - 10.0) * (xp - 10.0) >= t1:
-                    continue
-                fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
-                if fxp > fx:
-                    x, fx = xp, fxp
-                    rejects = 0
-                else:
-                    rejects += 1
-                    if rejects == 2 and radii_fx != fx:
-                        t0, t1 = _skip_radii(fx)
-                        radii_fx = fx
-            self._radii = (radii_fx, t0, t1)
-        self._x = x
         self._steps += num_steps
+        if self.forget_prob == 0.0:
+            return self._climb(sigma, gs)
+        exp = math.exp
+        x, fx = self._x, self._fx
+        us = self._rng_train.random(num_steps).tolist()
+        p, scale = self.forget_prob, self.forget_scale
+        for g, u in zip(gs, us):
+            if u < p:
+                x = x + scale * g
+                fx = exp(-0.5 * x * x) + 2.0 * exp(-0.5 * (x - 10.0) * (x - 10.0))
+                continue
+            xp = x + sigma * g
+            fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
+            if fxp > fx:
+                x, fx = xp, fxp
+        self._x, self._fx = x, fx
+
+    def _climb(self, sigma: float, gs: list[float]) -> None:
+        """The skip loop over proposals x + sigma * g, g in gs, from the walker's state."""
+        exp = math.exp
+        x, fx = self._x, self._fx
+        radii_fx, t0, t1 = self._radii
+        rejects = 0  # evaluated and rejected since the last accept
+        for g in gs:
+            xp = x + sigma * g
+            if xp <= 5.0:
+                if xp * xp >= t0:
+                    continue
+            elif (xp - 10.0) * (xp - 10.0) >= t1:
+                continue
+            fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
+            if fxp > fx:
+                x, fx = xp, fxp
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects == 2 and radii_fx != fx:
+                    t0, t1 = _skip_radii(fx)
+                    radii_fx = fx
+        self._x, self._fx, self._radii = x, fx, (radii_fx, t0, t1)
+
+    @classmethod
+    def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
+        """train() on each walker; see the class docstring."""
+        sigmas = [t._sigma() for t in trainables]  # every check before any draw
+        if not (trainables and num_steps) or any(t.forget_prob > 0.0 for t in trainables):
+            return super().train_all(trainables, num_steps)
+        gs = np.empty((len(trainables), num_steps))
+        for t, row in zip(trainables, gs):
+            t._rng_train.standard_normal(out=row)
+            t._steps += num_steps
+        x, _, t0, t1 = np.array([(t._x, *t._radii) for t in trainables]).T[:, :, None]
+        xp = x + np.array(sigmas)[:, None] * gs
+        left = xp <= 5.0
+        d = np.where(left, xp, xp - 10.0)
+        skip = d * d >= np.where(left, t0, t1)  # train()'s test, operation for operation
+        for i in np.flatnonzero(~skip.all(axis=1)).tolist():
+            first = skip[i].argmin()  # the walker's first kept proposal
+            trainables[i]._climb(sigmas[i], gs[i, first:].tolist())
 
     def advance_rng(self, num_steps: int) -> None:
         self._rng_train.standard_normal(num_steps)
@@ -264,7 +305,7 @@ class TwoBasinTrainable(Trainable):
         self._steps += num_steps
 
     def evaluate(self, num_repeats: int = 1) -> float:
-        base = two_basin_objective(self._x)
+        base = self._fx
         if self.eval_noise == 0.0:
             return base
         # Keyed by the step counter, not drawn from the train stream: evaluation is pure.
@@ -276,6 +317,9 @@ class TwoBasinTrainable(Trainable):
 
     def import_weights(self, weights: dict) -> None:
         self._x = float(weights["x"])
+        self._fx = two_basin_objective(self._x)  # F(x), which train() and evaluate() read
+        if self._radii[0] > self._fx:  # the radii hold only at or above their fitness
+            self._radii = (math.inf, math.inf, math.inf)
 
 
 class QuadraticLRTrainable(Trainable):

@@ -157,6 +157,15 @@ class _ReferenceTwoBasin(TwoBasinTrainable):
         self._x = x
         self._steps += num_steps
 
+    def evaluate(self, num_repeats: int = 1) -> float:
+        """F(x) computed afresh at every call (these tests use no evaluation noise)."""
+        return two_basin_objective(self._x)
+
+
+def _evaluates_f_of_x(t: Trainable) -> bool:
+    """A two_basin walker's evaluate() is F of its x, bit for bit; other kinds pass."""
+    return not isinstance(t, TwoBasinTrainable) or t.evaluate() == two_basin_objective(t._x)
+
 
 # The tops of both basins, the valley between them (about 5 - ln(2)/10), the
 # point where train()'s two bounds meet and its float neighbours, and far tails;
@@ -194,6 +203,44 @@ def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, 
         ref.train(steps)
         assert (fast._x, fast._steps) == (ref._x, ref._steps)
         assert fast.export_payload() == ref.export_payload()
+        assert fast.evaluate() == ref.evaluate()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    walkers=st.lists(st.tuples(_START_X, _SIGMA, st.integers(0, 2**32)), min_size=1, max_size=32),
+    forget_prob=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+    calls=st.lists(st.tuples(st.integers(1, 300), st.lists(st.tuples(st.integers(0, 31), _START_X),
+                                                            max_size=4)),
+                   min_size=1, max_size=3),
+    bad=st.tuples(st.integers(0, 31), st.sampled_from([None, 0.0, -0.5])),
+)
+def test_two_basin_train_all_matches_the_reference_loop_on_each_walker(walkers, forget_prob, calls,
+                                                                        bad):
+    """Chained train_all calls over a population, some walkers moved by import_weights
+    between them; then a walker without a positive sigma fails the call before any draw."""
+    batch = [TwoBasinTrainable(start_x=x, forget_prob=forget_prob) for x, _, _ in walkers]
+    refs = [_ReferenceTwoBasin(start_x=x, forget_prob=forget_prob) for x, _, _ in walkers]
+    for (_, sigma, seed), fast, ref in zip(walkers, batch, refs):
+        fast.init(seed, {"sigma": sigma})
+        ref.init(seed, {"sigma": sigma})
+    for steps, moves in calls:
+        for i, moved_to in moves:
+            batch[i % len(batch)].import_weights({"x": moved_to})
+            refs[i % len(refs)].import_weights({"x": moved_to})
+        TwoBasinTrainable.train_all(batch, steps)
+        for fast, ref in zip(batch, refs):
+            ref.train(steps)
+            assert (fast._x, fast._steps) == (ref._x, ref._steps)
+            assert fast.export_payload() == ref.export_payload()
+            assert fast.evaluate() == ref.evaluate()
+
+    i, sigma = bad
+    batch[i % len(batch)].set_hyperparams({} if sigma is None else {"sigma": sigma})
+    before = [t.export_payload() for t in batch]
+    with pytest.raises(ValueError, match="positive 'sigma'"):
+        TwoBasinTrainable.train_all(batch, calls[0][0])
+    assert [t.export_payload() for t in batch] == before
 
 
 def _skipped(xp: float, t0: float, t1: float) -> bool:
@@ -345,19 +392,23 @@ ALL_KINDS = [
 def test_payload_round_trip_is_exact(cls, h):
     src = cls()
     src.init(13, h)
+    assert _evaluates_f_of_x(src)
     src.train(30)
+    assert _evaluates_f_of_x(src)
     payload = src.export_payload()
 
     dst = cls()
     dst.import_payload(json.loads(json.dumps(payload)))
     dst.set_hyperparams(h)
     assert dst.export_payload() == payload
+    assert _evaluates_f_of_x(dst)
 
-    # Training both after the round trip keeps them identical.
+    # Training both after the round trip keeps them identical, one by one or as a batch.
     src.train(10)
-    dst.train(10)
+    cls.train_all([dst], 10)
     assert src.export_payload() == dst.export_payload()
     assert src.evaluate() == dst.evaluate()
+    assert _evaluates_f_of_x(dst)
 
 
 @pytest.mark.parametrize("cls,h", ALL_KINDS)
@@ -476,6 +527,7 @@ def test_transfer_weights_keeps_target_streams():
     sp, tp = src.export_payload(), tgt.export_payload()
 
     transfer_weights(src, tgt)
+    assert _evaluates_f_of_x(tgt)
     merged = tgt.export_payload()
     assert merged["weights"] == sp["weights"]
     assert merged["rng"] == tp["rng"]
@@ -526,6 +578,7 @@ def test_restore_weights_matches_transfer_from_an_imported_payload(cls, h):
 
     entry.restore_weights(new)
     assert new.export_payload() == old.export_payload()
+    assert _evaluates_f_of_x(source) and _evaluates_f_of_x(new)
     new.train(10)
     old.train(10)
     assert new.export_payload() == old.export_payload()
