@@ -239,7 +239,8 @@ class TwoBasinTrainable(Trainable):
         gs = self._rng_train.standard_normal(num_steps).tolist()
         self._steps += num_steps
         if self.forget_prob == 0.0:
-            return self._climb(sigma, gs)
+            self._climb(sigma, gs)
+            return
         exp = math.exp
         x, fx = self._x, self._fx
         us = self._rng_train.random(num_steps).tolist()
@@ -283,7 +284,7 @@ class TwoBasinTrainable(Trainable):
     def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
         """train() on each walker; see the class docstring."""
         sigmas = [t._sigma() for t in trainables]  # every check before any draw
-        if not (trainables and num_steps) or any(t.forget_prob > 0.0 for t in trainables):
+        if not trainables or any(t.forget_prob > 0.0 for t in trainables):
             return super().train_all(trainables, num_steps)
         gs = np.empty((len(trainables), num_steps))
         for t, row in zip(trainables, gs):
@@ -293,7 +294,7 @@ class TwoBasinTrainable(Trainable):
         xp = x + np.array(sigmas)[:, None] * gs
         left = xp <= 5.0
         d = np.where(left, xp, xp - 10.0)
-        skip = d * d >= np.where(left, t0, t1)  # train()'s test, operation for operation
+        skip = d * d >= np.where(left, t0, t1)  # _climb()'s test, operation for operation
         for i in np.flatnonzero(~skip.all(axis=1)).tolist():
             first = skip[i].argmin()  # the walker's first kept proposal
             trainables[i]._climb(sigmas[i], gs[i, first:].tolist())
