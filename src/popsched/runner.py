@@ -1,7 +1,7 @@
 """Experiment runner: synchronous generations over live trainables.
 
-Every round each agent trains t_ready steps, all of them through one
-Trainable.train_all call, and is then evaluated; at the round barrier
+Every round the agents train t_ready steps each, through one
+Trainable.train_all call, and are then evaluated; at the round barrier
 the configured scheduler may rewrite agents in place, emitting the
 events that describe what it did. Random search does
 nothing there; every other barrier runs mfpbt_round (PBT as its

@@ -403,7 +403,12 @@ def test_payload_round_trip_is_exact(cls, h):
     assert dst.export_payload() == payload
     assert _evaluates_f_of_x(dst)
 
-    # Training both after the round trip keeps them identical, one by one or as a batch.
+    # Training both after the round trip keeps them identical.
+    src.train(10)
+    dst.train(10)
+    assert src.export_payload() == dst.export_payload()
+    assert src.evaluate() == dst.evaluate()
+    # And so does training one of them as a batch of one.
     src.train(10)
     cls.train_all([dst], 10)
     assert src.export_payload() == dst.export_payload()
