@@ -25,10 +25,9 @@ trainable into another and leaves the receiving agent's streams
 untouched.
 
 The runner trains a round's population with one train_all(trainables,
-num_steps) call, which by default calls train() on each in turn. A
-subclass may batch it, but must draw each trainable's streams exactly as
-train() does and leave each with train()'s trajectory, step count and
-stream state.
+num_steps) call, train() on each by default. An override may batch, but
+must draw each stream exactly as train() does and leave each trainable
+with train()'s trajectory, step count and stream state.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
@@ -76,7 +75,9 @@ def _radius(bound: float) -> float:
 def _skip_radii(fx: float) -> tuple[float, float]:
     """(T0, T1) of TwoBasinTrainable's skip test for a walker at fitness fx."""
     c = fx * (1.0 - 1e-9)
-    return _radius(c - _FAR), _radius((c - 0.5 * _FAR) * 0.5)
+    t0, t1 = _radius(c - _FAR), _radius((c - 0.5 * _FAR) * 0.5)  # then with the other bump's most
+    f0, f1 = (_FAR if t >= 25 else 2 * math.exp(-0.5 * (10 - math.sqrt(max(t, 0)) - 1e-6) ** 2) for t in (t0, t1))
+    return _radius(c - f0), _radius((c - 0.5 * f1) * 0.5)
 
 
 class Trainable:
@@ -181,8 +182,11 @@ class TwoBasinTrainable(Trainable):
     computed: at xp <= 5 the right bump is at most beta, so F(xp) <= c
     once xp^2 >= T0 = -2 ln(c - beta); at xp > 5 the left bump is at most
     beta/2, so F(xp) <= c once (xp-10)^2 >= T1 = -2 ln((c - beta/2) / 2).
-    A radius is +inf when its log's argument is <= 0. The test is exact
-    in floats too (u = 2^-53 = 1.1e-16):
+    A radius is +inf when its log's argument is <= 0. A radius T < 25
+    keeps only xp within r = sqrt(T) + 1e-6 of its bump's top, where the
+    other bump is at most 2 exp(-(10-r)^2/2) (half that at xp > 5), so T
+    is computed again with that for beta: 5e-5, not 4e-3, on the local
+    top. The test is exact in floats too (u = 2^-53 = 1.1e-16):
 
     - the radii's pad, 1e-10 relative plus 1e-10 absolute, is a million
       times the rounding of the log, the pad and the square (a few u
@@ -192,23 +196,24 @@ class TwoBasinTrainable(Trainable):
       argument's rounding is under 4u, times |argument| <= 745 before
       the result underflows) plus 1e-322 from subnormal results;
     - c is 1e-9 fx below fx, and fx > beta when a radius is finite, so a
-      skipped proposal computes F(xp) <= fx: `fxp > fx` would reject it.
+      skipped proposal computes F(xp) <= fx: `fxp > fx` would reject it;
+    - r's 1e-6, a million times the rounding of the square and the root,
+      raises the other bump's bound by over 4e-6 relative, its rounding
+      by under 1e-13.
 
     Radii from a lower fitness are larger, so they stay sound after an
     accept. The walker keeps them between train() calls with the fitness
     they were computed at, and import_weights() resets them to +inf when
     it lowers the fitness below that one; it also keeps F(x) beside x.
-    They are recomputed, at about four evaluations' cost, at the second
+    They are recomputed, at about eight evaluations' cost, at the second
     evaluated rejection since the last accept, unless they are already
     the current fitness's: a small-sigma walker climbs by alternating
     accepts and single rejections, and radii computed at one of those go
     stale at the next accept. The corruption loop evaluates every
     proposal: a jump can lower the walker's fitness at any step, which
     leaves the radii stale in the unsafe direction. train_all() runs the
-    same test on a whole population as array ops, which round alike, up
-    to each walker's first proposal it keeps, and hands the rest of that
-    walker's draws to the one skip loop, _climb(); with corruption it
-    calls train() on each walker.
+    test on a whole population as array ops, which round alike, and hands
+    each walker's draws from its first kept proposal on to _climb().
     """
 
     kind = "two_basin"

@@ -258,13 +258,17 @@ def _with_neighbours(v: float, n: int = 3) -> list[float]:
     return out
 
 
-# Walkers whose fitness is just above 2 exp(-12.5), where the radii turn finite.
-_NEAR_THRESHOLD_X = st.one_of(st.floats(4.8, 5.2), st.floats(14.9, 15.1),
-                              st.sampled_from([4.8589, 4.85895, 15.0, -4.8589]))
+# Walkers whose fitness is just above 2 exp(-12.5), where the radii turn finite,
+# or where a first radius crosses 25 (4.8553..., -4.7752..., 14.9182...).
+_NEAR_THRESHOLD_X = st.one_of(st.floats(4.8, 5.2), st.floats(14.9, 15.1), st.floats(-4.8, -4.7),
+                              st.sampled_from([4.8589, 4.85895, 15.0, -4.8589, 4.8553333635214075,
+                                               -4.775225169538827, 14.918238483446114]))
+# Walkers near a basin's top, where the radii are narrowest.
+_NEAR_TOP_X = st.one_of(st.floats(-1e-4, 1e-4), st.floats(10.0 - 1e-4, 10.0 + 1e-4))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(x=st.one_of(_START_X, _NEAR_THRESHOLD_X), far=st.floats(-60.0, 60.0))
+@given(x=st.one_of(_START_X, _NEAR_THRESHOLD_X, _NEAR_TOP_X), far=st.floats(-60.0, 60.0))
 def test_two_basin_skip_test_never_skips_an_improving_proposal(x, far):
     # two_basin_objective computes F with train()'s expression, operation for operation.
     fx = two_basin_objective(x)
@@ -283,9 +287,12 @@ def test_two_basin_skip_test_never_skips_an_improving_proposal(x, far):
 
 def test_two_basin_skip_test_leaves_only_a_narrow_band_near_the_top():
     t0, t1 = _skip_radii(two_basin_objective(0.0))
-    assert _skipped(0.01, t0, t1) and _skipped(-3.0, t0, t1) and _skipped(13.0, t0, t1)
+    assert _skipped(1e-3, t0, t1) and _skipped(-3.0, t0, t1) and _skipped(13.0, t0, t1)
     assert not _skipped(10.0, t0, t1)
-    assert not _skipped(1e-3, t0, t1)
+    assert not _skipped(1e-5, t0, t1)
+    t0, t1 = _skip_radii(two_basin_objective(10.0))
+    assert _skipped(10.0 + 1e-3, t0, t1) and _skipped(0.0, t0, t1)
+    assert not _skipped(10.0 - 1e-5, t0, t1)
 
 
 # -------------------------------------------------------- quadratic_lr
