@@ -1,17 +1,16 @@
 """Experiment runner: synchronous generations over live trainables.
 
-Every round the agents train t_ready steps each, through one
-Trainable.train_all call, and are then evaluated; at the round barrier
-the configured scheduler may rewrite agents in place, emitting the
-events that describe what it did. Random search does
-nothing there; every other barrier runs mfpbt_round (PBT as its
-one-sub-population case) unless PBT with backtracking backtracks.
+Every round the agents train t_ready steps in one train_all call and are
+evaluated; at the round barrier the configured scheduler may rewrite
+agents in place, emitting the events that describe what it did. Random
+search does nothing there; every other barrier runs mfpbt_round (PBT as
+its one-sub-population case) unless PBT with backtracking backtracks.
 Each round appends (and flushes) its metrics, then runs the barrier,
 then appends its events, then writes its checkpoint, so a crashed run
 leaves a valid prefix on disk that a resume picks up. A checkpoint is
 json.dumps of the engine state with the elite archive's JSON spliced in,
-encoded only when the archive changed; a trainable is given hyperparameters
-only when its agent's vector changed (or was restored).
+encoded only when the archive changed; a trainable is given
+hyperparameters only when its agent's vector changed (or was restored).
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
@@ -101,8 +100,7 @@ class _Engine:
             if self.pushed.get(a.agent_id) is not a.hyperparams:  # set by the barrier or a restore
                 a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
                 self.pushed[a.agent_id] = a.hyperparams
-        trainables = [a.trainable for a in agents]
-        type(trainables[0]).train_all(trainables, cfg.t_ready)
+        type(agents[0].trainable).train_all([a.trainable for a in agents], cfg.t_ready)
         for a in agents:
             fitness = float(a.trainable.evaluate(cfg.eval_repeats))
             if not math.isfinite(fitness):
