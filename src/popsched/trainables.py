@@ -204,7 +204,7 @@ class TwoBasinTrainable(Trainable):
     Radii from a lower fitness are larger, so they stay sound after an
     accept. The walker keeps them between train() calls with the fitness
     they were computed at, and import_weights() resets them to +inf when
-    it lowers the fitness below that one; it also keeps F(x) beside x.
+    it lowers the fitness below that one.
     They are recomputed, at about eight evaluations' cost, at the second
     evaluated rejection since the last accept, unless they are already
     the current fitness's: a small-sigma walker climbs by alternating
@@ -247,7 +247,7 @@ class TwoBasinTrainable(Trainable):
             self._climb(sigma, gs)
             return
         exp = math.exp
-        x, fx = self._x, self._fx
+        x, fx = self._x, two_basin_objective(self._x)
         us = self._rng_train.random(num_steps).tolist()
         p, scale = self.forget_prob, self.forget_scale
         for g, u in zip(gs, us):
@@ -259,12 +259,12 @@ class TwoBasinTrainable(Trainable):
             fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
             if fxp > fx:
                 x, fx = xp, fxp
-        self._x, self._fx = x, fx
+        self._x = x
 
     def _climb(self, sigma: float, gs: list[float]) -> None:
         """The skip loop over proposals x + sigma * g, g in gs, from the walker's state."""
         exp = math.exp
-        x, fx = self._x, self._fx
+        x, fx = self._x, two_basin_objective(self._x)
         radii_fx, t0, t1 = self._radii
         rejects = 0  # evaluated and rejected since the last accept
         for g in gs:
@@ -283,7 +283,7 @@ class TwoBasinTrainable(Trainable):
                 if rejects == 2 and radii_fx != fx:
                     t0, t1 = _skip_radii(fx)
                     radii_fx = fx
-        self._x, self._fx, self._radii = x, fx, (radii_fx, t0, t1)
+        self._x, self._radii = x, (radii_fx, t0, t1)
 
     @classmethod
     def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
@@ -311,7 +311,7 @@ class TwoBasinTrainable(Trainable):
         self._steps += num_steps
 
     def evaluate(self, num_repeats: int = 1) -> float:
-        base = self._fx
+        base = two_basin_objective(self._x)
         if self.eval_noise == 0.0:
             return base
         # Keyed by the step counter, not drawn from the train stream: evaluation is pure.
@@ -323,8 +323,7 @@ class TwoBasinTrainable(Trainable):
 
     def import_weights(self, weights: dict) -> None:
         self._x = float(weights["x"])
-        self._fx = two_basin_objective(self._x)  # F(x), which train() and evaluate() read
-        if self._radii[0] > self._fx:  # the radii hold only at or above their fitness
+        if self._radii[0] > two_basin_objective(self._x):  # the radii hold only at or above their fitness
             self._radii = (math.inf, math.inf, math.inf)
 
 
