@@ -185,8 +185,9 @@ class TwoBasinTrainable(Trainable):
     A radius is +inf when its log's argument is <= 0. A radius T < 25
     keeps only xp within r = sqrt(T) + 1e-6 of its bump's top, where the
     other bump is at most 2 exp(-(10-r)^2/2) (half that at xp > 5), so T
-    is computed again with that for beta: 5e-5, not 4e-3, on the local
-    top. The test is exact in floats too (u = 2^-53 = 1.1e-16):
+    is computed again with that for beta (what the new T skips, the first
+    one skips or lies within r): 5e-5, not 4e-3, on the local top. The
+    test is exact in floats too (u = 2^-53 = 1.1e-16):
 
     - the radii's pad, 1e-10 relative plus 1e-10 absolute, is a million
       times the rounding of the log, the pad and the square (a few u
@@ -204,16 +205,16 @@ class TwoBasinTrainable(Trainable):
     Radii from a lower fitness are larger, so they stay sound after an
     accept. The walker keeps them between train() calls with the fitness
     they were computed at, and import_weights() resets them to +inf when
-    it lowers the fitness below that one.
-    They are recomputed, at about eight evaluations' cost, at the second
-    evaluated rejection since the last accept, unless they are already
-    the current fitness's: a small-sigma walker climbs by alternating
-    accepts and single rejections, and radii computed at one of those go
-    stale at the next accept. The corruption loop evaluates every
-    proposal: a jump can lower the walker's fitness at any step, which
-    leaves the radii stale in the unsafe direction. train_all() runs the
-    test on a whole population as array ops, which round alike, and hands
-    each walker's draws from its first kept proposal on to _climb().
+    it lowers the fitness below that one. They are recomputed, at about
+    eight evaluations' cost, at the second evaluated rejection since the
+    last accept, unless they are already the current fitness's: a
+    small-sigma walker climbs by alternating accepts and single
+    rejections, and radii computed at one of those go stale at the next
+    accept. The corruption loop evaluates every proposal: a jump can
+    lower the walker's fitness at any step, which leaves the radii stale
+    in the unsafe direction. train_all() runs the test on a whole
+    population as array ops, which round alike, and hands each walker's
+    draws from its first kept proposal on to _climb().
     """
 
     kind = "two_basin"
