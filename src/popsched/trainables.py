@@ -24,10 +24,9 @@ through transfer_weights(), which copies only the weights from one live
 trainable into another and leaves the receiving agent's streams
 untouched.
 
-The runner trains a round's population with one train_all(trainables,
-num_steps) call, train() on each by default. An override may batch, but
-must draw each stream exactly as train() does and leave each trainable
-with train()'s trajectory, step count and stream state.
+The runner trains a round with one train_all(trainables, num_steps)
+call, train() on each by default. An override may batch, but must leave
+each trainable's trajectory, step count and streams as train() would.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
@@ -185,9 +184,8 @@ class TwoBasinTrainable(Trainable):
     A radius is +inf when its log's argument is <= 0. A radius T < 25
     keeps only xp within r = sqrt(T) + 1e-6 of its bump's top, where the
     other bump is at most 2 exp(-(10-r)^2/2) (half that at xp > 5), so T
-    is computed again with that for beta (what the new T skips, the first
-    one skips or lies within r): 5e-5, not 4e-3, on the local top. The
-    test is exact in floats too (u = 2^-53 = 1.1e-16):
+    is computed again with that for beta: 5e-5, not 4e-3, on the local
+    top. The test is exact in floats too (u = 2^-53 = 1.1e-16):
 
     - the radii's pad, 1e-10 relative plus 1e-10 absolute, is a million
       times the rounding of the log, the pad and the square (a few u
@@ -198,23 +196,24 @@ class TwoBasinTrainable(Trainable):
       the result underflows) plus 1e-322 from subnormal results;
     - c is 1e-9 fx below fx, and fx > beta when a radius is finite, so a
       skipped proposal computes F(xp) <= fx: `fxp > fx` would reject it;
-    - r's 1e-6, a million times the rounding of the square and the root,
+    - what the new T skips, the first T skips or it lies within r; r's
+      1e-6, a million times the rounding of the square and the root,
       raises the other bump's bound by over 4e-6 relative, its rounding
       by under 1e-13.
 
     Radii from a lower fitness are larger, so they stay sound after an
     accept. The walker keeps them between train() calls with the fitness
     they were computed at, and import_weights() resets them to +inf when
-    it lowers the fitness below that one. They are recomputed, at about
-    eight evaluations' cost, at the second evaluated rejection since the
-    last accept, unless they are already the current fitness's: a
-    small-sigma walker climbs by alternating accepts and single
-    rejections, and radii computed at one of those go stale at the next
-    accept. The corruption loop evaluates every proposal: a jump can
-    lower the walker's fitness at any step, which leaves the radii stale
-    in the unsafe direction. train_all() runs the test on a whole
-    population as array ops, which round alike, and hands each walker's
-    draws from its first kept proposal on to _climb().
+    it lowers the fitness below that one; it also keeps F(x) beside x.
+    They are recomputed, at about eight evaluations' cost, at the second
+    evaluated rejection since the last accept, unless they are already
+    the current fitness's: a small-sigma walker climbs by alternating
+    accepts and single rejections, and radii computed at one of those go
+    stale at the next accept. The corruption loop evaluates every
+    proposal: a jump can lower the walker's fitness at any step, which
+    leaves the radii stale in the unsafe direction. train_all() runs the
+    test on a whole population as array ops, which round alike, and each
+    walker's draws from its first kept proposal on go to _climb().
     """
 
     kind = "two_basin"
@@ -248,7 +247,7 @@ class TwoBasinTrainable(Trainable):
             self._climb(sigma, gs)
             return
         exp = math.exp
-        x, fx = self._x, two_basin_objective(self._x)
+        x, fx = self._x, self._fx
         us = self._rng_train.random(num_steps).tolist()
         p, scale = self.forget_prob, self.forget_scale
         for g, u in zip(gs, us):
@@ -260,12 +259,12 @@ class TwoBasinTrainable(Trainable):
             fxp = exp(-0.5 * xp * xp) + 2.0 * exp(-0.5 * (xp - 10.0) * (xp - 10.0))
             if fxp > fx:
                 x, fx = xp, fxp
-        self._x = x
+        self._x, self._fx = x, fx
 
     def _climb(self, sigma: float, gs: list[float]) -> None:
         """The skip loop over proposals x + sigma * g, g in gs, from the walker's state."""
         exp = math.exp
-        x, fx = self._x, two_basin_objective(self._x)
+        x, fx = self._x, self._fx
         radii_fx, t0, t1 = self._radii
         rejects = 0  # evaluated and rejected since the last accept
         for g in gs:
@@ -284,7 +283,7 @@ class TwoBasinTrainable(Trainable):
                 if rejects == 2 and radii_fx != fx:
                     t0, t1 = _skip_radii(fx)
                     radii_fx = fx
-        self._x, self._radii = x, (radii_fx, t0, t1)
+        self._x, self._fx, self._radii = x, fx, (radii_fx, t0, t1)
 
     @classmethod
     def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
@@ -312,7 +311,7 @@ class TwoBasinTrainable(Trainable):
         self._steps += num_steps
 
     def evaluate(self, num_repeats: int = 1) -> float:
-        base = two_basin_objective(self._x)
+        base = self._fx
         if self.eval_noise == 0.0:
             return base
         # Keyed by the step counter, not drawn from the train stream: evaluation is pure.
@@ -324,7 +323,8 @@ class TwoBasinTrainable(Trainable):
 
     def import_weights(self, weights: dict) -> None:
         self._x = float(weights["x"])
-        if self._radii[0] > two_basin_objective(self._x):  # the radii hold only at or above their fitness
+        self._fx = two_basin_objective(self._x)  # F(x), which train() and evaluate() read
+        if self._radii[0] > self._fx:  # the radii hold only at or above their fitness
             self._radii = (math.inf, math.inf, math.inf)
 
 

@@ -162,6 +162,11 @@ class _ReferenceTwoBasin(TwoBasinTrainable):
         return two_basin_objective(self._x)
 
 
+def _evaluates_f_of_x(t: Trainable) -> bool:
+    """A two_basin walker's evaluate() is F of its x, bit for bit; other kinds pass."""
+    return not isinstance(t, TwoBasinTrainable) or t.evaluate() == two_basin_objective(t._x)
+
+
 # The tops of both basins, the valley between them (about 5 - ln(2)/10), the
 # point where train()'s two bounds meet and its float neighbours, and far tails;
 # the valley's slopes, where the walker's fitness is close to the bounds' 2 exp(-12.5).
@@ -394,13 +399,16 @@ ALL_KINDS = [
 def test_payload_round_trip_is_exact(cls, h):
     src = cls()
     src.init(13, h)
+    assert _evaluates_f_of_x(src)
     src.train(30)
+    assert _evaluates_f_of_x(src)
     payload = src.export_payload()
 
     dst = cls()
     dst.import_payload(json.loads(json.dumps(payload)))
     dst.set_hyperparams(h)
     assert dst.export_payload() == payload
+    assert _evaluates_f_of_x(dst)
 
     # Training both after the round trip keeps them identical.
     src.train(10)
@@ -412,6 +420,7 @@ def test_payload_round_trip_is_exact(cls, h):
     cls.train_all([dst], 10)
     assert src.export_payload() == dst.export_payload()
     assert src.evaluate() == dst.evaluate()
+    assert _evaluates_f_of_x(dst)
 
 
 @pytest.mark.parametrize("cls,h", ALL_KINDS)
@@ -530,6 +539,7 @@ def test_transfer_weights_keeps_target_streams():
     sp, tp = src.export_payload(), tgt.export_payload()
 
     transfer_weights(src, tgt)
+    assert _evaluates_f_of_x(tgt)
     merged = tgt.export_payload()
     assert merged["weights"] == sp["weights"]
     assert merged["rng"] == tp["rng"]
@@ -580,6 +590,7 @@ def test_restore_weights_matches_transfer_from_an_imported_payload(cls, h):
 
     entry.restore_weights(new)
     assert new.export_payload() == old.export_payload()
+    assert _evaluates_f_of_x(source) and _evaluates_f_of_x(new)
     new.train(10)
     old.train(10)
     assert new.export_payload() == old.export_payload()
