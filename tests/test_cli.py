@@ -541,6 +541,38 @@ def test_event_id_written_as_a_string_exits_1_naming_file_and_line(tmp_path, cap
     assert envelope["message"].startswith(f"{events}: line 4: ")
 
 
+HYPERPARAM_FAULTS = {
+    "extra value": lambda values: "[0.5," + values + "]",
+    "negative value": lambda values: "[-0.5]",
+}
+
+
+@pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["lineage", "lineage-replay"])
+@pytest.mark.parametrize("fault", sorted(HYPERPARAM_FAULTS))
+def test_clone_hyperparams_the_run_cannot_hold_exit_1_naming_file_and_line(
+    tmp_path, capsys, fault, replay
+):
+    """The run has one hyperparameter, sigma; a clone's vector must hold one positive value."""
+    path = tiny_config_file(tmp_path, algorithm="pbt")
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    events = out / "events.jsonl"
+    line_no, line = next((i, line) for i, line in enumerate(events.read_text().splitlines(), 1)
+                         if '"kind":"perturbed_clone"' in line)
+    _break_event_line(out, line_no, lambda line: re.sub(
+        r'"hyperparams_after":\[([^\]]*)\]',
+        lambda m: '"hyperparams_after":' + HYPERPARAM_FAULTS[fault](m.group(1)), line))
+    round_no = json.loads(line)["round"]
+    code, _, err = run_cli(capsys, "lineage", str(out), *replay)
+    assert code == 1
+    envelope = json.loads(err)
+    assert envelope["error"] == "LineageError"
+    assert envelope["message"].startswith(
+        f"{events}: line {line_no}: event log broken at round {round_no}: hyperparams_after "
+    )
+    assert not (out / "schedule.csv").exists()
+
+
 @pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))
 def test_resume_over_a_malformed_event_line_exits_1_naming_file_and_line(
     tmp_path, capsys, fault
