@@ -7,14 +7,18 @@ may copy state that an earlier one replaced in the same round).
 
 Readers decode events.jsonl a block of lines per json.loads call (see
 _block_columns); a line that is not an event is named by file and line.
+Both readers run the log's one structural check (_check) on each block in
+file order, refusing a log no well-formed run writes with LineageError
+("<path>: line <n>: event log broken at round r: ..."); n counts blank lines.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Sequence
 
@@ -28,6 +32,10 @@ ELITE_RESTORE = "elite_restore"
 EVENT_KINDS = (SURVIVE, PERTURBED_CLONE, MIGRATION_WEIGHTS_ONLY, MIGRATION_FULL, ELITE_RESTORE)
 
 
+class LineageError(ValueError):
+    """The event log cannot be a record of a well-formed run."""
+
+
 @dataclass(frozen=True)
 class EvolutionEvent:
     """What happened to one agent at one evolution barrier.
@@ -35,6 +43,7 @@ class EvolutionEvent:
     `source_round` is only set for elite restores, where the payload comes
     from a snapshot taken at an earlier round; for clones and migrations
     the source state is the live state at `round`.
+    __post_init__ guards events built in Python: no reader sees an in-memory run's events.
     """
 
     round: int
@@ -135,16 +144,67 @@ def _block_columns(path, lines: list[str], first: int) -> list[list]:
     return [list(map(attrgetter(k), events)) for k in _FIELDS]
 
 
+def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lambda i: "") -> None:
+    """Raise LineageError(where(i) + "event log broken at round r: ...") at the first event i
+    of cols no well-formed run writes; a vector's values must be ones HyperparamVector accepts.
+    carry, [last round, targets rewritten in it], is updated for the log's next block."""
+    last, rewritten = carry
+    hi = math.inf if num_agents is None else num_agents
+    for i, (r, target, kind, source, source_round, hps, fitness) in enumerate(zip(cols[0], *cols[2:])):
+        if r > last:
+            last, rewritten = r, set()
+        changed = source is not None  # every kind but survive
+        if r < 1:
+            why = "rounds start at 1"
+        elif r < last:
+            why = f"rounds decrease after {last}"
+        elif not 0 <= target < hi:
+            why = f"agent id {target} out of range"
+        elif changed and not 0 <= source < hi:
+            why = f"agent id {source} out of range"
+        elif changed and kind != ELITE_RESTORE and source == target:
+            why = f"agent {target} clones itself"
+        elif changed and kind != ELITE_RESTORE and source_round is not None:
+            why = f"{kind} carries a source round"
+        elif kind == ELITE_RESTORE and (source_round is None or not 1 <= source_round <= r):
+            why = f"elite restore from round {source_round}"
+        elif changed and target in rewritten:
+            why = f"agent {target} rewritten twice"
+        elif not math.isfinite(fitness):
+            why = "non-finite fitness snapshot"
+        elif num_hyperparams is not None and len(hps) != num_hyperparams:
+            why = f"hyperparams_after holds {len(hps)} values, not the run's {num_hyperparams}"
+        elif bad := [v for v in hps if not 0.0 < v < math.inf]:
+            why = f"hyperparams_after value {bad[0]} is not a positive real"
+        else:
+            if changed:
+                rewritten.add(target)
+            continue
+        raise LineageError(f"{where(i)}event log broken at round {r}: {why}")
+    carry[:] = last, rewritten
+
+
+def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None,
+                       num_hyperparams: int | None = None) -> None:
+    """The readers' check over events held in memory; the first broken one is named by round."""
+    _check([list(map(attrgetter(k), events)) for k in _FIELDS], [0, set()], num_agents, num_hyperparams)
+
+
 def text(path, lines: Sequence[str] | None = None):
     """path opened for reading, or the lines already read from it."""
     return open(path, "r", encoding="utf-8") if lines is None else nullcontext(iter(lines))
 
 
-def _event_blocks(path, lines: Sequence[str] | None = None):
+def _event_blocks(path, lines=None, num_agents=None, num_hyperparams=None):
+    """Each block of path's events as eight columns, once _check passes it."""
+    carry = [0, set()]
     with text(path, lines) as fh:
         first = 1
         while block := list(islice(fh, _EVENT_BLOCK)):
-            yield _block_columns(path, block, first)
+            cols = _block_columns(path, block, first)
+            _check(cols, carry, num_agents, num_hyperparams,
+                   lambda i: f"{path}: line {[n for n, s in enumerate(block, first) if s.strip()][i]}: ")
+            yield cols
             first += len(block)
 
 
@@ -155,20 +215,20 @@ def write_events(path, events: Iterable[EvolutionEvent]) -> None:
         fh.write(lines)
 
 
-def read_event_columns(path):
-    """events.jsonl as the round, target id and fitness of every event, plus
-    {position: event} for the payload-changing ones (no survive is built)."""
-    rounds, targets, fitness, changed = [], [], [], {}
-    for cols in _event_blocks(path):
+def read_payload_events(path, num_agents: int | None = None,
+                        num_hyperparams: int | None = None) -> list[EvolutionEvent]:
+    """The events of path that replace a payload (every kind but survive), in
+    file order; no survive is built, but every event is checked as read_events checks it."""
+    changed: list[EvolutionEvent] = []
+    for cols in _event_blocks(path, None, num_agents, num_hyperparams):
         mask = list(map(SURVIVE.__ne__, cols[3]))
-        events = map(EvolutionEvent, *(compress(col, mask) for col in cols))
-        changed.update(zip(compress(count(len(rounds)), mask), events))
-        rounds += cols[0]
-        targets += cols[2]
-        fitness += cols[7]
-    return rounds, targets, fitness, changed
+        changed += map(EvolutionEvent, *(compress(col, mask) for col in cols))
+    return changed
 
 
-def read_events(path, lines: Sequence[str] | None = None) -> list[EvolutionEvent]:
-    """Every event of path; lines, when given, are its text already read."""
-    return [ev for cols in _event_blocks(path, lines) for ev in map(EvolutionEvent, *cols)]
+def read_events(path, lines: Sequence[str] | None = None, num_agents: int | None = None,
+                num_hyperparams: int | None = None) -> list[EvolutionEvent]:
+    """Every event of path once _check passes them (ids against num_agents, vector lengths
+    against num_hyperparams, when given); lines, when given, are its text already read."""
+    return [ev for cols in _event_blocks(path, lines, num_agents, num_hyperparams)
+            for ev in map(EvolutionEvent, *cols)]

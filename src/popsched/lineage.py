@@ -18,24 +18,24 @@ final payload and fitness bit for bit, because
   * evaluation draws never touch the training stream.
 
 The replay advances and trains in per-round chunks so the draw order
-inside each carrier's stream matches the original run exactly.
+inside each carrier's stream matches the original run exactly. replay_run
+reads the log with events.read_payload_events, whose check refuses a log
+no well-formed run writes, naming its line; reconstruction trusts its input.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, read_event_columns
+from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, LineageError, read_payload_events
 from .rundir import RunDir, load_run_config, read_metric_columns
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
 
-
-class LineageError(ValueError):
-    """The event log cannot be a record of a well-formed run."""
+# Defined in events; importable here because perfbench/workloads.py imports it from lineage.
+from .events import validate_event_log  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,56 +66,6 @@ class ScheduleSegment:
         return self.end_round - self.start_round
 
 
-def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None) -> None:
-    """Structural checks; raises LineageError naming the first broken round."""
-    columns = ([getattr(ev, k) for ev in events] for k in ("round", "target_agent_id", "fitness_snapshot"))
-    changed = {i: ev for i, ev in enumerate(events) if ev.kind != SURVIVE}
-    _check_event_columns(*columns, changed, num_agents)
-
-
-def _check_event_columns(rounds, targets, fitness, changed, num_agents=None) -> None:
-    """validate_event_log over read_event_columns' output: every event is
-    walked in file order, so the first broken one is named."""
-    prev_round = 0
-    changed_at: set[tuple[int, int]] = set()
-    for i in range(len(rounds)):
-        r = rounds[i]
-        if r < 1:
-            raise LineageError(f"event log broken at round {r}: rounds start at 1")
-        if r < prev_round:
-            raise LineageError(
-                f"event log broken at round {r}: rounds decrease after {prev_round}"
-            )
-        prev_round = r
-        ev = changed.get(i)
-        for aid in [targets[i]] + ([ev.source_agent_id] if ev is not None else []):
-            if aid < 0 or (num_agents is not None and aid >= num_agents):
-                raise LineageError(f"event log broken at round {r}: agent id {aid} out of range")
-        if ev is not None:
-            if ev.kind != ELITE_RESTORE:
-                if ev.source_agent_id == ev.target_agent_id:
-                    raise LineageError(
-                        f"event log broken at round {r}: agent {ev.target_agent_id} clones itself"
-                    )
-                if ev.source_round is not None:
-                    raise LineageError(
-                        f"event log broken at round {r}: {ev.kind} carries a source round"
-                    )
-            elif ev.source_round is None or not 1 <= ev.source_round <= r:
-                raise LineageError(
-                    f"event log broken at round {r}: elite restore from round {ev.source_round}"
-                )
-            if (r, ev.target_agent_id) in changed_at:
-                raise LineageError(
-                    f"event log broken at round {r}: agent {ev.target_agent_id} rewritten twice"
-                )
-            changed_at.add((r, ev.target_agent_id))
-        if not math.isfinite(fitness[i]):
-            raise LineageError(
-                f"event log broken at round {r}: non-finite fitness snapshot"
-            )
-
-
 def reconstruct_schedule(
     events: Sequence[EvolutionEvent],
     agent_id: int,
@@ -128,7 +78,7 @@ def reconstruct_schedule(
     The target snapshot is the post-training, pre-barrier state of that
     round, i.e. exactly what metrics.csv records there. subpop_size tags
     each segment with its carrier's sub-population (0 when omitted).
-    events must be validated already (replay_run checks the whole log).
+    events must be checked already (replay_run's reader checks the whole log).
     """
     if final_round < 1:
         raise LineageError(f"final_round must be >= 1, got {final_round}")
@@ -300,7 +250,7 @@ def replay_run(
     rounds, agents, _, fitness, *hp_columns = read_metric_columns(run.metrics)
     if not rounds:
         raise LineageError(f"{run.root}: metrics.csv is empty")
-    ev_rounds, targets, ev_fitness, changed = read_event_columns(run.events)
+    changed = read_payload_events(run.events, config.num_agents, len(config.search_space))
     final_round = max(rounds) if final_round is None else int(final_round)
     final = {a: f for r, a, f in zip(rounds, agents, fitness) if r == final_round}
     if not final:
@@ -310,8 +260,7 @@ def replay_run(
     if agent_id not in final:
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = {a: h for r, a, h in zip(rounds, agents, zip(*hp_columns)) if r == 1}
-    _check_event_columns(ev_rounds, targets, ev_fitness, changed, config.num_agents)
-    relevant = [ev for ev in changed.values() if ev.round <= final_round]
+    relevant = [ev for ev in changed if ev.round <= final_round]
     segments = reconstruct_schedule(
         relevant, agent_id, final_round, initial_h, config.subpop_size
     )

@@ -7,7 +7,8 @@ search does nothing there; every other barrier runs mfpbt_round (PBT as
 its one-sub-population case) unless PBT with backtracking backtracks.
 Each round appends (and flushes) its metrics, then runs the barrier,
 then appends its events, then writes its checkpoint, so a crashed run
-leaves a valid prefix on disk that a resume picks up. A checkpoint is
+leaves a valid prefix on disk that a resume picks up; resume reads the
+events with read_events, whose check `popsched lineage` runs too. A checkpoint is
 json.dumps of the engine state with the elite archive's JSON spliced in,
 encoded only when the archive changed; a trainable is given
 hyperparameters only when its agent's vector changed (or was restored).
@@ -32,7 +33,6 @@ from .baselines import EliteArchive, backtrack, update_elites
 from .config import ExperimentConfig
 from .core import AgentState, ConfigError, HyperparamVector, Population, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
-from .lineage import LineageError, validate_event_log
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
 from .rundir import MetricRow, RunDir, read_metrics, truncate_log
@@ -179,16 +179,6 @@ class _Engine:
         return int(data["round"])
 
 
-def _read_checked_events(path, lines, num_agents: int) -> list[EvolutionEvent]:
-    """read_events, then the structural check `popsched lineage` runs on the same log."""
-    events = read_events(path, lines)
-    try:
-        validate_event_log(events, num_agents)
-    except LineageError as exc:
-        raise LineageError(f"{path}: {exc}") from None
-    return events
-
-
 def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -203,7 +193,7 @@ def run_experiment(
     resume=True picks up from the latest checkpoint in out_dir and
     truncates any partial rows written after it; it refuses a directory
     whose config.json differs from this run's config, or whose event log
-    `popsched lineage` would refuse, and touches no file then.
+    read_events refuses (as `popsched lineage` does), and touches no file then.
     """
     config.validate()
     seed = config.seeds[0] if seed is None else int(seed)
@@ -221,10 +211,9 @@ def run_experiment(
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
         start_round = engine.restore_checkpoint(run.resume_state(config, seed))
-        # events first: a log the lineage check refuses leaves both logs as they are
-        all_events = truncate_log(
-            run.events, start_round, partial(_read_checked_events, num_agents=config.num_agents)
-        )
+        # events first: a log the reader's check refuses leaves both logs as they are
+        all_events = truncate_log(run.events, start_round, partial(
+            read_events, num_agents=config.num_agents, num_hyperparams=len(config.search_space)))
         metrics = truncate_log(run.metrics, start_round, read_metrics, header=1)
     else:
         engine.init_population()

@@ -609,15 +609,14 @@ def test_resume_refuses_an_event_log_that_lineage_refuses_and_touches_nothing(
     _break_event_line(out, line_no, lambda line: re.sub(
         r'"target_agent_id":\d+', '"target_agent_id":999', line))
     before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-    reason = "event log broken at round 1: agent id 999 out of range"
+    message = f"{events}: line {line_no}: event log broken at round 1: agent id 999 out of range"
 
     code, _, err = run_cli(capsys, "lineage", str(out))
     assert code == 1
-    assert json.loads(err)["message"].endswith(reason)
+    assert json.loads(err) == {"error": "LineageError", "message": message}
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
     assert code == 1
-    message = json.loads(err)["message"]
-    assert str(events) in message and message.endswith(reason)
+    assert json.loads(err) == {"error": "LineageError", "message": message}
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 # -------------------------------------------------------------- subprocess

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -90,6 +92,28 @@ def test_scripts_and_the_benchmark_take_only_exported_names_from_the_package():
     }
     assert {"run_experiment", "get_preset", "iqm"} <= set(used)
     assert {name: where for name, where in used.items() if name not in popsched.__all__} == {}
+
+
+def test_every_name_the_scripts_and_the_benchmark_import_from_the_package_resolves():
+    """A name deleted or moved in src would stop perfbench/run.py with an ImportError."""
+    paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    imports = [
+        (path.relative_to(ROOT).as_posix(), node.module, alias.name)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "popsched"
+        for alias in node.names
+    ]
+    assert ("perfbench/workloads.py", "popsched.lineage", "validate_event_log") in imports
+
+    def resolves(module: str, name: str) -> bool:
+        mod = importlib.import_module(module)
+        return hasattr(mod, name) or (
+            hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+        )
+
+    assert [imp for imp in imports if not resolves(*imp[1:])] == []
 
 
 # The popsched.runner attributes perfbench/tracing.py wraps to time the persist

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from popsched import lineage
+from popsched import events
 from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.events import (
@@ -97,6 +97,14 @@ def test_log_rejects_non_finite_snapshot():
         validate_event_log([ev(fitness=float("inf"))])
 
 
+def test_log_rejects_hyperparams_the_run_cannot_hold():
+    with pytest.raises(LineageError, match="round 1: hyperparams_after holds 2 values, not the run's 1"):
+        validate_event_log([ev(h=(0.5, 2.0))], num_hyperparams=1)
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(LineageError, match=rf"round 1: hyperparams_after value {bad} is not a positive"):
+            validate_event_log([survive(1, 0, h=(1.0, bad))])
+
+
 def test_log_accepts_well_formed_sequence():
     validate_event_log(
         [
@@ -106,6 +114,7 @@ def test_log_accepts_well_formed_sequence():
             ev(round=5, target=2, kind=ELITE_RESTORE, source=0, source_round=1),
         ],
         num_agents=4,
+        num_hyperparams=1,
     )
 
 
@@ -327,17 +336,17 @@ def test_replay_run_error_cases(tmp_path):
 
 
 def test_replay_run_validates_each_event_once(tmp_path, monkeypatch):
-    """replay_run checks the whole log once; reconstruction does not check it again."""
+    """replay_run's reader checks the whole log once; reconstruction does not check it again."""
     out = tmp_path / "run"
     res = run_experiment(mfpbt_config(), seed=31, out_dir=out)
     checked = []
-    real_check = lineage._check_event_columns
+    real_check = events._check
 
-    def check(rounds, *args):
-        checked.append(len(rounds))
-        return real_check(rounds, *args)
+    def check(cols, *args):
+        checked.append(len(cols[0]))
+        return real_check(cols, *args)
 
-    monkeypatch.setattr(lineage, "_check_event_columns", check)
+    monkeypatch.setattr(events, "_check", check)
     assert replay_run(out, verify_rounds=True).exact
     assert checked == [len(res.events)]
 

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from popsched import events
 from popsched.events import (
     SURVIVE,
-    read_event_columns,
+    LineageError,
     event_from_json_line,
     read_events,
+    read_payload_events,
+    validate_event_log,
 )
-from popsched.lineage import LineageError, _check_event_columns, validate_event_log
 from popsched.rundir import read_metric_columns
 from popsched.runner import run_experiment
 
@@ -56,15 +57,11 @@ def per_line(text: str) -> list:
 
 
 def assert_readers_match_per_line(path) -> None:
-    """read_events and read_event_columns equal per-line decoding of path."""
+    """read_events and read_payload_events equal per-line decoding of path."""
     want = per_line(path.read_text(encoding="utf-8"))
     # repr, not ==: 2 == 2.0, but an int where per-line decoding gives a float is a fault.
     assert repr(read_events(path)) == repr(want)
-    rounds, targets, fitness, changed = read_event_columns(path)
-    assert repr(rounds) == repr([ev.round for ev in want])
-    assert repr(targets) == repr([ev.target_agent_id for ev in want])
-    assert repr(fitness) == repr([ev.fitness_snapshot for ev in want])
-    assert repr(changed) == repr({i: ev for i, ev in enumerate(want) if ev.kind != SURVIVE})
+    assert repr(read_payload_events(path)) == repr([ev for ev in want if ev.kind != SURVIVE])
 
 
 def write_lines(tmp_path, lines: list[str]):
@@ -74,7 +71,7 @@ def write_lines(tmp_path, lines: list[str]):
 
 
 def rejects_naming(path, line_no: int) -> None:
-    for read in (read_events, read_event_columns):
+    for read in (read_events, read_payload_events):
         with pytest.raises(ValueError, match=rf"^{path}: line {line_no}: "):
             read(path)
 
@@ -94,9 +91,7 @@ def test_a_written_log_is_decoded_in_blocks_not_line_by_line(tmp_path, monkeypat
 
     monkeypatch.setattr(events, "event_from_json_line", fail)
     assert read_events(path) == want
-    assert read_event_columns(path)[3] == {
-        i: ev for i, ev in enumerate(want) if ev.kind != SURVIVE
-    }
+    assert read_payload_events(path) == [ev for ev in want if ev.kind != SURVIVE]
 
 
 def test_two_objects_on_one_line_plus_one_split_in_a_list_is_rejected(tmp_path):
@@ -161,7 +156,7 @@ def test_records_outside_the_writer_format_are_read_exactly_as_line_by_line(tmp_
 
 
 def test_blank_lines_are_skipped_and_counted(tmp_path):
-    good = [dumps(line(round=r, target=r % 4)) for r in range(1, 4)]
+    good = [dumps(line(round=r, target=r + 1)) for r in range(1, 4)]  # each source is agent 1
     path = write_lines(tmp_path, ["", good[0], "   ", "\t", good[1], "", good[2], ""])
     assert_readers_match_per_line(path)
     path = write_lines(tmp_path, ["", good[0], "   ", '{"round":2}'])
@@ -173,6 +168,26 @@ def test_a_bad_line_is_named_on_either_side_of_a_block_boundary(tmp_path, bad_li
     lines = [dumps(line(round=1 + i // 4, target=i % 4, kind=SURVIVE)) for i in range(1500)]
     lines[bad_line - 1] = lines[bad_line - 1][:20]
     rejects_naming(write_lines(tmp_path, lines), bad_line)
+
+
+@pytest.mark.parametrize("fault", ["round decreases", "rewritten twice"])
+@pytest.mark.parametrize("bad_line", [1000, 1001, 1002])
+def test_the_check_carries_the_round_and_its_rewrites_across_a_block_boundary(
+    tmp_path, bad_line, fault
+):
+    """The last round and the agents rewritten in it go on into the next block."""
+    lines = [dumps(line(round=1 + i // 4, target=i % 4, kind=SURVIVE)) for i in range(1500)]
+    if fault == "round decreases":
+        lines[bad_line - 1] = dumps(line(round=1, kind=SURVIVE))
+        reason = f"round 1: rounds decrease after {1 + (bad_line - 2) // 4}"
+    else:  # agent 0 cloned twice in round 250, on the bad line and the one before it
+        lines[996:bad_line] = [dumps(line(round=250, kind=SURVIVE))] * (bad_line - 998) + [
+            dumps(line(round=250, target=0, source=source)) for source in (1, 2)]
+        reason = "round 250: agent 0 rewritten twice"
+    path = write_lines(tmp_path, lines)
+    for read in (read_events, read_payload_events):
+        with pytest.raises(LineageError, match=rf"^{path}: line {bad_line}: event log broken at {reason}$"):
+            read(path)
 
 
 def test_a_record_the_event_type_refuses_is_named(tmp_path):
@@ -210,28 +225,30 @@ def test_resume_decodes_each_event_line_once(tmp_path, monkeypatch):
     assert res.metrics[-1].round == cfg.num_rounds
 
 
+@pytest.mark.parametrize("blanks", [0, 2])
 @pytest.mark.parametrize(
-    "first,message",
+    "first,message,line_no",
     [
-        (line(round=2, kind=SURVIVE, fitness_snapshot=float("inf")), "round 2: non-finite fitness"),
-        (line(round=0, kind=SURVIVE), "round 0: rounds start at 1"),
-        (line(round=2, target=9, kind=SURVIVE), "round 2: agent id 9 out of range"),
-        (line(round=3), "round 2: rounds decrease after 3"),
+        (line(round=2, kind=SURVIVE, fitness_snapshot=float("inf")), "round 2: non-finite fitness", 1),
+        (line(round=0, kind=SURVIVE), "round 0: rounds start at 1", 1),
+        (line(round=2, target=9, kind=SURVIVE), "round 2: agent id 9 out of range", 1),
+        (line(round=3), "round 2: rounds decrease after 3", 2),
     ],
 )
-def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, message):
-    """A survive fault ahead of a clone fault is the one named, read or in memory."""
-    path = write_lines(tmp_path, [
+def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, message, line_no,
+                                                                 blanks):
+    """A survive fault ahead of a clone fault is the one named, read or in memory; a
+    reader names its line, counting the blank lines before it."""
+    path = write_lines(tmp_path, [""] * blanks + [
         dumps(first),
         dumps(line(round=2, target=3, source=3)),  # clones itself
     ])
-    rounds, targets, fitness, changed = read_event_columns(path)
-    for check in (
-        lambda: _check_event_columns(rounds, targets, fitness, changed, 8),
-        lambda: validate_event_log(read_events(path), 8),
-    ):
-        with pytest.raises(LineageError, match=message):
-            check()
+    named = rf"^{path}: line {blanks + line_no}: event log broken at {message}"
+    for read in (read_events, read_payload_events):
+        with pytest.raises(LineageError, match=named):
+            read(path, num_agents=8)
+    with pytest.raises(LineageError, match=f"^event log broken at {message}"):
+        validate_event_log(per_line(path.read_text(encoding="utf-8")), 8)
 
 
 def test_writing_events_leaves_no_dict_on_each_event():
