@@ -184,10 +184,9 @@ def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lam
     carry[:] = last, rewritten
 
 
-def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None,
-                       num_hyperparams: int | None = None) -> None:
+def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None) -> None:
     """The readers' check over events held in memory; the first broken one is named by round."""
-    _check([list(map(attrgetter(k), events)) for k in _FIELDS], [0, set()], num_agents, num_hyperparams)
+    _check([list(map(attrgetter(k), events)) for k in _FIELDS], [0, set()], num_agents, None)
 
 
 def text(path, lines: Sequence[str] | None = None):

@@ -547,30 +547,36 @@ HYPERPARAM_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("replay", [[], ["--replay"]], ids=["lineage", "lineage-replay"])
+@pytest.mark.parametrize("command", ["lineage", "lineage --replay", "run --resume"])
 @pytest.mark.parametrize("fault", sorted(HYPERPARAM_FAULTS))
 def test_clone_hyperparams_the_run_cannot_hold_exit_1_naming_file_and_line(
-    tmp_path, capsys, fault, replay
+    tmp_path, capsys, fault, command
 ):
     """The run has one hyperparameter, sigma; a clone's vector must hold one positive value."""
-    path = tiny_config_file(tmp_path, algorithm="pbt")
+    path = tiny_config_file(tmp_path, algorithm="pbt", checkpoint_every=1)
     out = tmp_path / "run"
-    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
+                   out_dir=out, stop_after_round=3)
     events = out / "events.jsonl"
     line_no, line = next((i, line) for i, line in enumerate(events.read_text().splitlines(), 1)
                          if '"kind":"perturbed_clone"' in line)
     _break_event_line(out, line_no, lambda line: re.sub(
         r'"hyperparams_after":\[([^\]]*)\]',
         lambda m: '"hyperparams_after":' + HYPERPARAM_FAULTS[fault](m.group(1)), line))
-    round_no = json.loads(line)["round"]
-    code, _, err = run_cli(capsys, "lineage", str(out), *replay)
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    argv = command.split() + ([str(out)] if command.startswith("lineage") else
+                              ["--config", str(path), "--out", str(out)])
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
     envelope = json.loads(err)
     assert envelope["error"] == "LineageError"
     assert envelope["message"].startswith(
-        f"{events}: line {line_no}: event log broken at round {round_no}: hyperparams_after "
+        f"{events}: line {line_no}: event log broken at round {json.loads(line)['round']}: "
+        "hyperparams_after "
     )
-    assert not (out / "schedule.csv").exists()
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED_EVENT_LINES))
