@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsched.core import Brackets, HyperparamSpace, HyperparamVector, SpaceEntry, compute_brackets
 from popsched.events import PERTURBED_CLONE, SURVIVE
@@ -87,6 +89,36 @@ def test_perturb_factor_frequency_and_independence():
     corr = np.corrcoef(up[:, 0], up[:, 1])[0, 1]
     assert abs(corr) < 0.05
     assert PERTURB_FACTORS == (0.8, 1.25)
+
+
+def _perturb_oracle(hyperparams, rng, space, clamp):
+    """explore_perturb as it drew before: all factors from one sized integers call."""
+    idx = rng.integers(0, len(PERTURB_FACTORS), size=len(hyperparams))
+    out = hyperparams.scaled([PERTURB_FACTORS[i] for i in idx])
+    return space.clip(out) if clamp else out
+
+
+def _draw_between(rng, kind, count):
+    """Another consumer of the stream between two perturbations; count 0 is a scalar draw."""
+    draw = rng.standard_normal if kind == "normal" else rng.random
+    return np.atleast_1d(draw() if count == 0 else draw(count)).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), clamp=st.booleans(),
+       calls=st.lists(st.tuples(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6),
+                                st.sampled_from(["none", "normal", "random"]), st.integers(0, 3)),
+                      min_size=1, max_size=8))
+def test_perturb_consumes_the_stream_as_one_sized_integers_call(seed, clamp, calls):
+    """Same factors and the same generator state as the sized draw, with other draws between."""
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for values, between, count in calls:
+        h = HyperparamVector(tuple(values))
+        space = HyperparamSpace(tuple(SpaceEntry(f"h{i}", 0.5, 2.0) for i in range(len(values))))
+        assert explore_perturb(h, ours, space, clamp) == _perturb_oracle(h, oracle, space, clamp)
+        if between != "none":
+            assert _draw_between(ours, between, count) == _draw_between(oracle, between, count)
+    assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 # ------------------------------------------------------ evolution step
