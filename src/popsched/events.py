@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 SURVIVE = "survive"
 PERTURBED_CLONE = "perturbed_clone"
@@ -36,16 +35,7 @@ class LineageError(ValueError):
     """The event log cannot be a record of a well-formed run."""
 
 
-@dataclass(frozen=True)
-class EvolutionEvent:
-    """What happened to one agent at one evolution barrier.
-
-    `source_round` is only set for elite restores, where the payload comes
-    from a snapshot taken at an earlier round; for clones and migrations
-    the source state is the live state at `round`.
-    __post_init__ guards events built in Python: no reader sees an in-memory run's events.
-    """
-
+class _EventFields(NamedTuple):
     round: int
     subpop_id: int
     target_agent_id: int
@@ -55,24 +45,38 @@ class EvolutionEvent:
     hyperparams_after: tuple[float, ...]
     fitness_snapshot: float
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == SURVIVE and self.source_agent_id is not None:
+
+class EvolutionEvent(_EventFields):
+    """What happened to one agent at one evolution barrier, as a tuple in _FIELDS order.
+
+    `source_round` is only set for elite restores, where the payload comes
+    from a snapshot taken at an earlier round; for clones and migrations
+    the source state is the live state at `round`. The constructor refuses an unknown
+    kind, and a source exactly when the kind is survive: it guards events built in Python,
+    which no reader sees. _make and _replace skip the guard; the package calls neither.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, round, subpop_id, target_agent_id, kind, source_agent_id, source_round,
+                hyperparams_after, fitness_snapshot):
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if kind == SURVIVE and source_agent_id is not None:
             raise ValueError("survive events carry no source")
-        if self.kind != SURVIVE and self.source_agent_id is None:
-            raise ValueError(f"{self.kind} events require a source agent")
+        if kind != SURVIVE and source_agent_id is None:
+            raise ValueError(f"{kind} events require a source agent")
+        return tuple.__new__(cls, (round, subpop_id, target_agent_id, kind, source_agent_id,
+                                   source_round, hyperparams_after, fitness_snapshot))
 
     def to_json_line(self) -> str:
         """json.dumps(dict(zip(_FIELDS, values)), separators=(",", ":")), from one template:
         ids by repr (None as null), a known kind needs no escape, floats by _json_floats."""
-        src, src_round = self.source_agent_id, self.source_round
-        return (f'{{"round":{self.round!r},"subpop_id":{self.subpop_id!r},'
-                f'"target_agent_id":{self.target_agent_id!r},"kind":"{self.kind}",'
+        rnd, sub, target, kind, src, src_round, hps, fitness = self
+        return (f'{{"round":{rnd!r},"subpop_id":{sub!r},"target_agent_id":{target!r},"kind":"{kind}",'
                 f'"source_agent_id":{"null" if src is None else repr(src)},'
                 f'"source_round":{"null" if src_round is None else repr(src_round)},'
-                f'"hyperparams_after":[{_json_floats(self.hyperparams_after)}],'
-                f'"fitness_snapshot":{_json_floats((self.fitness_snapshot,))}}}')
+                f'"hyperparams_after":[{_json_floats(hps)}],"fitness_snapshot":{_json_floats((fitness,))}}}')
 
 
 def event_from_json_line(line: str) -> EvolutionEvent:
@@ -80,7 +84,7 @@ def event_from_json_line(line: str) -> EvolutionEvent:
     return EvolutionEvent(*(col[0] for col in _columns([json.loads(line)])))
 
 
-_FIELDS = dict.fromkeys(EvolutionEvent.__dataclass_fields__).keys()  # the JSON keys, in order
+_FIELDS = EvolutionEvent._fields  # the JSON keys, in order
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float repr -> json
 _EVENT_BLOCK = 1000  # lines decoded at once: bounds the records held
 

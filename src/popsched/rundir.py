@@ -20,10 +20,9 @@ import json
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ if TYPE_CHECKING:
     from .runner import ExperimentResult
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     round: int
     agent_id: int
     subpop_id: int

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsched import rundir, runner
+from popsched import events, rundir, runner
 from popsched.config import ExperimentConfig
 from popsched.core import ConfigError, HyperparamSpace, SpaceEntry
 from popsched.presets import get_preset, preset_names
@@ -807,6 +807,37 @@ def test_event_kind_validation():
         make_event(kind=SURVIVE)
     with pytest.raises(ValueError, match="require a source agent"):
         make_event(source_agent_id=None)
+
+
+BAD_EVENTS = [
+    (dict(kind="promotion"), "unknown event kind 'promotion'"),
+    (dict(kind=SURVIVE), "survive events carry no source"),
+    (dict(kind=ELITE_RESTORE, source_agent_id=None, source_round=1), "elite_restore events require a source agent"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", BAD_EVENTS)
+def test_event_guard_refuses_positional_and_keyword_construction_alike(overrides, message):
+    fields = {**make_event()._asdict(), **overrides}
+    with pytest.raises(ValueError) as by_keyword:
+        EvolutionEvent(**fields)
+    with pytest.raises(ValueError) as by_position:
+        EvolutionEvent(*fields.values())
+    assert str(by_keyword.value) == str(by_position.value) == message
+
+
+def test_event_fields_are_the_json_keys_in_order():
+    assert events._FIELDS == ("round", "subpop_id", "target_agent_id", "kind", "source_agent_id",
+                              "source_round", "hyperparams_after", "fitness_snapshot")
+    assert list(json.loads(make_event().to_json_line())) == list(events._FIELDS)
+
+
+def test_records_carry_no_instance_dict():
+    """A run builds a metric row per agent per round and an event per agent per barrier."""
+    for record in (make_event(), row(1, 0, 1.5)):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 0
 
 
 def test_event_json_round_trip():
