@@ -1,9 +1,10 @@
 """Evolution events: the audit log every scheduler writes.
 
-One event per affected agent per evolution barrier. The JSONL line order
-is the total order in which effects were applied, which is what lineage
-reconstruction relies on for same-round chains (a later sub-population
-may copy state that an earlier one replaced in the same round).
+One event per affected agent per evolution barrier, held as a tuple of
+its JSON line's eight values. The JSONL line order is the total order in
+which effects were applied, which is what lineage reconstruction relies
+on for same-round chains (a later sub-population may copy state that an
+earlier one replaced in the same round).
 
 Readers decode events.jsonl a block of lines per json.loads call (see
 _block_columns); a line that is not an event is named by file and line.
