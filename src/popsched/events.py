@@ -52,9 +52,9 @@ class EvolutionEvent(_EventFields):
 
     `source_round` is only set for elite restores, where the payload comes
     from a snapshot taken at an earlier round; for clones and migrations
-    the source state is the live state at `round`. The constructor refuses an unknown
-    kind, and a source exactly when the kind is survive: it guards events built in Python,
-    which no reader sees. _make and _replace skip the guard; the package calls neither.
+    the source state is the live state at `round`. The constructor refuses an unknown kind,
+    a survive event with a source and any other kind without one. It guards events built in
+    Python, which no reader sees; _make and _replace skip it, and the package calls neither.
     """
 
     __slots__ = ()
