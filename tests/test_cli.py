@@ -437,20 +437,48 @@ def test_lineage_flag_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, flag
     assert not (out / "schedule.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["lineage", "report"])
-def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, command):
-    path = tiny_config_file(tmp_path, algorithm="pbt")
+def _row_index(round_no, agent_id, num_agents=8):
+    """Index in metrics.csv's lines (header at 0) of the row the writer puts there."""
+    return 1 + (round_no - 1) * num_agents + agent_id
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+# Each fault breaks the lines of an 8-agent, 64-round metrics.csv and gives the
+# first line (1-based) that is not what the writer puts there.
+MALFORMED_METRICS = {
+    "short-row": lambda lines: (lines + ["401,3\n"], len(lines) + 1),
+    "missing-row": lambda lines: (lines[:_row_index(63, 6)] + lines[_row_index(63, 7):],
+                                  _row_index(63, 6) + 1),
+    "row-twice": lambda lines: (lines[:_row_index(63, 7)] + lines[_row_index(63, 6):],
+                                _row_index(63, 7) + 1),
+    "rows-swapped": lambda lines: (_swap(lines, _row_index(63, 6), _row_index(63, 7)),
+                                   _row_index(63, 6) + 1),
+    "partial-last-round": lambda lines: (lines[:_row_index(64, 5)], _row_index(64, 5) + 1),
+}
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [pytest.param(command, fault, id=command if fault == "short-row" else f"{command}-{fault}")
+     for fault in MALFORMED_METRICS for command in ("lineage", "report")],
+)
+def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, command, fault):
+    path = tiny_config_file(tmp_path, algorithm="pbt", num_agents=8, total_steps=5 * 64)
     out = tmp_path / "run"
     run_cli(capsys, "run", "--config", str(path), "--out", str(out))
     metrics = out / "metrics.csv"
-    with open(metrics, "a", encoding="utf-8") as fh:
-        fh.write("401,3\n")
+    lines, line_no = MALFORMED_METRICS[fault](metrics.read_text().splitlines(keepends=True))
+    metrics.write_text("".join(lines))
     argv = [command, str(out)] + (["--out", str(tmp_path / "report")] if command == "report" else [])
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     envelope = json.loads(err)
     assert envelope["error"] == "ValueError"
-    assert envelope["message"].startswith(f"{metrics}: line 18: ")
+    assert envelope["message"].startswith(f"{metrics}: line {line_no}: ")
 
 
 
