@@ -19,18 +19,19 @@ final payload and fitness bit for bit, because
 
 The replay advances and trains in per-round chunks so the draw order
 inside each carrier's stream matches the original run exactly. replay_run
-reads the log with events.read_payload_events, whose check refuses a log
-no well-formed run writes, naming its line; reconstruction trusts its input.
+reads the metrics with rundir.read_run and the log with
+events.read_payload_events; each refuses a file no well-formed run writes,
+naming its line, so reconstruction trusts its input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, LineageError, read_payload_events
-from .rundir import RunDir, load_run_config, read_metric_columns
+from .rundir import RunDir, read_run
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
 
@@ -154,13 +155,13 @@ def replay_schedule(
     t_ready: int,
     hp_names: Sequence[str],
     eval_repeats: int = 1,
-    expected_fitness: Mapping[tuple[int, int], float] | None = None,
+    expected_fitness: Callable[[int, int], float] | None = None,
 ) -> tuple[dict, float]:
     """Re-run a schedule from the master seed; returns (payload, fitness).
 
     The stream advance and the training both happen in per-round chunks
     so draw order matches the original run draw for draw. When
-    expected_fitness maps (round, carrier agent_id) to logged values,
+    expected_fitness(round, carrier agent_id) gives the logged values,
     every trained round is cross-checked and the first divergence raises.
     """
     if not segments:
@@ -182,40 +183,22 @@ def replay_schedule(
         for r in range(seg.start_round + 1, seg.end_round + 1):
             trainable.train(t_ready)
             if expected_fitness is not None:
-                want = expected_fitness.get((r, seg.agent_id))
-                if want is not None:
-                    got = float(trainable.evaluate(eval_repeats))
-                    if got != want:
-                        raise LineageError(
-                            f"replay diverges at round {r} on agent {seg.agent_id}: "
-                            f"replayed {got!r}, logged {want!r}"
-                        )
+                got, want = float(trainable.evaluate(eval_repeats)), expected_fitness(r, seg.agent_id)
+                if got != want:
+                    raise LineageError(
+                        f"replay diverges at round {r} on agent {seg.agent_id}: "
+                        f"replayed {got!r}, logged {want!r}"
+                    )
     fitness = float(trainable.evaluate(eval_repeats))
     return trainable.export_payload(), fitness
 
 
-def schedule_csv_lines(
-    segments: Sequence[ScheduleSegment], hp_names: Sequence[str]
-) -> list[str]:
-    lines = [
-        ",".join(
-            ["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *hp_names]
-        )
-    ]
+def schedule_csv_lines(segments: Sequence[ScheduleSegment], hp_names: Sequence[str]) -> list[str]:
+    lines = [",".join(["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *hp_names])]
     for seg in segments:
-        cells = [
-            str(seg.start_round),
-            str(seg.end_round),
-            str(seg.agent_id),
-            str(seg.subpop_id),
-            "1" if seg.trained else "0",
-            seg.kind,
-        ]
-        if seg.hyperparams is None:
-            cells.extend("" for _ in hp_names)
-        else:
-            cells.extend(repr(float(v)) for v in seg.hyperparams)
-        lines.append(",".join(cells))
+        hps = [""] * len(hp_names) if seg.hyperparams is None else [repr(float(v)) for v in seg.hyperparams]
+        lines.append(",".join([str(seg.start_round), str(seg.end_round), str(seg.agent_id),
+                               str(seg.subpop_id), "1" if seg.trained else "0", seg.kind, *hps]))
     return lines
 
 
@@ -246,39 +229,25 @@ def replay_run(
     against the log and raises on the first divergence.
     """
     run = RunDir(run_dir)
-    config, seed = load_run_config(run_dir)
-    rounds, agents, _, fitness, *hp_columns = read_metric_columns(run.metrics)
-    if not rounds:
+    config, seed, (_, _, _, fitness, *hp_columns) = read_run(run_dir)
+    if not fitness:
         raise LineageError(f"{run.root}: metrics.csv is empty")
     changed = read_payload_events(run.events, config.num_agents, len(config.search_space))
-    final_round = max(rounds) if final_round is None else int(final_round)
-    final = {a: f for r, a, f in zip(rounds, agents, fitness) if r == final_round}
-    if not final:
+    n = config.num_agents  # read_run checked that rounds are n-row blocks in agent-id order
+    final_round = len(fitness) // n if final_round is None else int(final_round)
+    if not 1 <= final_round <= len(fitness) // n:
         raise LineageError(f"{run.root}: no metrics rows at round {final_round}")
+    final = fitness[(final_round - 1) * n:final_round * n]
     if agent_id is None:
-        agent_id = min(final, key=lambda a: (-final[a], a))
-    if agent_id not in final:
+        agent_id = final.index(max(final))  # the first best: ties go to the lower id
+    if not 0 <= agent_id < n:
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
-    initial_h = {a: h for r, a, h in zip(rounds, agents, zip(*hp_columns)) if r == 1}
+    initial_h = dict(enumerate(zip(*(column[:n] for column in hp_columns))))
     relevant = [ev for ev in changed if ev.round <= final_round]
-    segments = reconstruct_schedule(
-        relevant, agent_id, final_round, initial_h, config.subpop_size
-    )
-    expected = dict(zip(zip(rounds, agents), fitness)) if verify_rounds else None
-    _, replayed = replay_schedule(
-        segments,
-        config.trainable,
-        seed,
-        config.t_ready,
-        config.search_space.names,
-        config.eval_repeats,
-        expected_fitness=expected,
-    )
-    return ReplayReport(
-        agent_id=agent_id,
-        final_round=final_round,
-        segments=tuple(segments),
-        hp_names=config.search_space.names,
-        replayed_fitness=replayed,
-        logged_fitness=final[agent_id],
-    )
+    segments = reconstruct_schedule(relevant, agent_id, final_round, initial_h, config.subpop_size)
+    expected = (lambda r, a: fitness[(r - 1) * n + a]) if verify_rounds else None
+    _, replayed = replay_schedule(segments, config.trainable, seed, config.t_ready, config.search_space.names,
+                                  config.eval_repeats, expected_fitness=expected)
+    return ReplayReport(agent_id=agent_id, final_round=final_round, segments=tuple(segments),
+                        hp_names=config.search_space.names, replayed_fitness=replayed,
+                        logged_fitness=final[agent_id])

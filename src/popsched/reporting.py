@@ -43,18 +43,12 @@ def iqr_bounds(values: Sequence[float]) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def best_fitness_by_round(rounds: Sequence[int], fitness: Sequence[float]) -> list[float]:
-    """Best population fitness per round, indexed by round-1, from metrics columns."""
-    if not rounds:
+def best_fitness_by_round(fitness: Sequence[float], num_agents: int) -> list[float]:
+    """Best population fitness per round, indexed by round-1, from a fitness column
+    in num_agents-row round blocks (the shape rundir.read_run checks)."""
+    if not fitness:
         raise ValueError("no metrics rows")
-    best = [-math.inf] * max(rounds)
-    for r, f in zip(rounds, fitness):
-        if f > best[r - 1]:
-            best[r - 1] = f
-    if -math.inf in best:
-        missing = [i + 1 for i, b in enumerate(best) if b == -math.inf]
-        raise ValueError(f"metrics missing rounds {missing}")
-    return best
+    return [max(fitness[i:i + num_agents]) for i in range(0, len(fitness), num_agents)]
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,7 @@ class ExperimentResult:
     wall_clock: float
 
     def best_by_round(self) -> list[float]:
-        return best_fitness_by_round([r.round for r in self.metrics],
-                                     [r.fitness for r in self.metrics])
+        return best_fitness_by_round([r.fitness for r in self.metrics], self.config.num_agents)
 
     def final_best(self) -> float:
         return self.best_by_round()[-1]

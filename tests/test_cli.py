@@ -447,6 +447,13 @@ def _swap(lines, i, j):
     return lines
 
 
+def _set_cell(lines, i, column, value):
+    cells = lines[i].split(",")
+    cells[column] = value
+    lines[i] = ",".join(cells)
+    return lines
+
+
 # Each fault breaks the lines of an 8-agent, 64-round metrics.csv and gives the
 # first line (1-based) that is not what the writer puts there.
 MALFORMED_METRICS = {
@@ -458,6 +465,10 @@ MALFORMED_METRICS = {
     "rows-swapped": lambda lines: (_swap(lines, _row_index(63, 6), _row_index(63, 7)),
                                    _row_index(63, 6) + 1),
     "partial-last-round": lambda lines: (lines[:_row_index(64, 5)], _row_index(64, 5) + 1),
+    "blank-line-and-missing-row": lambda lines: (
+        lines[:1] + ["\n"] + lines[1:_row_index(63, 6)] + lines[_row_index(63, 7):], _row_index(63, 6) + 2),
+    "other-subpop": lambda lines: (_set_cell(lines, _row_index(63, 6), 2, "1"), _row_index(63, 6) + 1),
+    "nan-fitness": lambda lines: (_set_cell(lines, _row_index(63, 6), 3, "nan"), _row_index(63, 6) + 1),
 }
 
 

@@ -255,7 +255,7 @@ def test_replay_reproduces_logged_fitness_bit_for_bit():
         segs = reconstruct_schedule(res.events, aid, final, init_h, subpop_size=4)
         _, fitness = replay_schedule(
             segs, cfg.trainable, 23, cfg.t_ready, ("sigma",),
-            expected_fitness=logged,
+            expected_fitness=lambda r, a: logged[(r, a)],
         )
         assert fitness == logged[(final, aid)]
 
@@ -271,7 +271,7 @@ def test_replay_reports_first_divergence():
     with pytest.raises(LineageError,
                        match=f"replay diverges at round 1 on agent {root}: "):
         replay_schedule(segs, cfg.trainable, 29, cfg.t_ready, ("sigma",),
-                        expected_fitness=logged)
+                        expected_fitness=lambda r, a: logged[(r, a)])
 
 
 def test_replay_rejects_empty_schedule():

@@ -23,7 +23,7 @@ from popsched.events import (
     EvolutionEvent,
     event_from_json_line,
 )
-from popsched.rundir import MetricRow, load_run_config, read_metrics
+from popsched.rundir import MetricRow, load_run_config, read_metric_columns, read_metrics, read_run
 from popsched.runner import run_experiment
 from popsched.seeding import agent_trainable_seed
 from popsched.trainables import TwoBasinTrainable, build_trainable
@@ -847,6 +847,17 @@ def test_event_json_round_trip():
         make_event(kind=ELITE_RESTORE, source_round=4, hyperparams_after=(1.0, 2.5)),
     ]:
         assert event_from_json_line(ev.to_json_line()) == ev
+
+
+def test_read_run_returns_what_the_run_wrote(tmp_path):
+    out = tmp_path / "run"
+    cfg = small_config("mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2), total_steps=30)
+    res = run_experiment(cfg, seed=6, out_dir=out)
+    config, seed, columns = read_run(out)
+    assert (config, seed) == load_run_config(out)
+    assert columns == read_metric_columns(out / "metrics.csv")
+    assert list(map(MetricRow, *columns[:4], zip(*columns[4:]))) == res.metrics
+    assert set(columns[2]) == {0, 1}
 
 
 # ------------------------------------------------------------ metrics.csv
