@@ -230,8 +230,6 @@ def replay_run(
     """
     run = RunDir(run_dir)
     config, seed, (_, _, _, fitness, *hp_columns) = read_run(run_dir)
-    if not fitness:
-        raise LineageError(f"{run.root}: metrics.csv is empty")
     changed = read_payload_events(run.events, config.num_agents, len(config.search_space))
     n = config.num_agents  # read_run checked that rounds are n-row blocks in agent-id order
     final_round = len(fitness) // n if final_round is None else int(final_round)

@@ -13,11 +13,11 @@ one, never a partial one. A resume rewrites a log only when it drops a
 torn line, a blank line or a record after the checkpoint. metrics.csv is
 parsed by np.loadtxt, given the path when no lines are; a resume decodes
 each log line once. read_run, the reader of `lineage` and `report`, takes
-metrics only in the shape the writer writes: rounds 1..R in order, each
-num_agents rows in agent-id order with the config's subpop_id for that
-agent and a finite fitness. It refuses anything else, a run killed
-mid-round too (which a resume still takes), with ValueError
-("<path>: line <n>: ..."), which the CLI exits 1 on.
+metrics only in the shape the writer writes: rounds 1..R in order (R at
+most num_rounds), each num_agents rows in agent-id order with the
+config's subpop_id for that agent and a finite fitness. It refuses
+anything else, a run killed mid-round too (which a resume still takes),
+with ValueError("<path>: line <n>: ..."), which the CLI exits 1 on.
 """
 
 from __future__ import annotations
@@ -132,13 +132,13 @@ def load_run_config(run_dir) -> tuple[ExperimentConfig, int]:
 
 def read_run(run_dir) -> tuple[ExperimentConfig, int, list[list]]:
     """A run directory's config, master seed and metrics.csv columns (read_metric_columns),
-    once the rows have the writer's shape (see above); the line named counts blank lines."""
+    once the rows have the writer's shape (module docstring); the line named counts blank lines."""
     config, seed = load_run_config(run_dir)
     path = RunDir(run_dir).metrics
     table = _metric_table(path)
     rounds, agents, subpops, fitness = (table[name] for name in table.dtype.names[:4])
-    n, row = config.num_agents, np.arange(len(table))
-    ok = np.append((rounds == row // n + 1) & (agents == row % n)
+    n, last, row = config.num_agents, config.num_agents * config.num_rounds, np.arange(len(table))
+    ok = np.append((rounds == row // n + 1) & (agents == row % n) & (row < last)
                    & (subpops == row % n // config.subpop_size) & np.isfinite(fitness),
                    len(row) % n == 0)  # past the last row: no round cut short
     if not ok.all():
@@ -146,10 +146,11 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, list[list]]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
         line_no = ([k for k, line in enumerate(lines[1:], 2) if line.strip()] + [len(lines) + 1])[i]
+        want = (f"round {i // n + 1}, agent {i % n}, subpop_id {i % n // config.subpop_size}, "
+                "a finite fitness" if i < last else f"the end of the file after round {config.num_rounds}")
         found = ("round {}, agent {}, subpop_id {}, fitness {!r}".format(*table[i].tolist())
                  if i < len(row) else "the end of the file")
-        raise ValueError(f"{path}: line {line_no}: expected round {i // n + 1}, agent {i % n}, "
-                         f"subpop_id {i % n // config.subpop_size}, a finite fitness; found {found}")
+        raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}")
     return config, seed, [table[name].tolist() for name in table.dtype.names]
 
 

@@ -469,6 +469,8 @@ MALFORMED_METRICS = {
         lines[:1] + ["\n"] + lines[1:_row_index(63, 6)] + lines[_row_index(63, 7):], _row_index(63, 6) + 2),
     "other-subpop": lambda lines: (_set_cell(lines, _row_index(63, 6), 2, "1"), _row_index(63, 6) + 1),
     "nan-fitness": lambda lines: (_set_cell(lines, _row_index(63, 6), 3, "nan"), _row_index(63, 6) + 1),
+    "round-past-the-config": lambda lines: (
+        lines + [line.replace("64,", "65,", 1) for line in lines[_row_index(64, 0):]], len(lines) + 1),
 }
 
 
