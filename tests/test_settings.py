@@ -7,7 +7,6 @@ session with INTERNALERROR, and every later test goes unreported.
 
 from __future__ import annotations
 
-import tomllib
 from pathlib import Path
 
 pytest_plugins = ["pytester"]
@@ -16,9 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_a_failing_property_does_not_hide_the_tests_after_it(pytester):
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        filters = tomllib.load(fh)["tool"]["pytest"]["ini_options"]["filterwarnings"]
-    pytester.makeini("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
+    pytester.makepyprojecttoml((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     pytester.makepyfile(
         test_pair="""
         from hypothesis import given, settings, strategies as st
@@ -32,6 +29,6 @@ def test_a_failing_property_does_not_hide_the_tests_after_it(pytester):
             pass
         """
     )
-    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider", "test_pair.py")
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
     result.assert_outcomes(failed=1, passed=1)
