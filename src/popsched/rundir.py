@@ -163,7 +163,7 @@ def read_metric_columns(path, lines: Sequence[str] | None = None) -> list[list]:
 
 def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
     """metrics.csv's rows as one structured array (int64 ids, float64 values), parsed by
-    np.loadtxt from the path unless lines are given, else from the non-blank lines; a file
+    np.loadtxt from the path if no lines are given, then from the non-blank lines; a file
     both reads reject is parsed line by line to name the bad line."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only

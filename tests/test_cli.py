@@ -437,9 +437,9 @@ def test_lineage_flag_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, flag
     assert not (out / "schedule.csv").exists()
 
 
-def _row_index(round_no, agent_id, num_agents=8):
-    """Index in metrics.csv's lines (header at 0) of the row the writer puts there."""
-    return 1 + (round_no - 1) * num_agents + agent_id
+def _row_index(round_no, agent_id):
+    """Index in an 8-agent run's metrics.csv lines (header at 0) of the row the writer puts there."""
+    return 1 + (round_no - 1) * 8 + agent_id
 
 
 def _swap(lines, i, j):
