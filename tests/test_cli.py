@@ -471,6 +471,7 @@ MALFORMED_METRICS = {
     "nan-fitness": lambda lines: (_set_cell(lines, _row_index(63, 6), 3, "nan"), _row_index(63, 6) + 1),
     "round-past-the-config": lambda lines: (
         lines + [line.replace("64,", "65,", 1) for line in lines[_row_index(64, 0):]], len(lines) + 1),
+    "last-line-cut-short": lambda lines: (lines[:-1] + [lines[-1][:lines[-1].rindex(",") + 2]], len(lines)),
 }
 
 

@@ -107,6 +107,8 @@ def test_best_fitness_by_round_examples():
     assert best_fitness_by_round([1.0, 3.0, 2.0, 0.5], 1) == [1.0, 3.0, 2.0, 0.5]
     with pytest.raises(ValueError, match="no metrics rows"):
         best_fitness_by_round([], 2)
+    with pytest.raises(ValueError, match="3 metrics rows do not fill rounds of 2 agents"):
+        best_fitness_by_round([1.0, 3.0, 2.0], 2)
 
 
 def test_best_fitness_matches_naive_max(rng):
