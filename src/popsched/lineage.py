@@ -183,7 +183,8 @@ def replay_schedule(
         for r in range(seg.start_round + 1, seg.end_round + 1):
             trainable.train(t_ready)
             if expected_fitness is not None:
-                got, want = float(trainable.evaluate(eval_repeats)), expected_fitness(r, seg.agent_id)
+                got = float(trainable.evaluate(eval_repeats))
+                want = expected_fitness(r, seg.agent_id)
                 if got != want:
                     raise LineageError(
                         f"replay diverges at round {r} on agent {seg.agent_id}: "
@@ -193,12 +194,28 @@ def replay_schedule(
     return trainable.export_payload(), fitness
 
 
-def schedule_csv_lines(segments: Sequence[ScheduleSegment], hp_names: Sequence[str]) -> list[str]:
-    lines = [",".join(["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *hp_names])]
+def schedule_csv_lines(
+    segments: Sequence[ScheduleSegment], hp_names: Sequence[str]
+) -> list[str]:
+    lines = [
+        ",".join(
+            ["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *hp_names]
+        )
+    ]
     for seg in segments:
-        hps = [""] * len(hp_names) if seg.hyperparams is None else [repr(float(v)) for v in seg.hyperparams]
-        lines.append(",".join([str(seg.start_round), str(seg.end_round), str(seg.agent_id),
-                               str(seg.subpop_id), "1" if seg.trained else "0", seg.kind, *hps]))
+        cells = [
+            str(seg.start_round),
+            str(seg.end_round),
+            str(seg.agent_id),
+            str(seg.subpop_id),
+            "1" if seg.trained else "0",
+            seg.kind,
+        ]
+        if seg.hyperparams is None:
+            cells.extend("" for _ in hp_names)
+        else:
+            cells.extend(repr(float(v)) for v in seg.hyperparams)
+        lines.append(",".join(cells))
     return lines
 
 
@@ -242,10 +259,24 @@ def replay_run(
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = dict(enumerate(zip(*(column[:n] for column in hp_columns))))
     relevant = [ev for ev in changed if ev.round <= final_round]
-    segments = reconstruct_schedule(relevant, agent_id, final_round, initial_h, config.subpop_size)
+    segments = reconstruct_schedule(
+        relevant, agent_id, final_round, initial_h, config.subpop_size
+    )
     expected = (lambda r, a: fitness[(r - 1) * n + a]) if verify_rounds else None
-    _, replayed = replay_schedule(segments, config.trainable, seed, config.t_ready, config.search_space.names,
-                                  config.eval_repeats, expected_fitness=expected)
-    return ReplayReport(agent_id=agent_id, final_round=final_round, segments=tuple(segments),
-                        hp_names=config.search_space.names, replayed_fitness=replayed,
-                        logged_fitness=final[agent_id])
+    _, replayed = replay_schedule(
+        segments,
+        config.trainable,
+        seed,
+        config.t_ready,
+        config.search_space.names,
+        config.eval_repeats,
+        expected_fitness=expected,
+    )
+    return ReplayReport(
+        agent_id=agent_id,
+        final_round=final_round,
+        segments=tuple(segments),
+        hp_names=config.search_space.names,
+        replayed_fitness=replayed,
+        logged_fitness=final[agent_id],
+    )

@@ -48,6 +48,8 @@ def best_fitness_by_round(fitness: Sequence[float], num_agents: int) -> list[flo
     in num_agents-row round blocks (the shape rundir.read_run checks)."""
     if not fitness:
         raise ValueError("no metrics rows")
+    if len(fitness) % num_agents:
+        raise ValueError(f"{len(fitness)} metrics rows do not fill rounds of {num_agents} agents")
     return [max(fitness[i:i + num_agents]) for i in range(0, len(fitness), num_agents)]
 
 

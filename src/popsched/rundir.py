@@ -11,11 +11,11 @@ Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
 one, never a partial one. A resume rewrites a log only when it drops a
 torn line, a blank line or a record after the checkpoint. metrics.csv is
-parsed by np.loadtxt, given the path when no lines are; a resume decodes
-each log line once. read_run, the reader of `lineage` and `report`, takes
-metrics only in the shape the writer writes: rounds 1..R in order (R at
-most num_rounds), each num_agents rows in agent-id order with the
-config's subpop_id for that agent and a finite fitness. It refuses
+parsed by one np.loadtxt call; a resume decodes each log line once.
+read_run, the reader of `lineage` and `report`, takes metrics only in the
+shape the writer writes: rounds 1..R in order (R at most num_rounds), each
+num_agents rows in agent-id order with the config's subpop_id for that
+agent and a finite fitness, the last row ending in a newline. It refuses
 anything else, a run killed mid-round too (which a resume still takes),
 with ValueError("<path>: line <n>: ..."), which the CLI exits 1 on.
 """
@@ -135,22 +135,24 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, list[list]]:
     once the rows have the writer's shape (module docstring); the line named counts blank lines."""
     config, seed = load_run_config(run_dir)
     path = RunDir(run_dir).metrics
-    table = _metric_table(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    table = _metric_table(path, lines)
     rounds, agents, subpops, fitness = (table[name] for name in table.dtype.names[:4])
     n, last, row = config.num_agents, config.num_agents * config.num_rounds, np.arange(len(table))
-    ok = np.append((rounds == row // n + 1) & (agents == row % n) & (row < last)
+    torn = bool(lines and lines[-1].strip() and not lines[-1].endswith("\n"))  # as truncate_log
+    ok = np.append((rounds == row // n + 1) & (agents == row % n) & (row < last) & (row < len(row) - torn)
                    & (subpops == row % n // config.subpop_size) & np.isfinite(fitness),
                    len(row) % n == 0)  # past the last row: no round cut short
     if not ok.all():
         i = int(ok.argmin())  # the first row not as written, or the end of the file
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
         line_no = ([k for k, line in enumerate(lines[1:], 2) if line.strip()] + [len(lines) + 1])[i]
         want = (f"round {i // n + 1}, agent {i % n}, subpop_id {i % n // config.subpop_size}, "
                 "a finite fitness" if i < last else f"the end of the file after round {config.num_rounds}")
         found = ("round {}, agent {}, subpop_id {}, fitness {!r}".format(*table[i].tolist())
                  if i < len(row) else "the end of the file")
-        raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}")
+        cut = " on a last line with no newline, cut short" if torn and i == len(row) - 1 else ""
+        raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}{cut}")
     return config, seed, [table[name].tolist() for name in table.dtype.names]
 
 
@@ -162,9 +164,8 @@ def read_metric_columns(path, lines: Sequence[str] | None = None) -> list[list]:
 
 
 def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
-    """metrics.csv's rows as one structured array (int64 ids, float64 values), parsed by
-    np.loadtxt from the path if no lines are given, then from the non-blank lines; a file
-    both reads reject is parsed line by line to name the bad line."""
+    """metrics.csv's rows as one structured array (int64 ids, float64 values), parsed by one
+    np.loadtxt call; a file it rejects is parsed line by line to name the bad line."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
         # older numpy reads an id such as 1.5 or 2**63 through a float, warning only
@@ -172,14 +173,10 @@ def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
         with text(path, lines) as fh:
             width = max(len(next(fh, "").split(",")), 4)  # an empty file has no rows
             dtype = np.dtype(",".join(["i8"] * 3 + ["f8"] * (width - 3)))
-            sources = [(path, 1)] if lines is None else []  # the path: the fastest read
-            sources.append((filter(str.strip, fh), 0))  # from a path, a line of spaces is refused
-            for rows, skip in sources:
-                try:
-                    return np.loadtxt(rows, dtype, delimiter=",", comments=None, skiprows=skip,
-                                      ndmin=1, encoding="utf-8")
-                except ValueError as exc:
-                    error = exc
+            try:
+                return np.loadtxt(filter(str.strip, fh), dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                error = exc
         with text(path, lines) as fh:
             for line_no, line in enumerate(islice(fh, 1, None), 2):
                 try:
