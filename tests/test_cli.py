@@ -472,7 +472,11 @@ MALFORMED_METRICS = {
     "round-past-the-config": lambda lines: (
         lines + [line.replace("64,", "65,", 1) for line in lines[_row_index(64, 0):]], len(lines) + 1),
     "last-line-cut-short": lambda lines: (lines[:-1] + [lines[-1][:lines[-1].rindex(",") + 2]], len(lines)),
+    "last-row-three-cells": lambda lines: (lines[:-1] + [",".join(lines[-1].split(",")[:3]) + "\n"],
+                                           len(lines)),
 }
+# Faults that leave a row with the wrong number of cells, and that number.
+CELLS_FOUND = {"short-row": 2, "last-row-three-cells": 3}
 
 
 @pytest.mark.parametrize(
@@ -493,6 +497,10 @@ def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, co
     envelope = json.loads(err)
     assert envelope["error"] == "ValueError"
     assert envelope["message"].startswith(f"{metrics}: line {line_no}: ")
+    if fault in CELLS_FOUND:
+        width = len(lines[0].split(","))
+        assert envelope["message"] == (
+            f"{metrics}: line {line_no}: expected {width} cells; found {CELLS_FOUND[fault]}")
 
 
 
@@ -665,6 +673,32 @@ def test_resume_refuses_an_event_log_that_lineage_refuses_and_touches_nothing(
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
     assert code == 1
     assert json.loads(err) == {"error": "LineageError", "message": message}
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+
+def test_resume_over_metrics_with_a_kept_row_missing_exits_1_and_touches_nothing(tmp_path, capsys):
+    """Round 3, agent 2 deleted below a round-5 checkpoint: refused before any round is trained."""
+    data = get_preset("pbt-bt-default").to_json_dict()
+    data.update(total_steps=500, checkpoint_every=5)
+    path = tmp_path / "pbt-bt.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(data), seed=0, out_dir=out, stop_after_round=7)
+    metrics = out / "metrics.csv"
+    lines = metrics.read_text().splitlines(keepends=True)
+    index = 1 + 2 * 32 + 2  # the header, rounds 1 and 2, agents 0 and 1 of round 3
+    assert lines[index].startswith("3,2,0,")
+    metrics.write_text("".join(lines[:index] + lines[index + 1:]))
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    fitness = float(lines[index + 1].split(",")[3])
+
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": (
+        f"{metrics}: line {index + 1}: expected round 3, agent 2, subpop_id 0, a finite fitness; "
+        f"found round 3, agent 3, subpop_id 0, fitness {fitness!r}")}
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 # -------------------------------------------------------------- subprocess

@@ -27,6 +27,7 @@ from popsched.events import (
     read_payload_events,
     validate_event_log,
 )
+from popsched.presets import get_preset
 from popsched.rundir import read_metric_columns
 from popsched.runner import run_experiment
 
@@ -262,6 +263,21 @@ def test_writing_events_leaves_no_dict_on_each_event():
     finally:
         tracemalloc.stop()
     assert retained < 16_000
+
+
+def test_an_in_memory_run_keeps_at_most_32_bytes_per_metric_row():
+    """A row's fitness is 8 B in a column and its hyperparameters one reference to the
+    tuple its agent holds; a MetricRow with its float object took about 99 B."""
+    config = get_preset("twobasin-rs")  # random search: no events
+    run_experiment(config, seed=0, stop_after_round=2)  # what a first run caches is not the result's
+    tracemalloc.start()
+    try:
+        res = run_experiment(config, seed=0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.events == [] and len(res.metrics) == config.num_agents * config.num_rounds
+    assert retained / len(res.metrics) <= 32
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]
