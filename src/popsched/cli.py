@@ -110,8 +110,8 @@ def cmd_report(args) -> int:
         raise ConfigError(f"run_dirs: {twice!r} names a run directory given more than once")
     curves_by_label: dict[str, list[list[float]]] = {}
     for run_dir in args.run_dirs:
-        config, _, (_, _, _, fitness, *_) = read_run(run_dir)
-        curve = best_fitness_by_round(fitness, config.num_agents)
+        config, _, metrics = read_run(run_dir)
+        curve = best_fitness_by_round(metrics.fitness, config.num_agents)
         curves_by_label.setdefault(config_label(config), []).append(curve)
     curves = [aggregate_curve(label, cs) for label, cs in sorted(curves_by_label.items())]
     finals = {label: [c[-1] for c in cs] for label, cs in curves_by_label.items()}

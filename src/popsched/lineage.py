@@ -246,7 +246,8 @@ def replay_run(
     against the log and raises on the first divergence.
     """
     run = RunDir(run_dir)
-    config, seed, (_, _, _, fitness, *hp_columns) = read_run(run_dir)
+    config, seed, metrics = read_run(run_dir)
+    fitness = metrics.fitness
     changed = read_payload_events(run.events, config.num_agents, len(config.search_space))
     n = config.num_agents  # read_run checked that rounds are n-row blocks in agent-id order
     final_round = len(fitness) // n if final_round is None else int(final_round)
@@ -257,7 +258,7 @@ def replay_run(
         agent_id = final.index(max(final))  # the first best: ties go to the lower id
     if not 0 <= agent_id < n:
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
-    initial_h = dict(enumerate(zip(*(column[:n] for column in hp_columns))))
+    initial_h = dict(enumerate(metrics.hyperparams[:n]))
     relevant = [ev for ev in changed if ev.round <= final_round]
     segments = reconstruct_schedule(
         relevant, agent_id, final_round, initial_h, config.subpop_size

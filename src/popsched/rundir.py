@@ -12,12 +12,13 @@ Checkpoints, and the logs a resume truncates, are replaced atomically
 one, never a partial one. A resume rewrites a log only when it drops a
 torn line, a blank line or a record after the checkpoint. metrics.csv is
 parsed by one np.loadtxt call; a resume decodes each log line once.
-read_run, the reader of `lineage` and `report`, takes metrics only in the
-shape the writer writes: rounds 1..R in order (R at most num_rounds), each
-num_agents rows in agent-id order with the config's subpop_id for that
-agent and a finite fitness, the last row ending in a newline. It refuses
-anything else, a run killed mid-round too (which a resume still takes),
-with ValueError("<path>: line <n>: ..."), which the CLI exits 1 on.
+read_metrics, the one reader of its rows, takes them only in the shape the
+writer writes: rounds 1..R in order, each num_agents rows in agent-id order
+with the config's subpop_id for that agent and a finite fitness. For
+`lineage` and `report` (read_run) that is the whole file, R at most
+num_rounds and the last row ending in a newline; for a resume, the rows up
+to its checkpoint. It refuses anything else with ValueError("<path>: line
+<n>: ..."), which the CLI exits 1 on, and returns a MetricTable.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,29 @@ class MetricRow(NamedTuple):
     subpop_id: int
     fitness: float
     hyperparams: tuple[float, ...]
+
+
+class MetricTable(Sequence):
+    """A run's metric rows, read-only, as columns: fitness in an array('d') and per row a
+    reference to its hyperparameter tuple. Rows are num_agents-row round blocks in agent-id
+    order, so round, agent_id and subpop_id follow from a row's index; reading builds its row."""
+
+    def __init__(self, config: ExperimentConfig, fitness=(), hyperparams=()) -> None:
+        self.num_agents, self.subpop_size = config.num_agents, config.subpop_size
+        self.fitness = array("d", fitness)
+        self.hyperparams: list[tuple[float, ...]] = list(hyperparams)
+
+    def __len__(self) -> int:
+        return len(self.fitness)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k, n = range(len(self))[i], self.num_agents  # a negative index counts from the end
+        return MetricRow(k // n + 1, k % n, k % n // self.subpop_size, self.fitness[k], self.hyperparams[k])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, MetricTable)) else NotImplemented
 
 
 def fmt(x: float) -> str:
@@ -130,20 +156,28 @@ def load_run_config(run_dir) -> tuple[ExperimentConfig, int]:
     return cfg, cfg.seeds[0]
 
 
-def read_run(run_dir) -> tuple[ExperimentConfig, int, list[list]]:
-    """A run directory's config, master seed and metrics.csv columns (read_metric_columns),
-    once the rows have the writer's shape (module docstring); the line named counts blank lines."""
+def read_run(run_dir) -> tuple[ExperimentConfig, int, MetricTable]:
+    """A run directory's config, master seed and metrics (read_metrics of the whole file)."""
     config, seed = load_run_config(run_dir)
-    path = RunDir(run_dir).metrics
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    table = _metric_table(path, lines)
-    rounds, agents, subpops, fitness = (table[name] for name in table.dtype.names[:4])
-    n, last, row = config.num_agents, config.num_agents * config.num_rounds, np.arange(len(table))
-    torn = bool(lines and lines[-1].strip() and not lines[-1].endswith("\n"))  # as truncate_log
-    ok = np.append((rounds == row // n + 1) & (agents == row % n) & (row < last) & (row < len(row) - torn)
+    return config, seed, read_metrics(RunDir(run_dir).metrics, config)
+
+
+def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
+                 lines: Sequence[str] | None = None) -> MetricTable:
+    """metrics.csv's rows in the writer's shape (module docstring): the whole file, or with
+    rounds the rows of rounds 1..rounds that a resume keeps; later rows are then neither
+    checked nor kept. The line a refusal names counts blank lines."""
+    with text(path, lines) as fh:
+        lines = list(fh)
+    n = config.num_agents
+    last = n * (config.num_rounds if rounds is None else rounds)
+    table = _metric_table(path, lines)[:None if rounds is None else last]
+    logged_rounds, agents, subpops, fitness = (table[name] for name in table.dtype.names[:4])
+    row = np.arange(len(table))
+    torn = bool(lines and lines[-1].strip() and not lines[-1].endswith("\n"))  # as truncate_logs
+    ok = np.append((logged_rounds == row // n + 1) & (agents == row % n) & (row < last) & (row < len(row) - torn)
                    & (subpops == row % n // config.subpop_size) & np.isfinite(fitness),
-                   len(row) % n == 0)  # past the last row: no round cut short
+                   len(row) % n == 0 if rounds is None else len(row) == last)  # no round cut short
     if not ok.all():
         i = int(ok.argmin())  # the first row not as written, or the end of the file
         line_no = ([k for k, line in enumerate(lines[1:], 2) if line.strip()] + [len(lines) + 1])[i]
@@ -153,14 +187,7 @@ def read_run(run_dir) -> tuple[ExperimentConfig, int, list[list]]:
                  if i < len(row) else "the end of the file")
         cut = " on a last line with no newline, cut short" if torn and i == len(row) - 1 else ""
         raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}{cut}")
-    return config, seed, [table[name].tolist() for name in table.dtype.names]
-
-
-def read_metric_columns(path, lines: Sequence[str] | None = None) -> list[list]:
-    """metrics.csv by column: rounds, agent ids, subpop ids, fitness, then one
-    column per hyperparameter (int64 ids, float64 values)."""
-    table = _metric_table(path, lines)
-    return [table[name].tolist() for name in table.dtype.names]
+    return MetricTable(config, fitness.tobytes(), zip(*(table[h].tolist() for h in table.dtype.names[4:])))
 
 
 def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
@@ -179,6 +206,8 @@ def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
                 error = exc
         with text(path, lines) as fh:
             for line_no, line in enumerate(islice(fh, 1, None), 2):
+                if line.strip() and line.count(",") + 1 != width:
+                    raise ValueError(f"{path}: line {line_no}: expected {width} cells; found {line.count(',') + 1}")
                 try:
                     if line.strip():
                         np.loadtxt([line], dtype, delimiter=",", comments=None)
@@ -187,25 +216,20 @@ def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
     raise ValueError(f"{path}: {error}")
 
 
-def read_metrics(path, lines: Sequence[str] | None = None) -> list[MetricRow]:
-    rounds, agents, subpops, fitness, *hyperparams = read_metric_columns(path, lines)
-    return list(map(MetricRow, rounds, agents, subpops, fitness, zip(*hyperparams)))
-
-
-def truncate_log(path: Path, keep_round: int, read, header: int = 0) -> list:
-    """Drop a log's records after keep_round, blank lines and a line torn by a kill
-    mid-write; returns the kept records, decoded once by read(path, lines).
-    A log with nothing to drop is left as it is."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    logged = len(lines) - header
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # torn by a kill mid-write
-    body = [line for line in lines[header:] if line.strip()]
-    kept = [(line, rec) for line, rec in zip(body, read(path, lines)) if rec.round <= keep_round]
-    if len(kept) != logged:  # a record, a blank line or a torn one to drop
-        _write_atomic(path, lines[:header] + [line for line, _ in kept])
-    return [rec for _, rec in kept]
+def truncate_logs(*logs: tuple[Path, Callable[[Path, list[str]], Sequence], int]) -> list[Sequence]:
+    """Cut each (path, read, header) log back to the prefix of records read(path, lines) keeps,
+    dropping blank lines and a line torn by a kill mid-write (read never sees it); returns
+    the kept records. Every log is read before any is rewritten, once it needs to be."""
+    cuts = []
+    for path, read, header in logs:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        torn = bool(lines) and not lines[-1].endswith("\n")  # by a kill mid-write
+        cuts.append((path, lines, header, read(path, lines=lines[:len(lines) - torn])))
+    for path, lines, header, kept in cuts:
+        if len(kept) != len(lines) - header:  # a record, a blank line or a torn one to drop
+            _write_atomic(path, lines[:header] + [line for line in lines[header:] if line.strip()][:len(kept)])
+    return [kept for *_, kept in cuts]
 
 
 def _write_atomic(path: Path, chunks: list[str]) -> None:

@@ -8,16 +8,18 @@ its one-sub-population case) unless PBT with backtracking backtracks.
 Each round appends (and flushes) its metrics, then runs the barrier,
 then appends its events, then writes its checkpoint, so a crashed run
 leaves a valid prefix on disk that a resume picks up; resume reads the
-events with read_events, whose check `popsched lineage` runs too. A checkpoint is
-json.dumps of the engine state with the elite archive's JSON spliced in,
-encoded only when the archive changed; a trainable is given
-hyperparameters only when its agent's vector changed (or was restored).
+events with read_events, whose check `popsched lineage` runs too, and the
+metrics rows up to the checkpoint with read_metrics, before it rewrites
+either. A checkpoint is json.dumps of the engine state with the elite
+archive's JSON spliced in, encoded only when the archive changed; a
+trainable is given hyperparameters only when its agent's vector changed
+(or was restored).
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
 the whole run; payloads are exported only where state is persisted
-(checkpoints and the elite archive). The files themselves are named and
-formatted by the rundir module.
+(checkpoints and the elite archive); a metrics row keeps the hyperparameter
+tuple its agent held (rundir.MetricTable). The files are formatted by rundir.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .core import AgentState, ConfigError, HyperparamVector, Population, sample_
 from .events import EvolutionEvent, read_events, write_events
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
-from .rundir import MetricRow, RunDir, read_metrics, truncate_log
+from .rundir import MetricTable, RunDir, read_metrics, truncate_logs
 from .seeding import agent_trainable_seed, restore_generator, seed_hierarchy
 from .trainables import build_trainable
 
@@ -45,23 +47,24 @@ class ExperimentResult:
     config: ExperimentConfig
     seed: int
     run_dir: str | None
-    metrics: list[MetricRow]
+    metrics: MetricTable
     events: list[EvolutionEvent]
     initial_hyperparams: dict[int, HyperparamVector]
     wall_clock: float
 
     def best_by_round(self) -> list[float]:
-        return best_fitness_by_round([r.fitness for r in self.metrics], self.config.num_agents)
+        return best_fitness_by_round(self.metrics.fitness, self.config.num_agents)
 
     def final_best(self) -> float:
         return self.best_by_round()[-1]
 
     def best_agent_at(self, round_no: int) -> int:
         """Best snapshot fitness at a round; ties go to the lower agent id."""
-        rows = [r for r in self.metrics if r.round == round_no]
-        if not rows:
+        n = self.config.num_agents
+        block = self.metrics.fitness[(round_no - 1) * n:round_no * n]
+        if round_no < 1 or not block:
             raise ValueError(f"no metrics for round {round_no}")
-        return min(rows, key=lambda r: (-r.fitness, r.agent_id)).agent_id
+        return block.index(max(block))
 
 
 class _Engine:
@@ -191,8 +194,9 @@ def run_experiment(
     With out_dir=None the run happens entirely in memory (no files).
     resume=True picks up from the latest checkpoint in out_dir and
     truncates any partial rows written after it; it refuses a directory
-    whose config.json differs from this run's config, or whose event log
-    read_events refuses (as `popsched lineage` does), and touches no file then.
+    whose config.json differs from this run's config, whose event log
+    read_events refuses (as `popsched lineage` does), or whose metrics rows
+    up to the checkpoint read_metrics refuses, and touches no file then.
     """
     config.validate()
     seed = config.seeds[0] if seed is None else int(seed)
@@ -203,17 +207,17 @@ def run_experiment(
     run = RunDir(out_dir) if out_dir is not None else None
     engine = _Engine(config, seed)
     start_round = 0
-    metrics: list[MetricRow] = []
+    metrics = MetricTable(config)
     all_events: list[EvolutionEvent] = []
 
     if resume:
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
         start_round = engine.restore_checkpoint(run.resume_state(config, seed))
-        # events first: a log the reader's check refuses leaves both logs as they are
-        all_events = truncate_log(run.events, start_round, partial(
-            read_events, num_agents=config.num_agents, num_hyperparams=len(config.search_space)))
-        metrics = truncate_log(run.metrics, start_round, read_metrics, header=1)
+        read_log = partial(read_events, num_agents=config.num_agents, num_hyperparams=len(config.search_space))
+        all_events, metrics = truncate_logs(
+            (run.events, lambda path, lines: [ev for ev in read_log(path, lines) if ev.round <= start_round], 0),
+            (run.metrics, partial(read_metrics, config=config, rounds=start_round), 1))
     else:
         engine.init_population()
         if run is not None:
@@ -231,13 +235,11 @@ def run_experiment(
     )
     for round_no in range(start_round + 1, last_round + 1):
         engine.train_eval_round()
-        round_rows = [
-            MetricRow(round_no, a.agent_id, a.subpop_id, a.snapshot_fitness, a.hyperparams.values)
-            for a in engine.population.agents
-        ]
-        metrics.extend(round_rows)
+        agents = engine.population.agents  # in agent-id order
+        metrics.fitness.extend([a.snapshot_fitness for a in agents])
+        metrics.hyperparams.extend([a.hyperparams.values for a in agents])
         if run is not None:
-            run.append_metrics(round_rows)
+            run.append_metrics(metrics[-len(agents):])
         events = engine.barrier_events(round_no)
         all_events.extend(events)
         if run is not None and events:

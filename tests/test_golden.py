@@ -27,10 +27,9 @@ from popsched.cli import main
 from popsched.config import ExperimentConfig
 from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.presets import PRESETS, get_preset
-from popsched.rundir import read_metric_columns
 from popsched.runner import run_experiment
 
-from test_logs import assert_readers_match_per_line, per_cell
+from test_logs import assert_readers_match_per_line, per_cell, read_metric_columns
 
 # Two of every preset's largest evolution and backtracking periods.
 PRESET_ROUNDS = 104

@@ -28,7 +28,7 @@ from popsched.events import (
     validate_event_log,
 )
 from popsched.presets import get_preset
-from popsched.rundir import read_metric_columns
+from popsched.rundir import _metric_table
 from popsched.runner import run_experiment
 
 from test_runner import small_config
@@ -297,6 +297,13 @@ def test_to_json_line_is_what_json_dumps_writes(ids, kind, source_round, hyperpa
 
 
 # ------------------------------------------------------------- metrics.csv
+
+def read_metric_columns(path) -> list[list]:
+    """metrics.csv by column as rundir's one np.loadtxt parse reads it: rounds, agent ids,
+    subpop ids, fitness, then one column per hyperparameter."""
+    table = _metric_table(path)
+    return [table[name].tolist() for name in table.dtype.names]
+
 
 def per_cell(path) -> list[list]:
     """metrics.csv converted cell by cell with int and float."""

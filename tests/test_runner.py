@@ -23,7 +23,13 @@ from popsched.events import (
     EvolutionEvent,
     event_from_json_line,
 )
-from popsched.rundir import MetricRow, load_run_config, read_metric_columns, read_metrics, read_run
+from popsched.rundir import (
+    MetricRow,
+    MetricTable,
+    load_run_config,
+    read_metrics,
+    read_run,
+)
 from popsched.runner import run_experiment
 from popsched.seeding import agent_trainable_seed
 from popsched.trainables import TwoBasinTrainable, build_trainable
@@ -455,7 +461,7 @@ def test_run_directory_artifacts(tmp_path):
     assert cfg_echo.seeds == (6,)
     assert cfg_echo.algorithm == "pbt"
 
-    rows = read_metrics(out / "metrics.csv")
+    rows = read_metrics(out / "metrics.csv", cfg)
     assert rows == res.metrics
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "round,agent_id,subpop_id,fitness,sigma"
@@ -777,10 +783,30 @@ def test_final_best_of_a_run_stopped_early_is_its_last_round_best():
 def test_best_agent_tie_breaks_toward_lower_id():
     cfg = small_config("rs", total_steps=5)
     res = run_experiment(cfg, seed=0)
-    res.metrics = [row(1, 0, 2.0), row(1, 1, 5.0), row(1, 2, 5.0), row(1, 3, 1.0)]
+    res.metrics = MetricTable(cfg, [2.0, 5.0, 5.0, 1.0], [(1.0,)] * 4)
+    assert res.metrics == [row(1, 0, 2.0), row(1, 1, 5.0), row(1, 2, 5.0), row(1, 3, 1.0)]
     assert res.best_agent_at(1) == 1
-    with pytest.raises(ValueError, match="no metrics for round 9"):
-        res.best_agent_at(9)
+    for round_no in (0, -1, 9):
+        with pytest.raises(ValueError, match=f"no metrics for round {round_no}"):
+            res.best_agent_at(round_no)
+
+
+def test_result_metrics_read_as_a_list_of_metric_rows():
+    cfg = small_config("mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2), total_steps=30)
+    res = run_experiment(cfg, seed=3)
+    rows = [MetricRow(r, a, a // 4, f, h) for (r, a, _, f, h) in res.metrics]
+    assert len(res.metrics) == len(rows) == 8 * cfg.num_rounds
+    assert all(type(v) is int for r in res.metrics for v in r[:3])
+    assert all(type(r.fitness) is float and type(r) is MetricRow for r in res.metrics)
+    assert list(map(repr, res.metrics)) == list(map(repr, rows))
+    assert res.metrics[-1] == rows[-1] and res.metrics[-8] == rows[-8] and res.metrics[-8].subpop_id == 0
+    assert res.metrics[-9:-7] == rows[-9:-7]
+    with pytest.raises(IndexError):
+        res.metrics[len(rows)]
+    assert res.metrics == rows and rows == res.metrics
+    assert not (res.metrics != rows or rows != res.metrics)
+    assert res.metrics != rows[:-1] and rows[:-1] != res.metrics
+    assert res.metrics != tuple(rows)
 
 
 # ----------------------------------------------------------- event schema
@@ -853,11 +879,12 @@ def test_read_run_returns_what_the_run_wrote(tmp_path):
     out = tmp_path / "run"
     cfg = small_config("mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2), total_steps=30)
     res = run_experiment(cfg, seed=6, out_dir=out)
-    config, seed, columns = read_run(out)
+    config, seed, metrics = read_run(out)
     assert (config, seed) == load_run_config(out)
-    assert columns == read_metric_columns(out / "metrics.csv")
-    assert list(map(MetricRow, *columns[:4], zip(*columns[4:]))) == res.metrics
-    assert set(columns[2]) == {0, 1}
+    cells = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert metrics == [MetricRow(int(r), int(a), int(s), float(f), tuple(map(float, h)))
+                       for r, a, s, f, *h in cells] == res.metrics
+    assert {row.subpop_id for row in metrics} == {0, 1}
 
 
 # ------------------------------------------------------------ metrics.csv
@@ -871,4 +898,4 @@ def test_read_metrics_names_the_file_and_line_of_a_malformed_row(tmp_path, tail,
     rows = [f"{r},{a},0,{r + a / 10!r},0.5" for r in (1, 2) for a in (0, 1)]
     path.write_text("round,agent_id,subpop_id,fitness,sigma\n" + "\n".join(rows) + "\n" + tail)
     with pytest.raises(ValueError, match=rf"^{path}: line {line}: "):
-        read_metrics(path)
+        read_metrics(path, small_config(), 1)  # parsed before the rows' shape is checked
