@@ -216,7 +216,7 @@ def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:
     raise ValueError(f"{path}: {error}")
 
 
-def truncate_logs(*logs: tuple[Path, Callable[[Path, list[str]], Sequence], int]) -> list[Sequence]:
+def truncate_logs(*logs: tuple[Path, Callable[..., Sequence], int]) -> list[Sequence]:
     """Cut each (path, read, header) log back to the prefix of records read(path, lines) keeps,
     dropping blank lines and a line torn by a kill mid-write (read never sees it); returns
     the kept records. Every log is read before any is rewritten, once it needs to be."""

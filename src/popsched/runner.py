@@ -19,7 +19,8 @@ All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
 the whole run; payloads are exported only where state is persisted
 (checkpoints and the elite archive); a metrics row keeps the hyperparameter
-tuple its agent held (rundir.MetricTable). The files are formatted by rundir.
+tuple its agent held (rundir.MetricTable). The files themselves are named
+and formatted by the rundir module.
 """
 
 from __future__ import annotations

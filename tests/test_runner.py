@@ -525,6 +525,22 @@ def test_resume_error_cases(tmp_path):
         run_experiment(cfg, seed=0, out_dir=out, resume=True)
 
 
+def test_resume_from_a_stale_checkpoint_past_the_logs_is_refused_and_touches_nothing(tmp_path):
+    """A fresh run killed at round 7 in a directory that still holds a round-40 checkpoint."""
+    cfg = small_config("pbt_bt", num_agents=8, total_steps=5 * 50, elite_capacity=4,
+                       backtrack_period=3, checkpoint_every=5)
+    out = tmp_path / "run"
+    run_experiment(cfg, seed=1, out_dir=out, stop_after_round=40)
+    run_experiment(cfg, seed=1, out_dir=out, stop_after_round=7)
+    assert (out / "checkpoints" / "round_000040.json").exists()
+    before = _run_files(out)
+    metrics = out / "metrics.csv"
+    with pytest.raises(ValueError, match=rf"^{metrics}: line {2 + 7 * 8}: expected round 8, agent 0, "
+                                         "subpop_id 0, a finite fitness; found the end of the file$"):
+        run_experiment(cfg, seed=1, out_dir=out, resume=True)
+    assert _run_files(out) == before
+
+
 def test_resume_refuses_another_config_naming_the_first_differing_field(tmp_path):
     cfg = small_config("pbt", checkpoint_every=1)
     run_experiment(cfg, seed=3, out_dir=tmp_path, stop_after_round=2)
