@@ -9,6 +9,7 @@ line is named by file and line.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -273,6 +274,24 @@ def test_an_in_memory_run_keeps_at_most_32_bytes_per_metric_row():
     tracemalloc.start()
     try:
         res = run_experiment(config, seed=0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.events == [] and len(res.metrics) == config.num_agents * config.num_rounds
+    assert retained / len(res.metrics) <= 32
+
+
+def test_a_resumed_run_keeps_at_most_32_bytes_per_metric_row(tmp_path):
+    """Resume reads rounds 1..200 of 400 back from metrics.csv; rows with equal vectors share
+    one tuple there, as the rows of a run in one go share the tuple their agent holds. A tuple
+    per row read took about 42 B a row; the warm-up resume keeps one-time caches out."""
+    config = dataclasses.replace(get_preset("twobasin-rs"), checkpoint_every=200)
+    for out in (tmp_path / "warm", tmp_path / "run"):
+        run_experiment(config, seed=0, out_dir=out, stop_after_round=200)
+    run_experiment(config, seed=0, out_dir=tmp_path / "warm", resume=True)
+    tracemalloc.start()
+    try:
+        res = run_experiment(config, seed=0, out_dir=tmp_path / "run", resume=True)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
