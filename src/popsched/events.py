@@ -20,7 +20,7 @@ import math
 from contextlib import nullcontext
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 SURVIVE = "survive"
 PERTURBED_CLONE = "perturbed_clone"
@@ -212,11 +212,10 @@ def _event_blocks(path, lines=None, num_agents=None, num_hyperparams=None):
             first += len(block)
 
 
-def write_events(path, events: Iterable[EvolutionEvent]) -> None:
-    """Append events to path, one JSON line each, in one write."""
-    lines = "".join([ev.to_json_line() + "\n" for ev in events])
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(lines)
+def write_events(log: TextIO, events: Iterable[EvolutionEvent]) -> None:
+    """Append events to the open log, one JSON line each, in one write, and flush it."""
+    log.write("".join([ev.to_json_line() + "\n" for ev in events]))
+    log.flush()
 
 
 def read_payload_events(path, num_agents: int | None = None,

@@ -10,8 +10,10 @@
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
 one, never a partial one. A resume rewrites a log only when it drops a
-torn line, a blank line or a record after the checkpoint. metrics.csv is
-parsed by one np.loadtxt call; a resume decodes each log line once.
+torn line, a blank line or a record after the checkpoint. A RunDir holds
+both logs open for the run once create or truncate_logs is done (open_logs)
+and formats each vector's cells once. metrics.csv is parsed by one
+np.loadtxt call; a resume decodes each log line once.
 read_metrics, the one reader of its rows, takes them only in the shape the
 writer writes: rounds 1..R in order, each num_agents rows in agent-id order
 with the config's subpop_id for that agent and a finite fitness. For
@@ -29,6 +31,7 @@ import warnings
 from array import array
 from collections import Counter
 from collections.abc import Sequence
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -95,6 +98,7 @@ class RunDir:
         self.checkpoints = self.root / "checkpoints"
         self.result = self.root / "result.json"
         self.schedule = self.root / "schedule.csv"
+        self._cells: dict[tuple[float, ...], str] = {}  # a vector's metrics.csv cells, once per run
 
     def create(self, config: ExperimentConfig, seed: int) -> None:
         """Start a fresh run: config echo, header-only metrics.csv, empty events.jsonl."""
@@ -107,11 +111,24 @@ class RunDir:
         if config.checkpoint_every > 0:
             self.checkpoints.mkdir(exist_ok=True)
 
-    def append_metrics(self, rows: Sequence[MetricRow]) -> None:
-        with open(self.metrics, "a", encoding="utf-8") as fh:
-            for row in rows:
-                values = map(fmt, (row.fitness, *row.hyperparams))
-                fh.write(",".join([str(row.round), str(row.agent_id), str(row.subpop_id), *values]) + "\n")
+    @contextmanager
+    def open_logs(self):
+        """Hold metrics.csv and events.jsonl open for append as metrics_log and events_log; both close on any exit."""
+        with (open(self.metrics, "a", encoding="utf-8") as self.metrics_log,
+              open(self.events, "a", encoding="utf-8") as self.events_log):
+            yield
+
+    def append_metrics(self, table: MetricTable, start: int) -> None:
+        """Write table's rows from index start (a round boundary) in one write, and flush. Ids follow the
+        row index; a vector's cells are formatted once per run (positive reals: equal vectors print alike)."""
+        n, per, cells, vectors = table.num_agents, table.subpop_size, self._cells, table.hyperparams[start:]
+        for hps in vectors:
+            if hps not in cells:
+                cells[hps] = ",".join(map(fmt, hps))
+        rows = zip(range(start, len(table)), table.fitness[start:], vectors)  # fitness!r is fmt(fitness)
+        self.metrics_log.write("".join([f"{k // n + 1},{k % n},{k % n // per},{fitness!r},{cells[hps]}\n"
+                                        for k, fitness, hps in rows]))
+        self.metrics_log.flush()
 
     def write_checkpoint(self, round_no: int, state: str) -> None:
         """state: the engine state as json.dumps writes it (runner.checkpoint_text)."""
@@ -187,7 +204,8 @@ def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
                  if i < len(row) else "the end of the file")
         cut = " on a last line with no newline, cut short" if torn and i == len(row) - 1 else ""
         raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}{cut}")
-    return MetricTable(config, fitness.tobytes(), zip(*(table[h].tolist() for h in table.dtype.names[4:])))
+    kept, vectors = zip(*(table[h].tolist() for h in table.dtype.names[4:])), {}  # one tuple per distinct vector
+    return MetricTable(config, fitness.tobytes(), [vectors.setdefault(hps, hps) for hps in kept])
 
 
 def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:

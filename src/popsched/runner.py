@@ -5,12 +5,13 @@ evaluated; at the round barrier the configured scheduler may rewrite
 agents in place, emitting the events that describe what it did. Random
 search does nothing there; every other barrier runs mfpbt_round (PBT as
 its one-sub-population case) unless PBT with backtracking backtracks.
-Each round appends (and flushes) its metrics, then runs the barrier,
-then appends its events, then writes its checkpoint, so a crashed run
-leaves a valid prefix on disk that a resume picks up; resume reads the
-events with read_events, whose check `popsched lineage` runs too, and the
-metrics rows up to the checkpoint with read_metrics, before it rewrites
-either. A checkpoint is json.dumps of the engine state with the elite
+Through the run's two open logs (RunDir.open_logs), each round writes
+and flushes its metric rows, then runs the barrier, then writes and
+flushes its events, then writes its checkpoint, so a crashed run leaves a
+valid prefix on disk that a resume picks up; resume reads the events with
+read_events, whose check `popsched lineage` runs too, and the metrics rows
+up to the checkpoint with read_metrics, and rewrites either before it
+opens them. A checkpoint is json.dumps of the engine state with the elite
 archive's JSON spliced in, encoded only when the archive changed; a
 trainable is given hyperparameters only when its agent's vector changed
 (or was restored).
@@ -29,6 +30,7 @@ import json
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -234,19 +236,20 @@ def run_experiment(
     last_round = config.num_rounds if stop_after_round is None else min(
         stop_after_round, config.num_rounds
     )
-    for round_no in range(start_round + 1, last_round + 1):
-        engine.train_eval_round()
-        agents = engine.population.agents  # in agent-id order
-        metrics.fitness.extend([a.snapshot_fitness for a in agents])
-        metrics.hyperparams.extend([a.hyperparams.values for a in agents])
-        if run is not None:
-            run.append_metrics(metrics[-len(agents):])
-        events = engine.barrier_events(round_no)
-        all_events.extend(events)
-        if run is not None and events:
-            write_events(run.events, events)
-        if run is not None and config.checkpoint_every > 0 and round_no % config.checkpoint_every == 0:
-            run.write_checkpoint(round_no, engine.checkpoint_text(round_no))
+    with run.open_logs() if run is not None else nullcontext():
+        for round_no in range(start_round + 1, last_round + 1):
+            engine.train_eval_round()
+            agents = engine.population.agents  # in agent-id order
+            metrics.fitness.extend([a.snapshot_fitness for a in agents])
+            metrics.hyperparams.extend([a.hyperparams.values for a in agents])
+            if run is not None:
+                run.append_metrics(metrics, len(metrics) - len(agents))
+            events = engine.barrier_events(round_no)
+            all_events.extend(events)
+            if run is not None and events:
+                write_events(run.events_log, events)
+            if run is not None and config.checkpoint_every > 0 and round_no % config.checkpoint_every == 0:
+                run.write_checkpoint(round_no, engine.checkpoint_text(round_no))
 
     result = ExperimentResult(
         config=config,

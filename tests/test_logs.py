@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tempfile
 import tracemalloc
 import warnings
 
@@ -29,7 +30,7 @@ from popsched.events import (
     validate_event_log,
 )
 from popsched.presets import get_preset
-from popsched.rundir import _metric_table
+from popsched.rundir import RunDir, _metric_table, fmt, read_metrics
 from popsched.runner import run_experiment
 
 from test_runner import small_config
@@ -400,3 +401,54 @@ def test_an_id_numpy_reads_through_a_float_with_a_warning_is_refused(tmp_path, m
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match=rf"^{path}: line 3: "):
             read_metric_columns(path)
+
+
+def per_row_text(rows) -> str:
+    """The writer's bytes as its per-row formatter wrote them: the oracle for append_metrics."""
+    return "".join(",".join([str(r), str(a), str(s), *map(fmt, (fitness, *hps))]) + "\n"
+                   for r, a, s, fitness, hps in rows)
+
+
+a_fitness = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2])
+a_value = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from([5e-324, 1e16, 1e-7, 0.1 + 0.2])
+
+
+@st.composite
+def metric_appends(draw):
+    """A run's rows and its appends: blocks of whole rounds, each flagged when a resume (a
+    fresh RunDir and the rows read back) comes before it. A row's vector is one of a few
+    tuples, by identity, or an equal copy of one."""
+    subpop_size, num_subpops = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    num_agents, rounds = subpop_size * num_subpops, draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[a_value] * width), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans(), a_fitness),
+                          min_size=num_agents * rounds, max_size=num_agents * rounds))
+    rows = [(k // num_agents + 1, k % num_agents, k % num_agents // subpop_size, fitness,
+             tuple(map(float, map(repr, pool[i]))) if copy else pool[i])
+            for k, (i, copy, fitness) in enumerate(picks)]
+    cuts = sorted(draw(st.sets(st.integers(1, rounds - 1), max_size=3)) if rounds > 1 else set())
+    resumes = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+    config = dataclasses.replace(small_config(), num_agents=num_agents, num_subpops=num_subpops)
+    blocks = [(start * num_agents, end * num_agents, resume)
+              for start, end, resume in zip([0, *cuts], [*cuts, rounds], [True, *resumes])]
+    header = ",".join(["round", "agent_id", "subpop_id", "fitness", *(f"h{i}" for i in range(width))])
+    return config, header + "\n", rows, blocks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run=metric_appends())
+def test_metric_rows_are_written_as_the_per_row_formatter_wrote_them(run):
+    config, header, rows, blocks = run
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = RunDir(tmp)
+        run_dir.metrics.write_text(header, encoding="utf-8")
+        for start, end, resume in blocks:
+            if resume:
+                run_dir = RunDir(tmp)
+                table = read_metrics(run_dir.metrics, config, rounds=start // config.num_agents)
+            with run_dir.open_logs():
+                table.fitness.extend([row[3] for row in rows[start:end]])
+                table.hyperparams.extend([row[4] for row in rows[start:end]])
+                run_dir.append_metrics(table, start)
+        assert run_dir.metrics.read_text(encoding="utf-8") == header + per_row_text(rows)

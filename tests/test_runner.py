@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -620,6 +621,85 @@ def test_resume_ignores_temp_file_of_an_interrupted_checkpoint(tmp_path, monkeyp
     assert len(names) == 5  # the leftover temp file of round 5
     run_experiment(cfg, seed=2, out_dir=part, resume=True)
     assert _run_files(part) == _run_files(full)
+
+
+def _rounds_upto(run_dir: Path, num_agents: int, round_no: int) -> tuple[str, str]:
+    """A run directory's metrics.csv and events.jsonl cut to rounds 1..round_no."""
+    header, *rows = (run_dir / "metrics.csv").read_text().splitlines(keepends=True)
+    events = (run_dir / "events.jsonl").read_text().splitlines(keepends=True)
+    return (header + "".join(rows[:round_no * num_agents]),
+            "".join(line for line in events if json.loads(line)["round"] <= round_no))
+
+
+def test_every_checkpoint_finds_its_rounds_flushed_to_both_logs(tmp_path, monkeypatch):
+    """A run killed in round 8's barrier, then resumed from round 7: when round r's checkpoint
+    is written, both logs read through a fresh handle hold rounds 1..r of a run in one go."""
+    cfg = _checkpointed_pbt_bt()
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+    checked, killed = [], []
+    real_checkpoint, real_barrier = rundir.RunDir.write_checkpoint, runner._Engine.barrier_events
+
+    def write_checkpoint(self, round_no, state):
+        with open(self.metrics, encoding="utf-8") as metrics, open(self.events, encoding="utf-8") as evs:
+            assert (metrics.read(), evs.read()) == _rounds_upto(full, cfg.num_agents, round_no), round_no
+        checked.append(round_no)
+        real_checkpoint(self, round_no, state)
+
+    def barrier_events(self, round_no):
+        if round_no == 8 and not killed:
+            killed.append(round_no)
+            raise RuntimeError("killed")
+        return real_barrier(self, round_no)
+
+    monkeypatch.setattr(rundir.RunDir, "write_checkpoint", write_checkpoint)
+    monkeypatch.setattr(runner._Engine, "barrier_events", barrier_events)
+    with pytest.raises(RuntimeError, match="killed"):
+        run_experiment(cfg, seed=2, out_dir=part)
+    assert (part / "metrics.csv").read_text().count("\n8,") == cfg.num_agents  # resume drops these
+    run_experiment(cfg, seed=2, out_dir=part, resume=True)
+    assert checked == list(range(1, cfg.num_rounds + 1))
+    assert _run_files(part) == _run_files(full)
+
+
+@pytest.mark.parametrize("fault,last_round", [("non-finite fitness", 2), ("checkpoint", 5)])
+def test_a_run_that_raises_closes_both_logs_and_keeps_its_flushed_rounds(tmp_path, monkeypatch, fault,
+                                                                           last_round):
+    """A non-finite fitness in round 3, or a checkpoint write failing at round 5."""
+    cfg = _checkpointed_pbt_bt()
+    full, part = tmp_path / "full", tmp_path / "part"
+    run_experiment(cfg, seed=2, out_dir=full)
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    real_checkpoint_dict, real_evaluate, evaluated = runner._Engine.checkpoint_dict, TwoBasinTrainable.evaluate, []
+
+    def checkpoint_dict(self, round_no):
+        if round_no == 5:
+            raise OSError("disk full")
+        return real_checkpoint_dict(self, round_no)
+
+    def evaluate(self, repeats):
+        evaluated.append(self)
+        return math.nan if len(evaluated) == 2 * cfg.num_agents + 1 else real_evaluate(self, repeats)
+
+    if fault == "checkpoint":
+        monkeypatch.setattr(runner._Engine, "checkpoint_dict", checkpoint_dict)
+    else:
+        monkeypatch.setattr(TwoBasinTrainable, "evaluate", evaluate)
+    monkeypatch.setattr(rundir, "open", spy_open, raising=False)
+    with pytest.raises((OSError, ValueError), match="disk full|non-finite fitness nan"):
+        run_experiment(cfg, seed=2, out_dir=part)
+    monkeypatch.undo()
+
+    logs = [fh for fh in opened if fh.mode == "a"]
+    assert [Path(fh.name).name for fh in logs] == ["metrics.csv", "events.jsonl"]
+    assert all(fh.closed for fh in opened)
+    on_disk = ((part / "metrics.csv").read_text(), (part / "events.jsonl").read_text())
+    assert on_disk == _rounds_upto(full, cfg.num_agents, last_round)
 
 
 def test_checkpoint_text_is_json_dumps_of_checkpoint_dict_at_every_round(tmp_path, monkeypatch):
