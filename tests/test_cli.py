@@ -456,6 +456,15 @@ def _set_cell(lines, i, column, value):
 
 # Each fault breaks the lines of an 8-agent, 64-round metrics.csv and gives the
 # first line (1-based) that is not what the writer puts there.
+def _set_sigma(round_no, agent_id, cell):
+    """A fault that writes cell as the sigma of round_no, agent_id; it returns the lines and that row's line."""
+    index = _row_index(round_no, agent_id)
+    return lambda lines: (_set_cell(lines, index, 4, cell + "\n"), index + 1)
+
+
+# Faults that leave a sigma cell no run writes (a hyperparameter is a positive finite real), and that cell.
+SIGMA_CELLS = {"negative-sigma": "-0.5", "zero-sigma": "0.0", "negative-zero-sigma": "-0.0", "inf-sigma": "inf",
+               "nan-sigma": "nan"}
 MALFORMED_METRICS = {
     "short-row": lambda lines: (lines + ["401,3\n"], len(lines) + 1),
     "missing-row": lambda lines: (lines[:_row_index(63, 6)] + lines[_row_index(63, 7):],
@@ -474,6 +483,7 @@ MALFORMED_METRICS = {
     "last-line-cut-short": lambda lines: (lines[:-1] + [lines[-1][:lines[-1].rindex(",") + 2]], len(lines)),
     "last-row-three-cells": lambda lines: (lines[:-1] + [",".join(lines[-1].split(",")[:3]) + "\n"],
                                            len(lines)),
+    **{fault: _set_sigma(63, 6, cell) for fault, cell in SIGMA_CELLS.items()},
 }
 # Faults that leave a row with the wrong number of cells, and that number.
 CELLS_FOUND = {"short-row": 2, "last-row-three-cells": 3}
@@ -501,6 +511,11 @@ def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, co
         width = len(lines[0].split(","))
         assert envelope["message"] == (
             f"{metrics}: line {line_no}: expected {width} cells; found {CELLS_FOUND[fault]}")
+    if fault in SIGMA_CELLS:
+        fitness = lines[line_no - 1].split(",")[3]
+        assert envelope["message"] == (
+            f"{metrics}: line {line_no}: expected round 63, agent 6, subpop_id 0, a finite fitness and positive "
+            f"finite hyperparameters; found round 63, agent 6, subpop_id 0, fitness {fitness}, sigma {SIGMA_CELLS[fault]}")
 
 
 
@@ -700,6 +715,82 @@ def test_resume_over_metrics_with_a_kept_row_missing_exits_1_and_touches_nothing
         f"{metrics}: line {index + 1}: expected round 3, agent 2, subpop_id 0, a finite fitness; "
         f"found round 3, agent 3, subpop_id 0, fitness {fitness!r}")}
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("cell", ["-0.5", "nan"])
+def test_resume_over_a_sigma_cell_no_run_writes_exits_1_and_touches_nothing(tmp_path, capsys, cell):
+    """Round 1, agent 4's sigma below a round-2 checkpoint: refused before any round is trained."""
+    path = tiny_config_file(tmp_path, algorithm="pbt", num_agents=8, total_steps=5 * 8, checkpoint_every=2)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
+                   out_dir=out, stop_after_round=3)
+    metrics = out / "metrics.csv"
+    lines, line_no = _set_sigma(1, 4, cell)(metrics.read_text().splitlines(keepends=True))
+    metrics.write_text("".join(lines))
+    fitness = lines[line_no - 1].split(",")[3]
+
+    code, envelope = _resume_refused(capsys, path, out)
+    assert code == 1
+    assert envelope == {"error": "ValueError", "message": (
+        f"{metrics}: line {line_no}: expected round 1, agent 4, subpop_id 0, a finite fitness and positive finite "
+        f"hyperparameters; found round 1, agent 4, subpop_id 0, fitness {fitness}, sigma {cell}")}
+
+
+def _resume_refused(capsys, path, out):
+    """Resume out under the config at path; the refusal's exit code, envelope, and no file touched."""
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+    return code, json.loads(err)
+
+
+def test_resume_from_a_checkpoint_of_another_population_size_exits_2_and_touches_nothing(tmp_path, capsys):
+    """A 16-agent run checkpointed at round 10; a 32-agent run of the same config reuses the directory."""
+    data = get_preset("twobasin-pbt-delta1").to_json_dict()
+    data.update(total_steps=40 * data["t_ready"], checkpoint_every=5)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(data), seed=0, out_dir=out, stop_after_round=10)
+    data.update(num_agents=32, checkpoint_every=20)
+    path = tmp_path / "n32.json"
+    path.write_text(json.dumps(data))
+    run_experiment(ExperimentConfig.from_json_dict(data), seed=0, out_dir=out, stop_after_round=15)
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["round_000005.json", "round_000010.json"]
+
+    code, envelope = _resume_refused(capsys, path, out)
+    assert code == 2
+    assert envelope == {"error": "ConfigError", "message": (
+        f"num_agents: {out / 'checkpoints' / 'round_000010.json'} holds 16 agents, but this run has 32")}
+
+
+CHECKPOINT_FAULTS = {
+    "swapped-agents": (lambda agents: [agents[1], agents[0], *agents[2:]],
+                       "agent_id: {} holds agent 1 where agent 0 belongs"),
+    "two-wide-vectors": (lambda agents: [{**a, "hyperparams": a["hyperparams"] * 2} for a in agents],
+                         "hyperparams: {} holds 2 values for agent 0, but search_space has 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_resume_from_a_checkpoint_the_run_cannot_hold_exits_2_and_touches_nothing(tmp_path, capsys, fault):
+    """The round-2 checkpoint of a 4-agent, one-hyperparameter run stopped at round 3, edited."""
+    path = tiny_config_file(tmp_path, algorithm="pbt", total_steps=5 * 8, checkpoint_every=2)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
+                   out_dir=out, stop_after_round=3)
+    checkpoint = out / "checkpoints" / "round_000002.json"
+    edit, message = CHECKPOINT_FAULTS[fault]
+    state = json.loads(checkpoint.read_text())
+    checkpoint.write_text(json.dumps({**state, "agents": edit(state["agents"])}))
+
+    code, envelope = _resume_refused(capsys, path, out)
+    assert code == 2
+    assert envelope == {"error": "ConfigError", "message": message.format(checkpoint)}
 
 # -------------------------------------------------------------- subprocess
 
