@@ -55,9 +55,6 @@ class EliteArchive:
         Only the snapshots that make the cut are exported; when none does,
         entries stays the same list, and so does its cached JSON.
         """
-        for a in agents:
-            if a.snapshot_fitness is None:
-                raise ValueError(f"agent {a.agent_id} has no snapshot fitness")
         merged = [((-e.fitness, e.agent_id, e.round), e) for e in self.entries]
         merged += [((-a.snapshot_fitness, a.agent_id, round_no), a) for a in agents]
         merged.sort(key=lambda pair: pair[0])

@@ -35,8 +35,6 @@ from .trainables import transfer_weights
 
 def subpop_due(round_no: int, delta: int) -> bool:
     """Sub-populations evolve on round multiples of their period (rounds start at 1)."""
-    if round_no < 1 or delta < 1:
-        raise ValueError(f"need round_no >= 1 and delta >= 1, got {round_no}, {delta}")
     return round_no % delta == 0
 
 
@@ -49,13 +47,8 @@ class PoolEntry:
 
 def build_external_pool(population: Population, subpop_id: int) -> list[PoolEntry]:
     """All agents outside sub-population subpop_id, best snapshot first."""
-    entries = []
-    for a in population.agents:
-        if a.subpop_id == subpop_id:
-            continue
-        if a.snapshot_fitness is None:
-            raise ValueError(f"agent {a.agent_id} has no snapshot fitness")
-        entries.append(PoolEntry(a.agent_id, a.subpop_id, a.snapshot_fitness))
+    entries = [PoolEntry(a.agent_id, a.subpop_id, a.snapshot_fitness)
+               for a in population.agents if a.subpop_id != subpop_id]
     entries.sort(key=lambda e: (-e.fitness, e.agent_id))
     return entries
 

@@ -22,8 +22,6 @@ PERTURB_FACTORS = (0.8, 1.25)
 def exploit(brackets: Brackets) -> list[tuple[int, int]]:
     """Pair each loser with a winner: k-th loser <- (k mod W)-th winner."""
     winners = brackets.winners
-    if not winners:
-        raise ValueError("no winners to exploit")
     return [(loser, winners[k % len(winners)]) for k, loser in enumerate(brackets.losers)]
 
 
@@ -60,17 +58,13 @@ def pbt_evolution_step(
 ) -> list[EvolutionEvent]:
     """Run one truncation step over one sub-population, in place.
 
-    Non-losers continue unchanged and emit survive events in rank order.
-    Each loser takes its paired winner's weights; its hyperparameters
-    become the winner's perturbed by explore_perturb, except under
-    variance exploitation where the loser keeps its own (weights-only
-    cloning). Every agent must carry a snapshot fitness. The events name
-    every agent once, in rank order, so they also carry the ranking.
+    Non-losers continue unchanged and emit survive events in rank order. Each
+    loser takes its paired winner's weights; its hyperparameters become the
+    winner's perturbed by explore_perturb, except under variance exploitation
+    where the loser keeps its own (weights-only cloning). The events name every
+    agent once, in rank order, so they also carry the ranking.
     """
     by_id = {a.agent_id: a for a in agents}
-    missing = [a.agent_id for a in agents if a.snapshot_fitness is None]
-    if missing:
-        raise ValueError(f"agents without snapshot fitness: {missing}")
     ranked = rank_descending([(a.agent_id, a.snapshot_fitness) for a in agents])
     brackets = compute_brackets(ranked)
 

@@ -9,18 +9,21 @@
 
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
-one, never a partial one. A resume rewrites a log only when it drops a
-torn line, a blank line or a record after the checkpoint. A RunDir holds
-both logs open for the run once create or truncate_logs is done (open_logs)
-and formats each vector's cells once. metrics.csv is parsed by one
-np.loadtxt call; a resume decodes each log line once.
-read_metrics, the one reader of its rows, takes them only in the shape the
-writer writes: rounds 1..R in order, each num_agents rows in agent-id order
-with the config's subpop_id for that agent and a finite fitness. For
-`lineage` and `report` (read_run) that is the whole file, R at most
-num_rounds and the last row ending in a newline; for a resume, the rows up
-to its checkpoint. It refuses anything else with ValueError("<path>: line
-<n>: ..."), which the CLI exits 1 on, and returns a MetricTable.
+one, never a partial one. A resume takes the latest checkpoint only if it
+holds agents 0..num_agents-1 in order, each with len(search_space)
+hyperparameters (resume_state, before any file is touched), and rewrites
+a log only to drop a torn line, a blank line or a record after the
+checkpoint. A RunDir holds both logs open once create or truncate_logs is
+done (open_logs) and formats each vector's cells once. metrics.csv is
+parsed by one np.loadtxt call; a resume decodes each log line once.
+read_metrics, the one reader of its rows, takes them only in the shape
+the writer writes: rounds 1..R in order, each num_agents rows in agent-id
+order with the config's subpop_id for that agent, a finite fitness and
+positive finite hyperparameter cells. For `lineage` and `report`
+(read_run) that is the whole file, R at most num_rounds and the last row
+ending in a newline; for a resume, the rows up to its checkpoint. It
+refuses anything else with ValueError("<path>: line <n>: ..."), which the
+CLI exits 1 on, and returns a MetricTable.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class RunDir:
         _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [state])
 
     def resume_state(self, config: ExperimentConfig, seed: int) -> dict:
-        """The latest checkpoint, once config.json matches this run's echo.
+        """The latest checkpoint, once config.json matches this run's echo and the checkpoint this run's shape.
 
         Seeds are left out: restoring checks the checkpoint's master seed.
         """
@@ -149,7 +152,17 @@ class RunDir:
             if key != "seeds" and stored[key] != value:
                 raise ConfigError(f"{key}: {self.config} has {stored[key]!r}, but this run has {value!r}")
         with open(snaps[-1], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            state = json.load(fh)
+        n, width = config.num_agents, len(config.search_space)
+        if len(state["agents"]) != n:
+            raise ConfigError(f"num_agents: {snaps[-1]} holds {len(state['agents'])} agents, but this run has {n}")
+        for i, rec in enumerate(state["agents"]):
+            if rec["agent_id"] != i:
+                raise ConfigError(f"agent_id: {snaps[-1]} holds agent {rec['agent_id']!r} where agent {i} belongs")
+            if len(rec["hyperparams"]) != width:
+                raise ConfigError(f"hyperparams: {snaps[-1]} holds {len(rec['hyperparams'])} values for agent {i}, "
+                                  f"but search_space has {width}")
+        return state
 
     def write_result(self, result: ExperimentResult) -> None:
         rounds = result.config.num_rounds
@@ -189,23 +202,26 @@ def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
     n = config.num_agents
     last = n * (config.num_rounds if rounds is None else rounds)
     table = _metric_table(path, lines)[:None if rounds is None else last]
-    logged_rounds, agents, subpops, fitness = (table[name] for name in table.dtype.names[:4])
+    logged_rounds, agents, subpops, fitness, *hps = (table[name] for name in table.dtype.names)
     row = np.arange(len(table))
     torn = bool(lines and lines[-1].strip() and not lines[-1].endswith("\n"))  # as truncate_logs
     ok = np.append((logged_rounds == row // n + 1) & (agents == row % n) & (row < last) & (row < len(row) - torn)
-                   & (subpops == row % n // config.subpop_size) & np.isfinite(fitness),
+                   & (subpops == row % n // config.subpop_size) & np.isfinite(fitness)
+                   & np.logical_and.reduce([(0 < h) & (h < np.inf) for h in hps]),  # as every vector a run holds
                    len(row) % n == 0 if rounds is None else len(row) == last)  # no round cut short
     if not ok.all():
         i = int(ok.argmin())  # the first row not as written, or the end of the file
         line_no = ([k for k, line in enumerate(lines[1:], 2) if line.strip()] + [len(lines) + 1])[i]
-        want = (f"round {i // n + 1}, agent {i % n}, subpop_id {i % n // config.subpop_size}, "
-                "a finite fitness" if i < last else f"the end of the file after round {config.num_rounds}")
-        found = ("round {}, agent {}, subpop_id {}, fitness {!r}".format(*table[i].tolist())
+        want = (f"round {i // n + 1}, agent {i % n}, subpop_id {i % n // config.subpop_size}, a finite fitness "
+                "and positive finite hyperparameters" if i < last else
+                f"the end of the file after round {config.num_rounds}")
+        names = ("round", "agent", "subpop_id", "fitness", *config.search_space.names)
+        found = (", ".join(f"{name} {value!r}" for name, value in zip(names, table[i].tolist()))
                  if i < len(row) else "the end of the file")
         cut = " on a last line with no newline, cut short" if torn and i == len(row) - 1 else ""
         raise ValueError(f"{path}: line {line_no}: expected {want}; found {found}{cut}")
-    kept, vectors = zip(*(table[h].tolist() for h in table.dtype.names[4:])), {}  # one tuple per distinct vector
-    return MetricTable(config, fitness.tobytes(), [vectors.setdefault(hps, hps) for hps in kept])
+    kept, vectors = zip(*(h.tolist() for h in hps)), {}  # one tuple per distinct vector
+    return MetricTable(config, fitness.tobytes(), [vectors.setdefault(v, v) for v in kept])
 
 
 def _metric_table(path, lines: Sequence[str] | None = None) -> np.ndarray:

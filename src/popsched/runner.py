@@ -164,8 +164,7 @@ class _Engine:
         cfg = self.config
         per = cfg.subpop_size
         agents = []
-        for rec in data["agents"]:
-            i = int(rec["agent_id"])
+        for i, rec in enumerate(data["agents"]):  # agents 0..num_agents-1 in order (RunDir.resume_state)
             trainable = build_trainable(cfg.trainable)
             trainable.import_payload(rec["payload"])
             agents.append(
@@ -195,11 +194,12 @@ def run_experiment(
     """Run one seed of one configured experiment.
 
     With out_dir=None the run happens entirely in memory (no files).
-    resume=True picks up from the latest checkpoint in out_dir and
-    truncates any partial rows written after it; it refuses a directory
-    whose config.json differs from this run's config, whose event log
-    read_events refuses (as `popsched lineage` does), or whose metrics rows
-    up to the checkpoint read_metrics refuses, and touches no file then.
+    resume=True picks up from the latest checkpoint in out_dir and truncates
+    any partial rows written after it; it refuses a directory whose
+    config.json differs from this run's config, whose checkpoint holds another
+    population or width (RunDir.resume_state), whose event log read_events
+    refuses (as `popsched lineage` does), or whose metrics rows up to the
+    checkpoint read_metrics refuses, and touches no file then.
     """
     config.validate()
     seed = config.seeds[0] if seed is None else int(seed)

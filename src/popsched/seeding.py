@@ -19,8 +19,6 @@ def seed_hierarchy(master_seed: int, agent_id: int, stream_kind: str) -> np.rand
         code = STREAM_KINDS[stream_kind]
     except KeyError:
         raise ValueError(f"unknown stream kind {stream_kind!r}") from None
-    if master_seed < 0 or agent_id < 0:
-        raise ValueError("master_seed and agent_id must be non-negative")
     ss = np.random.SeedSequence((int(master_seed), int(agent_id), code))
     return np.random.default_rng(ss)
 

@@ -461,8 +461,4 @@ def build_trainable(spec: Mapping) -> Trainable:
 
 def transfer_weights(source: Trainable, target: Trainable) -> None:
     """Copy source's weights into target in place; target keeps its own streams."""
-    if source.kind != target.kind:
-        raise ValueError(
-            f"cannot transfer weights across kinds {source.kind!r} -> {target.kind!r}"
-        )
     target.import_weights(source.export_weights())

@@ -515,7 +515,8 @@ def test_malformed_metrics_row_exits_1_naming_file_and_line(tmp_path, capsys, co
         fitness = lines[line_no - 1].split(",")[3]
         assert envelope["message"] == (
             f"{metrics}: line {line_no}: expected round 63, agent 6, subpop_id 0, a finite fitness and positive "
-            f"finite hyperparameters; found round 63, agent 6, subpop_id 0, fitness {fitness}, sigma {SIGMA_CELLS[fault]}")
+            f"finite hyperparameters; found round 63, agent 6, subpop_id 0, fitness {fitness}, "
+            f"sigma {SIGMA_CELLS[fault]}")
 
 
 
@@ -707,13 +708,13 @@ def test_resume_over_metrics_with_a_kept_row_missing_exits_1_and_touches_nothing
     assert lines[index].startswith("3,2,0,")
     metrics.write_text("".join(lines[:index] + lines[index + 1:]))
     before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-    fitness = float(lines[index + 1].split(",")[3])
+    fitness, sigma = map(float, lines[index + 1].split(",")[3:])
 
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
     assert code == 1
     assert json.loads(err) == {"error": "ValueError", "message": (
-        f"{metrics}: line {index + 1}: expected round 3, agent 2, subpop_id 0, a finite fitness; "
-        f"found round 3, agent 3, subpop_id 0, fitness {fitness!r}")}
+        f"{metrics}: line {index + 1}: expected round 3, agent 2, subpop_id 0, a finite fitness and positive "
+        f"finite hyperparameters; found round 3, agent 3, subpop_id 0, fitness {fitness!r}, sigma {sigma!r}")}
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 

@@ -75,6 +75,7 @@ def small_config(algorithm="rs", **overrides) -> ExperimentConfig:
         ("workers", dict(workers=0)),
         ("deltas", dict(deltas=())),
         ("deltas", dict(algorithm="mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2.5))),
+        ("deltas", dict(algorithm="mfpbt", num_agents=8, num_subpops=2, deltas=(1, 0))),
     ],
 )
 def test_validation_errors_name_the_field(field, overrides):
@@ -537,7 +538,8 @@ def test_resume_from_a_stale_checkpoint_past_the_logs_is_refused_and_touches_not
     before = _run_files(out)
     metrics = out / "metrics.csv"
     with pytest.raises(ValueError, match=rf"^{metrics}: line {2 + 7 * 8}: expected round 8, agent 0, "
-                                         "subpop_id 0, a finite fitness; found the end of the file$"):
+                                         "subpop_id 0, a finite fitness and positive finite hyperparameters; "
+                                         "found the end of the file$"):
         run_experiment(cfg, seed=1, out_dir=out, resume=True)
     assert _run_files(out) == before
 
