@@ -138,7 +138,7 @@ class RunDir:
         _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [state])
 
     def resume_state(self, config: ExperimentConfig, seed: int) -> dict:
-        """The latest checkpoint, once config.json matches this run's echo and the checkpoint this run's shape.
+        """The latest checkpoint, once config.json matches this run's echo and its agents and width fit this run.
 
         Seeds are left out: restoring checks the checkpoint's master seed.
         """
@@ -153,10 +153,10 @@ class RunDir:
                 raise ConfigError(f"{key}: {self.config} has {stored[key]!r}, but this run has {value!r}")
         with open(snaps[-1], "r", encoding="utf-8") as fh:
             state = json.load(fh)
-        n, width = config.num_agents, len(config.search_space)
-        if len(state["agents"]) != n:
-            raise ConfigError(f"num_agents: {snaps[-1]} holds {len(state['agents'])} agents, but this run has {n}")
-        for i, rec in enumerate(state["agents"]):
+        agents, n, width = state["agents"], config.num_agents, len(config.search_space)
+        if len(agents) != n:
+            raise ConfigError(f"num_agents: {snaps[-1]} holds {len(agents)} agents, but this run has {n}")
+        for i, rec in enumerate(agents):
             if rec["agent_id"] != i:
                 raise ConfigError(f"agent_id: {snaps[-1]} holds agent {rec['agent_id']!r} where agent {i} belongs")
             if len(rec["hyperparams"]) != width:

@@ -454,8 +454,6 @@ def _set_cell(lines, i, column, value):
     return lines
 
 
-# Each fault breaks the lines of an 8-agent, 64-round metrics.csv and gives the
-# first line (1-based) that is not what the writer puts there.
 def _set_sigma(round_no, agent_id, cell):
     """A fault that writes cell as the sigma of round_no, agent_id; it returns the lines and that row's line."""
     index = _row_index(round_no, agent_id)
@@ -465,6 +463,8 @@ def _set_sigma(round_no, agent_id, cell):
 # Faults that leave a sigma cell no run writes (a hyperparameter is a positive finite real), and that cell.
 SIGMA_CELLS = {"negative-sigma": "-0.5", "zero-sigma": "0.0", "negative-zero-sigma": "-0.0", "inf-sigma": "inf",
                "nan-sigma": "nan"}
+# Each fault breaks the lines of an 8-agent, 64-round metrics.csv and gives the
+# first line (1-based) that is not what the writer puts there.
 MALFORMED_METRICS = {
     "short-row": lambda lines: (lines + ["401,3\n"], len(lines) + 1),
     "missing-row": lambda lines: (lines[:_row_index(63, 6)] + lines[_row_index(63, 7):],
@@ -718,6 +718,14 @@ def test_resume_over_metrics_with_a_kept_row_missing_exits_1_and_touches_nothing
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
+def _resume_refused(capsys, path, out):
+    """Resume out under the config at path; the refusal's exit code, envelope, and no file touched."""
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+    return code, json.loads(err)
+
+
 @pytest.mark.parametrize("cell", ["-0.5", "nan"])
 def test_resume_over_a_sigma_cell_no_run_writes_exits_1_and_touches_nothing(tmp_path, capsys, cell):
     """Round 1, agent 4's sigma below a round-2 checkpoint: refused before any round is trained."""
@@ -737,14 +745,6 @@ def test_resume_over_a_sigma_cell_no_run_writes_exits_1_and_touches_nothing(tmp_
     assert envelope == {"error": "ValueError", "message": (
         f"{metrics}: line {line_no}: expected round 1, agent 4, subpop_id 0, a finite fitness and positive finite "
         f"hyperparameters; found round 1, agent 4, subpop_id 0, fitness {fitness}, sigma {cell}")}
-
-
-def _resume_refused(capsys, path, out):
-    """Resume out under the config at path; the refusal's exit code, envelope, and no file touched."""
-    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(out), "--resume")
-    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
-    return code, json.loads(err)
 
 
 def test_resume_from_a_checkpoint_of_another_population_size_exits_2_and_touches_nothing(tmp_path, capsys):
