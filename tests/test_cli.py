@@ -767,27 +767,31 @@ def test_resume_from_a_checkpoint_of_another_population_size_exits_2_and_touches
         f"num_agents: {out / 'checkpoints' / 'round_000010.json'} holds 16 agents, but this run has 32")}
 
 
-CHECKPOINT_FAULTS = {
-    "swapped-agents": (lambda agents: [agents[1], agents[0], *agents[2:]],
+CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
+    "swapped-agents": ({}, lambda s: {**s, "agents": [s["agents"][1], s["agents"][0], *s["agents"][2:]]},
                        "agent_id: {} holds agent 1 where agent 0 belongs"),
-    "two-wide-vectors": (lambda agents: [{**a, "hyperparams": a["hyperparams"] * 2} for a in agents],
+    "two-wide-vectors": ({}, lambda s: {**s, "agents": [{**a, "hyperparams": a["hyperparams"] * 2}
+                                                        for a in s["agents"]]},
                          "hyperparams: {} holds 2 values for agent 0, but search_space has 1"),
+    "two-wide-elites": ({"algorithm": "pbt_bt", "elite_capacity": 2, "backtrack_period": 1},
+                        lambda s: {**s, "archive": {**s["archive"], "entries": [
+                            {**e, "hyperparams": e["hyperparams"] * 2} for e in s["archive"]["entries"]]}},
+                        "hyperparams: {} holds 2 values for elite 0, but search_space has 1"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_resume_from_a_checkpoint_the_run_cannot_hold_exits_2_and_touches_nothing(tmp_path, capsys, fault):
     """The round-2 checkpoint of a 4-agent, one-hyperparameter run stopped at round 3, edited."""
-    path = tiny_config_file(tmp_path, algorithm="pbt", total_steps=5 * 8, checkpoint_every=2)
+    overrides, edit, message = CHECKPOINT_FAULTS[fault]
+    path = tiny_config_file(tmp_path, **{"algorithm": "pbt", **overrides}, total_steps=5 * 8, checkpoint_every=2)
     out = tmp_path / "run"
     from popsched.runner import run_experiment
 
     run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
                    out_dir=out, stop_after_round=3)
     checkpoint = out / "checkpoints" / "round_000002.json"
-    edit, message = CHECKPOINT_FAULTS[fault]
-    state = json.loads(checkpoint.read_text())
-    checkpoint.write_text(json.dumps({**state, "agents": edit(state["agents"])}))
+    checkpoint.write_text(json.dumps(edit(json.loads(checkpoint.read_text()))))
 
     code, envelope = _resume_refused(capsys, path, out)
     assert code == 2
