@@ -4,8 +4,8 @@ Hyperparameter spaces and vectors, per-agent state, the partition of a
 population into sub-populations, fitness ranking, and the quartile
 brackets used by truncation selection. The scheduler functions here and
 in pbt, mfpbt and baselines take agents built from a validated config and
-a checked checkpoint (RunDir.resume_state), each with a finite snapshot
-fitness, and do not check them again.
+a checked checkpoint (runner._Engine.restore_checkpoint), each with a
+finite snapshot fitness, and do not check them again.
 """
 
 from __future__ import annotations

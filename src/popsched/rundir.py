@@ -9,9 +9,10 @@
 
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
-one, never a partial one. A resume takes the latest checkpoint only if it
-holds agents 0..num_agents-1 in order, each with len(search_space)
-hyperparameters (resume_state, before any file is touched), and rewrites
+one, never a partial one. A resume takes the latest checkpoint
+(resume_state) only if it holds agents 0..num_agents-1 in order and every
+agent's and elite's vector holds len(search_space) values (checked by the
+engine's restore before any file is touched), and rewrites
 a log only to drop a torn line, a blank line or a record after the
 checkpoint. A RunDir holds both logs open once create or truncate_logs is
 done (open_logs) and formats each vector's cells once. metrics.csv is
@@ -137,11 +138,8 @@ class RunDir:
         """state: the engine state as json.dumps writes it (runner.checkpoint_text)."""
         _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [state])
 
-    def resume_state(self, config: ExperimentConfig, seed: int) -> dict:
-        """The latest checkpoint, once config.json matches this run's echo and its agents and width fit this run.
-
-        Seeds are left out: restoring checks the checkpoint's master seed.
-        """
+    def resume_state(self, config: ExperimentConfig, seed: int) -> tuple[Path, dict]:
+        """The latest checkpoint's path and state, once config.json matches this run's echo but for seeds."""
         if not self.checkpoints.exists():
             raise ConfigError("resume requires an out_dir with checkpoints")
         snaps = sorted(self.checkpoints.glob("round_*.json"))  # never a temp file
@@ -152,17 +150,7 @@ class RunDir:
             if key != "seeds" and stored[key] != value:
                 raise ConfigError(f"{key}: {self.config} has {stored[key]!r}, but this run has {value!r}")
         with open(snaps[-1], "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        agents, n, width = state["agents"], config.num_agents, len(config.search_space)
-        if len(agents) != n:
-            raise ConfigError(f"num_agents: {snaps[-1]} holds {len(agents)} agents, but this run has {n}")
-        for i, rec in enumerate(agents):
-            if rec["agent_id"] != i:
-                raise ConfigError(f"agent_id: {snaps[-1]} holds agent {rec['agent_id']!r} where agent {i} belongs")
-            if len(rec["hyperparams"]) != width:
-                raise ConfigError(f"hyperparams: {snaps[-1]} holds {len(rec['hyperparams'])} values for agent {i}, "
-                                  f"but search_space has {width}")
-        return state
+            return snaps[-1], json.load(fh)
 
     def write_result(self, result: ExperimentResult) -> None:
         rounds = result.config.num_rounds

@@ -155,16 +155,26 @@ class _Engine:
         head = json.dumps({**self.checkpoint_dict(round_no), "archive": None}, check_circular=False)
         return head[: -len("null}")] + archive + "}"
 
-    def restore_checkpoint(self, data: dict) -> int:
-        if data["master_seed"] != self.seed:
-            raise ConfigError(
-                f"seeds: the checkpoint was written with master seed {data['master_seed']}, "
-                f"but this run uses seed {self.seed}"
-            )
-        cfg = self.config
-        per = cfg.subpop_size
+    def restore_checkpoint(self, path: os.PathLike, data: dict) -> int:
+        """Restore the checkpoint read from path; refuses, naming the field and path, one of another
+        seed, one whose agents are not 0..num_agents-1 in order, or a vector not len(search_space) wide."""
+        cfg, (seed, recs) = self.config, (data["master_seed"], data["agents"])
+        per, width = cfg.subpop_size, len(cfg.search_space)
+        if seed != self.seed:
+            raise ConfigError(f"seeds: the checkpoint was written with master seed {seed}, "
+                              f"but this run uses seed {self.seed}")
+        if len(recs) != cfg.num_agents:
+            raise ConfigError(f"num_agents: {path} holds {len(recs)} agents, but this run has {cfg.num_agents}")
+        archive = data.get("archive")
+        for owner, owned in ("agent", recs), ("elite", archive["entries"] if archive is not None else []):
+            for i, rec in enumerate(owned):
+                if owner == "agent" and rec["agent_id"] != i:
+                    raise ConfigError(f"agent_id: {path} holds agent {rec['agent_id']!r} where agent {i} belongs")
+                if len(rec["hyperparams"]) != width:
+                    raise ConfigError(f"hyperparams: {path} holds {len(rec['hyperparams'])} values for {owner} {i}, "
+                                      f"but search_space has {width}")
         agents = []
-        for i, rec in enumerate(data["agents"]):  # agents 0..num_agents-1 in order (RunDir.resume_state)
+        for i, rec in enumerate(recs):
             trainable = build_trainable(cfg.trainable)
             trainable.import_payload(rec["payload"])
             agents.append(
@@ -178,8 +188,8 @@ class _Engine:
             )
             self.evolve_rngs[i] = restore_generator(rec["evolve_state"])
         self.population = Population(agents=agents, deltas=cfg.deltas)
-        if data.get("archive") is not None:
-            self.archive = EliteArchive.from_json_dict(data["archive"])
+        if archive is not None:
+            self.archive = EliteArchive.from_json_dict(archive)
         return int(data["round"])
 
 
@@ -197,7 +207,7 @@ def run_experiment(
     resume=True picks up from the latest checkpoint in out_dir and truncates
     any partial rows written after it; it refuses a directory whose
     config.json differs from this run's config, whose checkpoint holds another
-    population or width (RunDir.resume_state), whose event log read_events
+    population or width (_Engine.restore_checkpoint), whose event log read_events
     refuses (as `popsched lineage` does), or whose metrics rows up to the
     checkpoint read_metrics refuses, and touches no file then.
     """
@@ -216,7 +226,7 @@ def run_experiment(
     if resume:
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
-        start_round = engine.restore_checkpoint(run.resume_state(config, seed))
+        start_round = engine.restore_checkpoint(*run.resume_state(config, seed))
         read_log = partial(read_events, num_agents=config.num_agents, num_hyperparams=len(config.search_space))
         all_events, metrics = truncate_logs(
             (run.events, lambda path, lines: [ev for ev in read_log(path, lines) if ev.round <= start_round], 0),
