@@ -267,6 +267,22 @@ def test_run_resume_with_another_config_exits_2_and_touches_nothing(tmp_path, ca
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind,named,read", [("two_basin", "lr", "sigma"), ("quadratic_lr", "sigma", "lr")])
+def test_a_search_space_without_a_hyperparameter_the_trainable_reads_exits_2(
+    tmp_path, capsys, command, kind, named, read
+):
+    path = tiny_config_file(tmp_path, trainable={"kind": kind, "params": {}},
+                            search_space=[{"name": named, "low": 0.1, "high": 1.0, "scale": "log-uniform"}])
+    out = tmp_path / "run"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"search_space: names no {read!r}, which the {kind} trainable reads"}
+    assert not out.exists()
+
+
 def test_refused_resume_creates_no_out_directory(tmp_path, capsys):
     out = tmp_path / "X" / "deep"
     code, _, err = run_cli(capsys, "run", "--preset", "twobasin-rs", "--out", str(out), "--resume")
@@ -715,6 +731,30 @@ def test_resume_over_metrics_with_a_kept_row_missing_exits_1_and_touches_nothing
     assert json.loads(err) == {"error": "ValueError", "message": (
         f"{metrics}: line {index + 1}: expected round 3, agent 2, subpop_id 0, a finite fitness and positive "
         f"finite hyperparameters; found round 3, agent 3, subpop_id 0, fitness {fitness!r}, sigma {sigma!r}")}
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command", ["lineage --replay", "report", "run --resume"])
+def test_a_metrics_header_of_another_width_exits_1_and_touches_nothing(tmp_path, capsys, command):
+    """`,extra` on the header and `,0.5` on every row; a resume's run stops at round 3, after a round-2 checkpoint."""
+    path = tiny_config_file(tmp_path, algorithm="pbt", checkpoint_every=2)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5, out_dir=out,
+                   stop_after_round=3 if command == "run --resume" else None)
+    metrics = out / "metrics.csv"
+    header, *rows = metrics.read_text().splitlines()
+    metrics.write_text(f"{header},extra\n" + "".join(f"{row},0.5\n" for row in rows))
+    before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    argv = {"lineage --replay": ["lineage", str(out), "--replay"],
+            "report": ["report", str(out), "--out", str(tmp_path / "report")],
+            "run --resume": ["run", "--config", str(path), "--out", str(out), "--resume"]}[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": (
+        f"{metrics}: line 1: expected round,agent_id,subpop_id,fitness,sigma; "
+        "found round,agent_id,subpop_id,fitness,sigma,extra")}
     assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == before
 
 
