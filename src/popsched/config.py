@@ -163,9 +163,12 @@ class ExperimentConfig:
         elif self.elite_capacity is not None or self.backtrack_period is not None:
             raise ConfigError("elite_capacity/backtrack_period: only valid for pbt_bt")
         try:
-            build_trainable(self.trainable)
+            trainable = build_trainable(self.trainable)
         except ValueError as exc:  # unknown kind or bad params
             raise ConfigError(f"trainable: {exc}") from None
+        for name in trainable.hyperparameter_names:
+            if name not in self.search_space.names:
+                raise ConfigError(f"search_space: names no {name!r}, which the {trainable.kind} trainable reads")
 
     def to_json_dict(self) -> dict:
         echo = {f.name: f.metadata["shape"].encode(getattr(self, f.name)) for f in fields(self)}

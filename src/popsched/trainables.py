@@ -2,11 +2,12 @@
 
 Trainable is the whole contract. It owns the private random streams, the
 hyperparameters, init(seed, hyperparams) and the payload codec; a
-subclass sets `kind` and supplies the model: _reset, train, advance_rng,
-evaluate, export_weights and import_weights. The runner keeps one live
-trainable per agent for the whole run. Payloads are the persisted form
-of that state (checkpoints, elite-archive snapshots, the result of a
-lineage replay) and follow a fixed schema:
+subclass sets `kind` and the hyperparameter_names that train reads (a
+config's search_space must name each), and supplies the model: _reset,
+train, advance_rng, evaluate, export_weights and import_weights. The
+runner keeps one live trainable per agent for the whole run. Payloads
+are the persisted form of that state (checkpoints, elite-archive
+snapshots, the result of a lineage replay) and follow a fixed schema:
 
     {
       "format": 1,
@@ -83,6 +84,7 @@ class Trainable:
     """Base of every trainable: streams, hyperparameters, init and payloads."""
 
     kind = "base"
+    hyperparameter_names: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._seed = 0
@@ -217,6 +219,7 @@ class TwoBasinTrainable(Trainable):
     """
 
     kind = "two_basin"
+    hyperparameter_names = ("sigma",)
 
     def __init__(self, start_x: float = 0.0, forget_prob: float = 0.0,
                  forget_scale: float = 8.0, eval_noise: float = 0.0) -> None:
@@ -341,6 +344,7 @@ class QuadraticLRTrainable(Trainable):
     """
 
     kind = "quadratic_lr"
+    hyperparameter_names = ("lr",)
 
     _CLAMP = 1e30
 
