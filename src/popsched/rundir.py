@@ -81,6 +81,11 @@ class MetricTable(Sequence):
         return list(self) == list(other) if isinstance(other, (list, MetricTable)) else NotImplemented
 
 
+def metrics_header(config: ExperimentConfig) -> str:
+    """metrics.csv's first line, without its newline."""
+    return ",".join(["round", "agent_id", "subpop_id", "fitness", *config.search_space.names])
+
+
 def fmt(x: float) -> str:
     """Every float this package writes to CSV: repr, which reads back exactly."""
     return repr(float(x))
@@ -108,9 +113,8 @@ class RunDir:
         """Start a fresh run: config echo, header-only metrics.csv, empty events.jsonl."""
         self.root.mkdir(parents=True, exist_ok=True)
         _write_json(self.config, _config_echo(config, seed))
-        header = ["round", "agent_id", "subpop_id", "fitness", *config.search_space.names]
         with open(self.metrics, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
+            fh.write(metrics_header(config) + "\n")
         open(self.events, "w", encoding="utf-8").close()
         if config.checkpoint_every > 0:
             self.checkpoints.mkdir(exist_ok=True)
@@ -187,6 +191,9 @@ def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
     checked nor kept. The line a refusal names counts blank lines."""
     with text(path, lines) as fh:
         lines = list(fh)
+    header, found = metrics_header(config), lines[0].rstrip("\n") if lines else "the end of the file"
+    if found != header:
+        raise ValueError(f"{path}: line 1: expected {header}; found {found}")
     n = config.num_agents
     last = n * (config.num_rounds if rounds is None else rounds)
     table = _metric_table(path, lines)[:None if rounds is None else last]

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsched import events
+from popsched.core import HyperparamSpace, SpaceEntry
 from popsched.events import (
     SURVIVE,
     LineageError,
@@ -429,7 +430,8 @@ def metric_appends(draw):
             for k, (i, copy, fitness) in enumerate(picks)]
     cuts = sorted(draw(st.sets(st.integers(1, rounds - 1), max_size=3)) if rounds > 1 else set())
     resumes = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
-    config = dataclasses.replace(small_config(), num_agents=num_agents, num_subpops=num_subpops)
+    space = HyperparamSpace(tuple(SpaceEntry(f"h{i}", 0.1, 1.0) for i in range(width)))
+    config = dataclasses.replace(small_config(), num_agents=num_agents, num_subpops=num_subpops, search_space=space)
     blocks = [(start * num_agents, end * num_agents, resume)
               for start, end, resume in zip([0, *cuts], [*cuts, rounds], [True, *resumes])]
     header = ",".join(["round", "agent_id", "subpop_id", "fitness", *(f"h{i}" for i in range(width))])
