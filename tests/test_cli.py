@@ -807,6 +807,18 @@ def test_resume_from_a_checkpoint_of_another_population_size_exits_2_and_touches
         f"num_agents: {out / 'checkpoints' / 'round_000010.json'} holds 16 agents, but this run has 32")}
 
 
+PBT_BT = {"algorithm": "pbt_bt", "elite_capacity": 2, "backtrack_period": 1}
+
+
+def _agent_0(**edit):
+    return lambda s: {**s, "agents": [{**s["agents"][0], **edit}, *s["agents"][1:]]}
+
+
+def _elite_payloads(**edit):
+    return lambda s: {**s, "archive": {**s["archive"], "entries": [
+        {**e, "payload": {**e["payload"], **edit}} for e in s["archive"]["entries"]]}}
+
+
 CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
     "swapped-agents": ({}, lambda s: {**s, "agents": [s["agents"][1], s["agents"][0], *s["agents"][2:]]},
                        "agent_id: {} holds agent 1 where agent 0 belongs"),
@@ -817,6 +829,21 @@ CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
                         lambda s: {**s, "archive": {**s["archive"], "entries": [
                             {**e, "hyperparams": e["hyperparams"] * 2} for e in s["archive"]["entries"]]}},
                         "hyperparams: {} holds 2 values for elite 0, but search_space has 1"),
+    "vector-a-number": ({}, _agent_0(hyperparams=1.5), "hyperparams: {} for agent 0 must be a list, got 1.5"),
+    "vector-negative": ({}, _agent_0(hyperparams=[-1.0]),
+                        "hyperparams: {} for agent 0 must be positive reals, got -1.0"),
+    "vector-a-string": ({}, _agent_0(hyperparams=["1.5"]),
+                        "hyperparams: {} for agent 0 must be positive reals, got '1.5'"),
+    "vector-a-bool": ({}, _agent_0(hyperparams=[True]),
+                      "hyperparams: {} for agent 0 must be positive reals, got True"),
+    "elite-capacity": (PBT_BT, lambda s: {**s, "archive": {**s["archive"], "capacity": 3}},
+                       "elite_capacity: {} holds an elite archive of capacity 3, but this run has 2"),
+    "elite-of-another-kind": (PBT_BT, _elite_payloads(kind="quadratic_lr"),
+                              "payload: {} holds a payload for elite 0 that a two_basin trainable refuses: "
+                              "ValueError: payload kind 'quadratic_lr' != 'two_basin'"),
+    "elite-without-weights": (PBT_BT, _elite_payloads(weights={}),
+                              "payload: {} holds a payload for elite 0 that a two_basin trainable refuses: "
+                              "KeyError: 'x'"),
 }
 
 
