@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AgentState, ConfigError, HyperparamVector, Population, rank_descending
+from .core import AgentState, ConfigError, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
 from .trainables import Trainable
 
@@ -21,7 +21,7 @@ class EliteEntry:
     """Exported payload of one agent at one round."""
 
     payload: dict
-    hyperparams: HyperparamVector
+    hyperparams: tuple[float, ...]
     fitness: float
     agent_id: int
     round: int
@@ -83,7 +83,7 @@ class EliteArchive:
             "entries": [
                 {
                     "payload": e.payload,
-                    "hyperparams": list(e.hyperparams.values),
+                    "hyperparams": list(e.hyperparams),
                     "fitness": e.fitness,
                     "agent_id": e.agent_id,
                     "round": e.round,
@@ -95,16 +95,8 @@ class EliteArchive:
     @classmethod
     def from_json_dict(cls, data: dict) -> EliteArchive:
         archive = cls(int(data["capacity"]))
-        archive.entries = [
-            EliteEntry(
-                payload=e["payload"],
-                hyperparams=HyperparamVector(tuple(float(v) for v in e["hyperparams"])),
-                fitness=float(e["fitness"]),
-                agent_id=int(e["agent_id"]),
-                round=int(e["round"]),
-            )
-            for e in data["entries"]
-        ]
+        archive.entries = [EliteEntry(e["payload"], tuple(e["hyperparams"]), float(e["fitness"]),
+                                      int(e["agent_id"]), int(e["round"])) for e in data["entries"]]
         return archive
 
 
@@ -137,7 +129,7 @@ def backtrack(
         elite = archive.entries[j % len(archive.entries)]
         target = population.agent(target_id)
         elite.restore_weights(target.trainable)
-        target.hyperparams = HyperparamVector(elite.hyperparams.values)
+        target.hyperparams = elite.hyperparams
         events.append(
             EvolutionEvent(
                 round=round_no,
@@ -146,7 +138,7 @@ def backtrack(
                 kind=ELITE_RESTORE,
                 source_agent_id=elite.agent_id,
                 source_round=elite.round,
-                hyperparams_after=elite.hyperparams.values,
+                hyperparams_after=elite.hyperparams,
                 fitness_snapshot=target.snapshot_fitness,
             )
         )

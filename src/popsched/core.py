@@ -1,8 +1,10 @@
 """Domain types shared by every scheduler.
 
-Hyperparameter spaces and vectors, per-agent state, the partition of a
-population into sub-populations, fitness ranking, and the quartile
-brackets used by truncation selection. The scheduler functions here and
+Hyperparameter spaces and vectors (plain tuples of floats, checked by
+positive_reals where one is made from numbers nothing has checked),
+per-agent state, the partition of a population into sub-populations,
+fitness ranking, and the quartile brackets used by truncation
+selection. The scheduler functions here and
 in pbt, mfpbt and baselines take agents built from a validated config and
 a checked checkpoint (runner._Engine.restore_checkpoint), each with a
 finite snapshot fitness, and do not check them again.
@@ -11,6 +13,7 @@ finite snapshot fitness, and do not check them again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -68,49 +71,30 @@ class HyperparamSpace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_mapping(self, vector: HyperparamVector) -> dict[str, float]:
-        return {e.name: v for e, v in zip(self.entries, vector.values)}
+    def to_mapping(self, vector: tuple[float, ...]) -> dict[str, float]:
+        return {e.name: v for e, v in zip(self.entries, vector)}
 
-    def clip(self, vector: HyperparamVector) -> HyperparamVector:
+    def clip(self, vector: tuple[float, ...]) -> tuple[float, ...]:
         """Clamp each entry back into its initial sampling range."""
-        clipped = tuple(
-            min(max(v, e.low), e.high) for e, v in zip(self.entries, vector.values)
-        )
-        return HyperparamVector(clipped)
+        return tuple(min(max(v, e.low), e.high) for e, v in zip(self.entries, vector))
 
 
-@dataclass(frozen=True)
-class HyperparamVector:
-    """Positive reals aligned with a HyperparamSpace's entries."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        for v in vals:
-            if not math.isfinite(v) or v <= 0.0:
-                raise ConfigError(f"hyperparameter values must be positive reals, got {v}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def scaled(self, factors: Sequence[float]) -> HyperparamVector:
-        return HyperparamVector(tuple(v * f for v, f in zip(self.values, factors)))
+def positive_reals(values: Sequence, what: str = "hyperparameter values") -> tuple[float, ...]:
+    """values as a hyperparameter vector, a tuple of floats, once each is a positive finite number
+    (not a bool or a str); else a ConfigError naming what and the first value that is not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
+            raise ConfigError(f"{what} must be positive reals, got {v!r}")
+    return tuple(map(float, values))
 
 
-def sample_hyperparams(space: HyperparamSpace, rng: np.random.Generator) -> HyperparamVector:
+def sample_hyperparams(space: HyperparamSpace, rng: np.random.Generator) -> tuple[float, ...]:
     """Draw one vector, each entry log-uniform within its range.
 
     A degenerate range (low == high) returns that bound exactly.
     """
-    out = []
-    for e in space.entries:
-        if e.low == e.high:
-            out.append(e.low)
-        else:
-            out.append(math.exp(rng.uniform(math.log(e.low), math.log(e.high))))
-    return HyperparamVector(tuple(out))
+    return tuple(float(e.low) if e.low == e.high else math.exp(rng.uniform(math.log(e.low), math.log(e.high)))
+                 for e in space.entries)
 
 
 @dataclass
@@ -125,7 +109,7 @@ class AgentState:
     agent_id: int
     subpop_id: int
     trainable: Trainable
-    hyperparams: HyperparamVector
+    hyperparams: tuple[float, ...]
     snapshot_fitness: float | None = None
 
 

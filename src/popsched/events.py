@@ -151,7 +151,7 @@ def _block_columns(path, lines: list[str], first: int) -> list[list]:
 
 def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lambda i: "") -> None:
     """Raise LineageError(where(i) + "event log broken at round r: ...") at the first event i
-    of cols no well-formed run writes; a vector's values must be ones HyperparamVector accepts.
+    of cols no well-formed run writes; a vector's values must be positive finite reals.
     carry, [last round, targets rewritten in it], is updated for the log's next block."""
     last, rewritten = carry
     hi = math.inf if num_agents is None else num_agents

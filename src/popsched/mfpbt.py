@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Brackets, HyperparamSpace, HyperparamVector, Population, compute_brackets
+from .core import Brackets, HyperparamSpace, Population, compute_brackets
 from .events import MIGRATION_FULL, MIGRATION_WEIGHTS_ONLY, EvolutionEvent
 from .pbt import pbt_evolution_step
 from .trainables import transfer_weights
@@ -90,12 +90,12 @@ def migrate(
             new_h = target.hyperparams
         elif symmetric or not contender_is_dynamic:
             kind = MIGRATION_FULL
-            new_h = HyperparamVector(source.hyperparams.values)
+            new_h = source.hyperparams
         else:
             # Dynamic contender into a steadier sub-population: take the
             # weights but keep hyperparameters within the local gene pool.
             kind = MIGRATION_WEIGHTS_ONLY
-            new_h = HyperparamVector(own_best.hyperparams.values)
+            new_h = own_best.hyperparams
         transfer_weights(source.trainable, target.trainable)
         target.hyperparams = new_h
         events.append(
@@ -106,7 +106,7 @@ def migrate(
                 kind=kind,
                 source_agent_id=contender.agent_id,
                 source_round=None,
-                hyperparams_after=new_h.values,
+                hyperparams_after=new_h,
                 fitness_snapshot=target.snapshot_fitness,
             )
         )

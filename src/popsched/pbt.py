@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentState, Brackets, HyperparamSpace, HyperparamVector, compute_brackets, rank_descending
+from .core import AgentState, Brackets, HyperparamSpace, compute_brackets, positive_reals, rank_descending
 from .events import PERTURBED_CLONE, SURVIVE, EvolutionEvent
 from .trainables import transfer_weights
 
@@ -26,19 +26,20 @@ def exploit(brackets: Brackets) -> list[tuple[int, int]]:
 
 
 def explore_perturb(
-    hyperparams: HyperparamVector,
+    hyperparams: tuple[float, ...],
     rng: np.random.Generator,
     space: HyperparamSpace | None = None,
     clamp: bool = False,
-) -> HyperparamVector:
+) -> tuple[float, ...]:
     """Multiply each entry independently by a factor drawn from {0.8, 1.25}.
 
     Values may leave the initial sampling range; pass clamp=True (with the
-    space) to clip them back.
+    space) to clip them back. A product that overflows to inf is refused
+    (ConfigError); one cannot reach 0, as 0.8 times the least subnormal
+    rounds back to it.
     """
     # A scalar draw per entry uses the stream as one sized integers call does, at a third of the cost.
-    factors = [PERTURB_FACTORS[rng.integers(0, len(PERTURB_FACTORS))] for _ in hyperparams.values]
-    out = hyperparams.scaled(factors)
+    out = positive_reals([v * PERTURB_FACTORS[rng.integers(0, len(PERTURB_FACTORS))] for v in hyperparams])
     if clamp:
         if space is None:
             raise ValueError("clamping requires the hyperparameter space")
@@ -71,7 +72,7 @@ def pbt_evolution_step(
     kept = [by_id[i] for i in brackets.winners + brackets.survivors + brackets.migration_open]
     events = [EvolutionEvent(round=round_no, subpop_id=subpop_id, target_agent_id=a.agent_id, kind=SURVIVE,
                              source_agent_id=None, source_round=None,
-                             hyperparams_after=a.hyperparams.values, fitness_snapshot=a.snapshot_fitness)
+                             hyperparams_after=a.hyperparams, fitness_snapshot=a.snapshot_fitness)
               for a in kept]
 
     for loser_id, winner_id in exploit(brackets):
@@ -90,7 +91,7 @@ def pbt_evolution_step(
                 kind=PERTURBED_CLONE,
                 source_agent_id=winner_id,
                 source_round=None,
-                hyperparams_after=new_h.values,
+                hyperparams_after=new_h,
                 fitness_snapshot=loser.snapshot_fitness,
             )
         )

@@ -10,17 +10,16 @@
 Checkpoints, and the logs a resume truncates, are replaced atomically
 (temp file, then os.replace), so a crash leaves the old file or the new
 one, never a partial one. A resume takes the latest checkpoint
-(resume_state) only if it holds agents 0..num_agents-1 in order and every
-agent's and elite's vector holds len(search_space) values (checked by the
-engine's restore before any file is touched), and rewrites
+(resume_state) only if the engine's restore accepts its agents, vectors,
+elite archive and payloads, before any file is touched, and rewrites
 a log only to drop a torn line, a blank line or a record after the
 checkpoint. A RunDir holds both logs open once create or truncate_logs is
 done (open_logs) and formats each vector's cells once. metrics.csv is
 parsed by one np.loadtxt call; a resume decodes each log line once.
 read_metrics, the one reader of its rows, takes them only in the shape
-the writer writes: rounds 1..R in order, each num_agents rows in agent-id
-order with the config's subpop_id for that agent, a finite fitness and
-positive finite hyperparameter cells. For `lineage` and `report`
+the writer writes: metrics_header, then rounds 1..R in order, each
+num_agents rows in agent-id order with the config's subpop_id for that
+agent, a finite fitness and positive finite hyperparameter cells. For `lineage` and `report`
 (read_run) that is the whole file, R at most num_rounds and the last row
 ending in a newline; for a resume, the rows up to its checkpoint. It
 refuses anything else with ValueError("<path>: line <n>: ..."), which the
@@ -202,7 +201,7 @@ def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
     torn = bool(lines and lines[-1].strip() and not lines[-1].endswith("\n"))  # as truncate_logs
     ok = np.append((logged_rounds == row // n + 1) & (agents == row % n) & (row < last) & (row < len(row) - torn)
                    & (subpops == row % n // config.subpop_size) & np.isfinite(fitness)
-                   & np.logical_and.reduce([(0 < h) & (h < np.inf) for h in hps]),  # as every vector a run holds
+                   & np.logical_and.reduce([(0 < h) & (h < np.inf) for h in hps]),  # as positive_reals requires
                    len(row) % n == 0 if rounds is None else len(row) == last)  # no round cut short
     if not ok.all():
         i = int(ok.argmin())  # the first row not as written, or the end of the file

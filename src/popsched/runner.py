@@ -36,7 +36,7 @@ from functools import partial
 
 from .baselines import EliteArchive, backtrack, update_elites
 from .config import ExperimentConfig
-from .core import AgentState, ConfigError, HyperparamVector, Population, sample_hyperparams
+from .core import AgentState, ConfigError, Population, positive_reals, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
@@ -52,7 +52,7 @@ class ExperimentResult:
     run_dir: str | None
     metrics: MetricTable
     events: list[EvolutionEvent]
-    initial_hyperparams: dict[int, HyperparamVector]
+    initial_hyperparams: dict[int, tuple[float, ...]]
     wall_clock: float
 
     def best_by_round(self) -> list[float]:
@@ -81,22 +81,15 @@ class _Engine:
         self.evolve_rngs = {
             i: seed_hierarchy(self.seed, i, "evolve") for i in range(config.num_agents)
         }
-        self.population: Population | None = None
-        self.pushed: dict[int, HyperparamVector] = {}  # agent id -> vector its trainable holds
-
-    def init_population(self) -> None:
-        cfg = self.config
-        per = cfg.subpop_size
-        agents = []
-        for i in range(cfg.num_agents):
+        self.pushed: dict[int, tuple[float, ...]] = {}  # agent id -> the vector object its trainable holds
+        agents, per = [], config.subpop_size
+        for i in range(config.num_agents):  # the initial population, which a restore overwrites
             h = sample_hyperparams(self.space, seed_hierarchy(self.seed, i, "init"))
-            trainable = build_trainable(cfg.trainable)
+            trainable = build_trainable(config.trainable)
             trainable.init(agent_trainable_seed(self.seed, i), self.space.to_mapping(h))
             self.pushed[i] = h
-            agents.append(
-                AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h)
-            )
-        self.population = Population(agents=agents, deltas=cfg.deltas)
+            agents.append(AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h))
+        self.population = Population(agents=agents, deltas=config.deltas)
 
     def train_eval_round(self) -> None:
         cfg = self.config
@@ -135,7 +128,7 @@ class _Engine:
             {
                 "agent_id": a.agent_id,
                 "subpop_id": a.subpop_id,
-                "hyperparams": list(a.hyperparams.values),
+                "hyperparams": list(a.hyperparams),
                 "fitness": a.snapshot_fitness,
                 "payload": a.trainable.export_payload(),
                 "evolve_state": self.evolve_rngs[a.agent_id].bit_generator.state,
@@ -156,38 +149,42 @@ class _Engine:
         return head[: -len("null}")] + archive + "}"
 
     def restore_checkpoint(self, path: os.PathLike, data: dict) -> int:
-        """Restore the checkpoint read from path; refuses, naming the field and path, one of another
-        seed, one whose agents are not 0..num_agents-1 in order, or a vector not len(search_space) wide."""
-        cfg, (seed, recs) = self.config, (data["master_seed"], data["agents"])
-        per, width = cfg.subpop_size, len(cfg.search_space)
+        """Overwrite the initial population with the checkpoint read from path.
+
+        Refuses, naming the field and path, a checkpoint of another seed or elite capacity, one
+        whose agents are not 0..num_agents-1 in order, and a vector or payload (an agent's or an
+        elite's) that the run cannot hold. data's vectors are replaced by the checked tuples."""
+        cfg, (seed, recs, archive) = self.config, (data["master_seed"], data["agents"], data.get("archive"))
+        width, capacity = len(cfg.search_space), archive["capacity"] if archive is not None else None
         if seed != self.seed:
             raise ConfigError(f"seeds: the checkpoint was written with master seed {seed}, "
                               f"but this run uses seed {self.seed}")
         if len(recs) != cfg.num_agents:
             raise ConfigError(f"num_agents: {path} holds {len(recs)} agents, but this run has {cfg.num_agents}")
-        archive = data.get("archive")
+        if capacity != cfg.elite_capacity:
+            raise ConfigError(f"elite_capacity: {path} holds an elite archive of capacity {capacity!r}, "
+                              f"but this run has {cfg.elite_capacity!r}")
+        probe = build_trainable(cfg.trainable)  # takes each elite payload
         for owner, owned in ("agent", recs), ("elite", archive["entries"] if archive is not None else []):
             for i, rec in enumerate(owned):
+                hps, at = rec["hyperparams"], f"hyperparams: {path} for {owner} {i}"
                 if owner == "agent" and rec["agent_id"] != i:
                     raise ConfigError(f"agent_id: {path} holds agent {rec['agent_id']!r} where agent {i} belongs")
-                if len(rec["hyperparams"]) != width:
-                    raise ConfigError(f"hyperparams: {path} holds {len(rec['hyperparams'])} values for {owner} {i}, "
+                if not isinstance(hps, list):
+                    raise ConfigError(f"{at} must be a list, got {hps!r}")
+                if len(hps) != width:
+                    raise ConfigError(f"hyperparams: {path} holds {len(hps)} values for {owner} {i}, "
                                       f"but search_space has {width}")
-        agents = []
-        for i, rec in enumerate(recs):
-            trainable = build_trainable(cfg.trainable)
-            trainable.import_payload(rec["payload"])
-            agents.append(
-                AgentState(
-                    agent_id=i,
-                    subpop_id=i // per,
-                    trainable=trainable,
-                    hyperparams=HyperparamVector(tuple(float(v) for v in rec["hyperparams"])),
-                    snapshot_fitness=rec["fitness"],
-                )
-            )
-            self.evolve_rngs[i] = restore_generator(rec["evolve_state"])
-        self.population = Population(agents=agents, deltas=cfg.deltas)
+                rec["hyperparams"] = positive_reals(hps, at)
+                target = self.population.agents[i].trainable if owner == "agent" else probe
+                try:
+                    target.import_payload(rec["payload"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"payload: {path} holds a payload for {owner} {i} that a {probe.kind} "
+                                      f"trainable refuses: {type(exc).__name__}: {exc}") from None
+        for a, rec in zip(self.population.agents, recs):
+            a.hyperparams, a.snapshot_fitness = rec["hyperparams"], rec["fitness"]
+            self.evolve_rngs[a.agent_id] = restore_generator(rec["evolve_state"])
         if archive is not None:
             self.archive = EliteArchive.from_json_dict(archive)
         return int(data["round"])
@@ -206,8 +203,8 @@ def run_experiment(
     With out_dir=None the run happens entirely in memory (no files).
     resume=True picks up from the latest checkpoint in out_dir and truncates
     any partial rows written after it; it refuses a directory whose
-    config.json differs from this run's config, whose checkpoint holds another
-    population or width (_Engine.restore_checkpoint), whose event log read_events
+    config.json differs from this run's config, whose checkpoint the run cannot
+    hold (_Engine.restore_checkpoint), whose event log read_events
     refuses (as `popsched lineage` does), or whose metrics rows up to the
     checkpoint read_metrics refuses, and touches no file then.
     """
@@ -223,6 +220,7 @@ def run_experiment(
     metrics = MetricTable(config)
     all_events: list[EvolutionEvent] = []
 
+    initial_h = {a.agent_id: a.hyperparams for a in engine.population.agents}  # a resume's too
     if resume:
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
@@ -231,17 +229,8 @@ def run_experiment(
         all_events, metrics = truncate_logs(
             (run.events, lambda path, lines: [ev for ev in read_log(path, lines) if ev.round <= start_round], 0),
             (run.metrics, partial(read_metrics, config=config, rounds=start_round), 1))
-    else:
-        engine.init_population()
-        if run is not None:
-            run.create(config, seed)
-
-    # Initial vectors are a pure function of the seed; recompute so the
-    # resume path reports them identically.
-    initial_h = {
-        i: sample_hyperparams(config.search_space, seed_hierarchy(seed, i, "init"))
-        for i in range(config.num_agents)
-    }
+    elif run is not None:
+        run.create(config, seed)
 
     last_round = config.num_rounds if stop_after_round is None else min(
         stop_after_round, config.num_rounds
@@ -251,7 +240,7 @@ def run_experiment(
             engine.train_eval_round()
             agents = engine.population.agents  # in agent-id order
             metrics.fitness.extend([a.snapshot_fitness for a in agents])
-            metrics.hyperparams.extend([a.hyperparams.values for a in agents])
+            metrics.hyperparams.extend([a.hyperparams for a in agents])
             if run is not None:
                 run.append_metrics(metrics, len(metrics) - len(agents))
             events = engine.barrier_events(round_no)

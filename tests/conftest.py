@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from popsched.core import AgentState, HyperparamVector, Population
+from popsched.core import AgentState, Population
 from popsched.seeding import seed_hierarchy
 from popsched.trainables import TwoBasinTrainable
 
@@ -47,7 +47,7 @@ def make_agent(
         agent_id=agent_id,
         subpop_id=subpop_id,
         trainable=make_trainable(agent_id),
-        hyperparams=HyperparamVector(h),
+        hyperparams=h,
         snapshot_fitness=fitness,
     )
 

@@ -111,7 +111,7 @@ def _migration_oracle(population, subpop_id, symmetric, variance):
     per = population.subpop_size
     deltas = population.deltas
     snap = {a.agent_id: a.snapshot_fitness for a in population.agents}
-    h = {a.agent_id: a.hyperparams.values for a in population.agents}
+    h = {a.agent_id: a.hyperparams for a in population.agents}
     members = sorted(
         range(subpop_id * per, (subpop_id + 1) * per),
         key=lambda i: (-snap[i], i),
@@ -179,7 +179,7 @@ def test_migration_decisions_match_exhaustive_hand_simulation():
         assert got == expected, f"case {case}: {got} != {expected}"
         for target, source, kind, new_h in expected:
             agent = pop.agent(target)
-            assert agent.hyperparams.values == new_h
+            assert agent.hyperparams == new_h
             assert weights(agent) == {"x": float(source)}
             assert streams(agent)["seed"] == target  # own streams kept
         kinds_seen.update(kind for _, _, kind, _ in expected)
@@ -415,7 +415,7 @@ def test_evolution_step_statistics_match_truncation_design():
         n = 4 * int(rng.integers(1, 5))
         fits = rng.integers(0, 5, size=n).astype(float) + rng.uniform(0, 1, size=n).round(1)
         pop = make_population(fits.tolist())
-        before_h = {a.agent_id: a.hyperparams.values for a in pop.agents}
+        before_h = {a.agent_id: a.hyperparams for a in pop.agents}
         snap = {a.agent_id: a.snapshot_fitness for a in pop.agents}
         events = pbt_evolution_step(pop.agents, evolve_rngs, 1, 0)
 
@@ -438,11 +438,11 @@ def test_evolution_step_statistics_match_truncation_design():
             else:
                 down += 1
             agent = pop.agent(e.target_agent_id)
-            assert agent.hyperparams.values == e.hyperparams_after
+            assert agent.hyperparams == e.hyperparams_after
             assert weights(agent) == {"x": float(winner)}
             assert streams(agent)["seed"] == e.target_agent_id
         for w in winners:
-            assert pop.agent(w).hyperparams.values == before_h[w]
+            assert pop.agent(w).hyperparams == before_h[w]
     freq = up / (up + down)
     elapsed = time.monotonic() - start
     print(f"\n  10000 rankings, {up + down} perturbations, "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from popsched.baselines import EliteArchive, backtrack, update_elites
-from popsched.core import ConfigError, HyperparamVector
+from popsched.core import ConfigError
 from popsched.events import ELITE_RESTORE
 from popsched.runner import run_experiment
 from popsched.seeding import agent_trainable_seed
@@ -25,7 +25,7 @@ def test_random_search_never_emits_events():
     assert res.events == []
     for i, h in res.initial_hyperparams.items():
         rows = [r for r in res.metrics if r.agent_id == i]
-        assert [r.hyperparams for r in rows] == [h.values] * cfg.num_rounds
+        assert [r.hyperparams for r in rows] == [h] * cfg.num_rounds
         # No weights arrive from another agent: training alone gives the same fitness.
         alone = build_trainable(cfg.trainable)
         alone.init(agent_trainable_seed(3, i), cfg.search_space.to_mapping(h))
@@ -150,8 +150,8 @@ def test_backtrack_hand_trace():
     assert all(e.kind == ELITE_RESTORE for e in events)
     assert weights(pop.agent(2)) == {"x": 0.0}
     assert weights(pop.agent(3)) == {"x": 1.0}
-    assert pop.agent(2).hyperparams.values == (1.0,)
-    assert pop.agent(3).hyperparams.values == (2.0,)
+    assert pop.agent(2).hyperparams == (1.0,)
+    assert pop.agent(3).hyperparams == (2.0,)
     assert streams(pop.agent(2)) == own_streams(2)
     assert events[0].hyperparams_after == (1.0,)
     assert events[0].fitness_snapshot == 1.5
@@ -212,4 +212,4 @@ def test_backtrack_targets_oracle(rng):
             elite = archive.entries[j % len(archive.entries)]
             assert e.source_agent_id == elite.agent_id
             assert e.source_round == elite.round
-            assert e.hyperparams_after == elite.hyperparams.values
+            assert e.hyperparams_after == elite.hyperparams

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,14 +14,16 @@ from popsched.core import (
     Brackets,
     ConfigError,
     HyperparamSpace,
-    HyperparamVector,
     SpaceEntry,
     compute_brackets,
     rank_descending,
     sample_hyperparams,
 )
+from popsched.pbt import PERTURB_FACTORS, explore_perturb
+from popsched.runner import run_experiment
 
 from conftest import make_population
+from test_runner import small_config
 
 
 def lr_space(low=1e-5, high=1e-3) -> HyperparamSpace:
@@ -58,28 +61,42 @@ def test_space_rejects_duplicates_and_empty():
 def test_space_names_and_mapping():
     space = HyperparamSpace((SpaceEntry("lr", 0.1, 1.0), SpaceEntry("sigma", 1.0, 2.0)))
     assert space.names == ("lr", "sigma")
-    assert space.to_mapping(HyperparamVector((0.5, 1.5))) == {"lr": 0.5, "sigma": 1.5}
+    assert space.to_mapping((0.5, 1.5)) == {"lr": 0.5, "sigma": 1.5}
 
 
 def test_space_clip():
     space = lr_space(0.1, 1.0)
-    assert space.clip(HyperparamVector((5.0,))).values == (1.0,)
-    assert space.clip(HyperparamVector((0.01,))).values == (0.1,)
-    assert space.clip(HyperparamVector((0.5,))).values == (0.5,)
+    assert space.clip((5.0,)) == (1.0,)
+    assert space.clip((0.01,)) == (0.1,)
+    assert space.clip((0.5,)) == (0.5,)
 
 
-def test_vector_rejects_non_positive():
-    with pytest.raises(ConfigError):
-        HyperparamVector((0.0,))
-    with pytest.raises(ConfigError):
-        HyperparamVector((-1.0,))
-    with pytest.raises(ConfigError):
-        HyperparamVector((math.nan,))
+def test_explore_perturb_refuses_a_product_that_overflows():
+    """1.5e308 * 1.25 is inf, refused; 1.5e308 * 0.8 is kept, and 0.8 never takes a value to 0."""
+    factors = set()
+    for seed in range(8):
+        factor = PERTURB_FACTORS[np.random.default_rng(seed).integers(0, len(PERTURB_FACTORS))]
+        factors.add(factor)
+        if factor == 1.25:
+            with pytest.raises(ConfigError, match="^hyperparameter values must be positive reals, got inf$"):
+                explore_perturb((1.5e308,), np.random.default_rng(seed))
+        else:
+            assert explore_perturb((1.5e308,), np.random.default_rng(seed)) == (1.5e308 * 0.8,)
+        assert explore_perturb((5e-324,), np.random.default_rng(seed)) == (5e-324,)
+    assert factors == set(PERTURB_FACTORS)
 
 
-def test_vector_scaled():
-    v = HyperparamVector((2.0, 3.0))
-    assert v.scaled((0.5, 2.0)).values == (1.0, 6.0)
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_restore_refuses_a_non_positive_vector(tmp_path, value):
+    cfg = small_config("pbt", total_steps=5 * 4, checkpoint_every=2)
+    run_experiment(cfg, seed=1, out_dir=tmp_path, stop_after_round=3)
+    checkpoint = tmp_path / "checkpoints" / "round_000002.json"
+    state = json.loads(checkpoint.read_text())
+    state["agents"][1]["hyperparams"] = [value]
+    checkpoint.write_text(json.dumps(state))
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg, seed=1, out_dir=tmp_path, resume=True)
+    assert str(exc.value) == f"hyperparams: {checkpoint} for agent 1 must be positive reals, got {value!r}"
 
 
 # -------------------------------------------------------------- sampling
@@ -87,13 +104,13 @@ def test_vector_scaled():
 def test_sampling_respects_bounds(rng):
     space = lr_space()
     for _ in range(200):
-        (v,) = sample_hyperparams(space, rng).values
+        (v,) = sample_hyperparams(space, rng)
         assert 1e-5 <= v <= 1e-3
 
 
 def test_sampling_degenerate_range_is_exact(rng):
     space = lr_space(1e-4, 1e-4)
-    assert sample_hyperparams(space, rng).values == (1e-4,)
+    assert sample_hyperparams(space, rng) == (1e-4,)
 
 
 def test_sampling_deterministic_for_fixed_seed():
@@ -109,7 +126,7 @@ def test_sampling_log_uniformity_bins():
     rng = np.random.default_rng(7)
     n = 10_000
     logs = np.array(
-        [math.log(sample_hyperparams(space, rng).values[0]) for _ in range(n)]
+        [math.log(sample_hyperparams(space, rng)[0]) for _ in range(n)]
     )
     counts, _ = np.histogram(logs, bins=10, range=(math.log(1e-5), math.log(1e-3)))
     assert counts.sum() == n

@@ -227,7 +227,7 @@ def mfpbt_config(**overrides) -> ExperimentConfig:
 
 def test_schedules_tile_every_agent_and_round():
     res = run_experiment(mfpbt_config(), seed=17)
-    init_h = {i: v.values for i, v in res.initial_hyperparams.items()}
+    init_h = res.initial_hyperparams
     for final_round in range(1, 13):
         events = [e for e in res.events if e.round <= final_round]
         for aid in range(8):
@@ -248,7 +248,7 @@ def test_schedules_tile_every_agent_and_round():
 def test_replay_reproduces_logged_fitness_bit_for_bit():
     cfg = mfpbt_config()
     res = run_experiment(cfg, seed=23)
-    init_h = {i: v.values for i, v in res.initial_hyperparams.items()}
+    init_h = res.initial_hyperparams
     logged = {(r.round, r.agent_id): r.fitness for r in res.metrics}
     final = cfg.num_rounds
     for aid in range(8):
@@ -263,7 +263,7 @@ def test_replay_reproduces_logged_fitness_bit_for_bit():
 def test_replay_reports_first_divergence():
     cfg = mfpbt_config(total_steps=30)
     res = run_experiment(cfg, seed=29)
-    init_h = {i: v.values for i, v in res.initial_hyperparams.items()}
+    init_h = res.initial_hyperparams
     logged = {(r.round, r.agent_id): r.fitness for r in res.metrics}
     segs = reconstruct_schedule(res.events, 0, 6, init_h, subpop_size=4)
     root = segs[0].agent_id

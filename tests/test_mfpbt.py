@@ -102,7 +102,7 @@ def test_migrate_dynamic_into_steady_takes_weights_only():
     # Hyperparams reset to the local top winner's, not the contenders'.
     assert pop.agent(12).hyperparams == own_best_h
     assert pop.agent(13).hyperparams == own_best_h
-    assert events[0].hyperparams_after == own_best_h.values
+    assert events[0].hyperparams_after == own_best_h
     assert events[0].round == 50 and events[0].subpop_id == 1
     assert events[0].source_round is None
     assert events[0].fitness_snapshot == 3.0
@@ -122,8 +122,8 @@ def test_migrate_steady_into_dynamic_takes_everything():
         (5, 9, MIGRATION_FULL),
     ]
     assert weights(pop.agent(4)) == {"x": 8.0}
-    assert pop.agent(4).hyperparams.values == (9.0,)
-    assert pop.agent(5).hyperparams.values == (10.0,)
+    assert pop.agent(4).hyperparams == (9.0,)
+    assert pop.agent(5).hyperparams == (10.0,)
     assert streams(pop.agent(4)) == own_streams(4)
 
 
@@ -150,8 +150,8 @@ def test_migrate_symmetric_always_transfers_fully():
         pop, 1, brackets, build_external_pool(pop, 1), round_no=50, symmetric=True
     )
     assert [e.kind for e in events] == [MIGRATION_FULL, MIGRATION_FULL]
-    assert pop.agent(12).hyperparams.values == (1.0,)
-    assert pop.agent(13).hyperparams.values == (2.0,)
+    assert pop.agent(12).hyperparams == (1.0,)
+    assert pop.agent(13).hyperparams == (2.0,)
 
 
 def test_migrate_variance_exploitation_keeps_own_h():
@@ -162,8 +162,8 @@ def test_migrate_variance_exploitation_keeps_own_h():
         variance_exploitation=True,
     )
     assert [e.kind for e in events] == [MIGRATION_WEIGHTS_ONLY] * 2
-    assert pop.agent(12).hyperparams.values == (13.0,)
-    assert pop.agent(13).hyperparams.values == (14.0,)
+    assert pop.agent(12).hyperparams == (13.0,)
+    assert pop.agent(13).hyperparams == (14.0,)
     assert weights(pop.agent(12)) == {"x": 0.0}
 
 
@@ -226,7 +226,7 @@ def test_round_event_replay_oracle(n, deltas):
 
     for round_no in range(1, 9):
         snap = {a.agent_id: a.snapshot_fitness for a in pop.agents}
-        pre_h = {a.agent_id: a.hyperparams.values for a in pop.agents}
+        pre_h = {a.agent_id: a.hyperparams for a in pop.agents}
         tracked = dict(pre_h)
         due = [i for i in range(len(deltas)) if round_no % deltas[i] == 0]
 
@@ -274,5 +274,5 @@ def test_round_event_replay_oracle(n, deltas):
                 tracked[e.target_agent_id] = e.hyperparams_after
 
         for a in pop.agents:
-            assert a.hyperparams.values == tracked[a.agent_id]
+            assert a.hyperparams == tracked[a.agent_id]
             a.snapshot_fitness = float(rng.permutation(n)[a.agent_id])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsched.core import Brackets, HyperparamSpace, HyperparamVector, SpaceEntry, compute_brackets
+from popsched.core import Brackets, HyperparamSpace, SpaceEntry, compute_brackets
 from popsched.events import PERTURBED_CLONE, SURVIVE
 from popsched.pbt import PERTURB_FACTORS,exploit, explore_perturb, pbt_evolution_step
 
@@ -40,43 +40,43 @@ def test_exploit_membership_oracle(rng):
 # ------------------------------------------------------- explore_perturb
 
 def test_perturb_scales_each_entry_by_known_factor(rng):
-    h = HyperparamVector((0.4, 2.0, 7.0))
+    h = (0.4, 2.0, 7.0)
     for _ in range(100):
         out = explore_perturb(h, rng)
-        for before, after in zip(h.values, out.values):
+        for before, after in zip(h, out):
             assert after in (before * 0.8, before * 1.25)
 
 
 def test_perturb_can_leave_range_unless_clamped():
     space = HyperparamSpace((SpaceEntry("sigma", 0.5, 1.0),))
-    h = HyperparamVector((1.0,))
+    h = (1.0,)
     seen_above = False
     rng = np.random.default_rng(0)
     for _ in range(50):
         out = explore_perturb(h, rng, space=space, clamp=False)
-        if out.values[0] > 1.0:
+        if out[0] > 1.0:
             seen_above = True
     assert seen_above
 
     rng = np.random.default_rng(0)
     for _ in range(50):
         out = explore_perturb(h, rng, space=space, clamp=True)
-        assert 0.5 <= out.values[0] <= 1.0
+        assert 0.5 <= out[0] <= 1.0
 
 
 def test_perturb_clamp_needs_space(rng):
     with pytest.raises(ValueError, match="requires the hyperparameter space"):
-        explore_perturb(HyperparamVector((1.0,)), rng, space=None, clamp=True)
+        explore_perturb((1.0,), rng, space=None, clamp=True)
 
 
 def test_perturb_factor_frequency_and_independence():
     """Each factor appears about half the time; entries are uncorrelated."""
     rng = np.random.default_rng(123)
-    h = HyperparamVector((1.0, 1.0))
+    h = (1.0, 1.0)
     n = 10_000
     picks = np.empty((n, 2))
     for i in range(n):
-        picks[i] = explore_perturb(h, rng).values
+        picks[i] = explore_perturb(h, rng)
     up = picks == 1.25
     freq = up.mean(axis=0)
     assert abs(freq[0] - 0.5) < 0.02
@@ -89,7 +89,7 @@ def test_perturb_factor_frequency_and_independence():
 def _perturb_oracle(hyperparams, rng, space, clamp):
     """explore_perturb as it drew before: all factors from one sized integers call."""
     idx = rng.integers(0, len(PERTURB_FACTORS), size=len(hyperparams))
-    out = hyperparams.scaled([PERTURB_FACTORS[i] for i in idx])
+    out = tuple(v * PERTURB_FACTORS[i] for v, i in zip(hyperparams, idx))
     return space.clip(out) if clamp else out
 
 
@@ -108,7 +108,7 @@ def test_perturb_consumes_the_stream_as_one_sized_integers_call(seed, clamp, cal
     """Same factors and the same generator state as the sized draw, with other draws between."""
     ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     for values, between, count in calls:
-        h = HyperparamVector(tuple(values))
+        h = tuple(values)
         space = HyperparamSpace(tuple(SpaceEntry(f"h{i}", 0.5, 2.0) for i in range(len(values))))
         assert explore_perturb(h, ours, space, clamp) == _perturb_oracle(h, oracle, space, clamp)
         if between != "none":
@@ -139,11 +139,11 @@ def test_evolution_step_hand_trace():
     assert weights(loser) == {"x": 0.0}
     assert streams(loser) == before_w3_rng == own_streams(3)
     # Hyperparams are the winner's, perturbed entrywise.
-    assert loser.hyperparams.values[0] in (
-        before_h0.values[0] * 0.8,
-        before_h0.values[0] * 1.25,
+    assert loser.hyperparams[0] in (
+        before_h0[0] * 0.8,
+        before_h0[0] * 1.25,
     )
-    assert events[3].hyperparams_after == loser.hyperparams.values
+    assert events[3].hyperparams_after == loser.hyperparams
     # Winner itself is untouched.
     assert pop.agent(0).hyperparams == before_h0
     assert weights(pop.agent(0)) == {"x": 0.0}
@@ -187,7 +187,7 @@ def test_evolution_step_variance_exploitation_keeps_own_h():
         pop.agents, evolve_rngs_for(pop), 1, 0, variance_exploitation=True
     )
     assert pop.agent(3).hyperparams == own_h
-    assert events[3].hyperparams_after == own_h.values
+    assert events[3].hyperparams_after == own_h
     # Weights still move.
     assert weights(pop.agent(3)) == {"x": 0.0}
 
@@ -197,11 +197,11 @@ def test_evolution_step_variance_mode_preserves_h_multiset(rng):
         n = 8
         fits = [float(v) for v in rng.permutation(n)]
         pop = make_population(fits)
-        before = sorted(a.hyperparams.values for a in pop.agents)
+        before = sorted(a.hyperparams for a in pop.agents)
         pbt_evolution_step(
             pop.agents, evolve_rngs_for(pop), 3, 0, variance_exploitation=True
         )
-        after = sorted(a.hyperparams.values for a in pop.agents)
+        after = sorted(a.hyperparams for a in pop.agents)
         assert before == after
 
 
@@ -213,5 +213,5 @@ def test_evolution_step_clamp_respects_space():
             pop.agents, evolve_rngs_for(pop, master_seed=trial), 1, 0,
             space=space, clamp=True,
         )
-        v = pop.agent(3).hyperparams.values[0]
+        v = pop.agent(3).hyperparams[0]
         assert v in (0.9, 1.1)

@@ -353,7 +353,7 @@ def test_snapshots_match_independently_trained_trainables():
     rows = {(r.round, r.agent_id): r.fitness for r in res.metrics}
     for i, h in res.initial_hyperparams.items():
         t = build_trainable(cfg.trainable)
-        t.init(agent_trainable_seed(4, i), {"sigma": h.values[0]})
+        t.init(agent_trainable_seed(4, i), {"sigma": h[0]})
         for r in range(1, cfg.num_rounds + 1):
             t.train(cfg.t_ready)
             assert rows[(r, i)] == t.evaluate(cfg.eval_repeats)
@@ -376,7 +376,7 @@ def test_random_search_run_shape():
     for k, row in enumerate(res.metrics):
         assert row.round == k // 4 + 1
         assert row.agent_id == k % 4
-        assert row.hyperparams == res.initial_hyperparams[row.agent_id].values
+        assert row.hyperparams == res.initial_hyperparams[row.agent_id]
 
 
 def test_mfpbt_run_gates_subpops_by_round():
@@ -414,7 +414,7 @@ def test_round_one_metrics_report_pre_barrier_hyperparams():
     res = run_experiment(cfg, seed=4)
     first = [r for r in res.metrics if r.round == 1]
     for row in first:
-        assert row.hyperparams == res.initial_hyperparams[row.agent_id].values
+        assert row.hyperparams == res.initial_hyperparams[row.agent_id]
     # Round 2 rows reflect what round 1's barrier rewrote.
     clones = [e for e in res.events if e.round == 1 and e.kind == PERTURBED_CLONE]
     assert clones

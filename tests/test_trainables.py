@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsched.baselines import EliteEntry
-from popsched.core import HyperparamVector
 from popsched.trainables import (
     TRAINABLES,
     QuadraticLRTrainable,
@@ -564,7 +563,7 @@ def _snapshot(cls, h) -> EliteEntry:
     src.init(3, h)
     src.train(25)
     payload = json.loads(json.dumps(src.export_payload()))
-    return EliteEntry(payload, HyperparamVector((1.0,)), src.evaluate(), agent_id=0, round=1)
+    return EliteEntry(payload, (1.0,), src.evaluate(), agent_id=0, round=1)
 
 
 @pytest.mark.parametrize("cls,h", ALL_KINDS)
