@@ -19,11 +19,12 @@ parsed by one np.loadtxt call; a resume decodes each log line once.
 read_metrics, the one reader of its rows, takes them only in the shape
 the writer writes: metrics_header, then rounds 1..R in order, each
 num_agents rows in agent-id order with the config's subpop_id for that
-agent, a finite fitness and positive finite hyperparameter cells. For `lineage` and `report`
-(read_run) that is the whole file, R at most num_rounds and the last row
-ending in a newline; for a resume, the rows up to its checkpoint. It
-refuses anything else with ValueError("<path>: line <n>: ..."), which the
-CLI exits 1 on, and returns a MetricTable.
+agent, a finite fitness and positive finite hyperparameter cells. For
+`lineage` and `report` (read_run) that is the whole file, R at most
+num_rounds and the last row ending in a newline; for a resume, the rows
+up to its checkpoint. It refuses anything else with
+ValueError("<path>: line <n>: ..."), which the CLI exits 1 on, and
+returns a MetricTable.
 """
 
 from __future__ import annotations

@@ -220,7 +220,7 @@ def run_experiment(
     metrics = MetricTable(config)
     all_events: list[EvolutionEvent] = []
 
-    initial_h = {a.agent_id: a.hyperparams for a in engine.population.agents}  # a resume's too
+    initial_h = {a.agent_id: a.hyperparams for a in engine.population.agents}  # taken before a restore
     if resume:
         if run is None:
             raise ConfigError("resume requires an out_dir with checkpoints")
