@@ -844,6 +844,13 @@ CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
     "elite-without-weights": (PBT_BT, _elite_payloads(weights={}),
                               "payload: {} holds a payload for elite 0 that a two_basin trainable refuses: "
                               "KeyError: 'x'"),
+    "elite-payload-a-list": (PBT_BT, lambda s: {**s, "archive": {**s["archive"], "entries": [
+                                 {**e, "payload": []} for e in s["archive"]["entries"]]}},
+                             "payload: {} holds a payload for elite 0 that a two_basin trainable refuses: "
+                             "AttributeError: 'list' object has no attribute 'get'"),
+    "agent-payload-a-number": ({}, _agent_0(payload=1),
+                               "payload: {} holds a payload for agent 0 that a two_basin trainable refuses: "
+                               "AttributeError: 'int' object has no attribute 'get'"),
 }
 
 
