@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AgentState, ConfigError, Population, rank_descending
+from .core import AgentState, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
 from .trainables import Trainable
 
@@ -27,10 +27,7 @@ class EliteEntry:
     round: int
 
     def restore_weights(self, target: Trainable) -> None:
-        """Copy this snapshot's weights into a live trainable; its streams stay."""
-        kind = self.payload["kind"]
-        if kind != target.kind:
-            raise ValueError(f"cannot restore a {kind!r} snapshot into a {target.kind!r} trainable")
+        """Copy this snapshot's weights into a live trainable of its kind; its streams stay."""
         target.import_weights(self.payload["weights"])
 
 
@@ -43,8 +40,6 @@ class EliteArchive:
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ConfigError(f"elite capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.entries: list[EliteEntry] = []
         self._json: tuple[list[EliteEntry], str] | None = None  # (entries, their JSON text)
@@ -93,10 +88,19 @@ class EliteArchive:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> EliteArchive:
+    def from_json_dict(cls, data: dict, hyperparams: Sequence[tuple[float, ...]]) -> EliteArchive:
+        """The archive to_json_dict wrote as data, its entries holding the checked vectors hyperparams."""
         archive = cls(int(data["capacity"]))
-        archive.entries = [EliteEntry(e["payload"], tuple(e["hyperparams"]), float(e["fitness"]),
-                                      int(e["agent_id"]), int(e["round"])) for e in data["entries"]]
+        archive.entries = [
+            EliteEntry(
+                payload=e["payload"],
+                hyperparams=h,
+                fitness=float(e["fitness"]),
+                agent_id=int(e["agent_id"]),
+                round=int(e["round"]),
+            )
+            for e, h in zip(data["entries"], hyperparams)
+        ]
         return archive
 
 

@@ -93,8 +93,13 @@ def sample_hyperparams(space: HyperparamSpace, rng: np.random.Generator) -> tupl
 
     A degenerate range (low == high) returns that bound exactly.
     """
-    return tuple(float(e.low) if e.low == e.high else math.exp(rng.uniform(math.log(e.low), math.log(e.high)))
-                 for e in space.entries)
+    out = []
+    for e in space.entries:
+        if e.low == e.high:
+            out.append(float(e.low))
+        else:
+            out.append(math.exp(rng.uniform(math.log(e.low), math.log(e.high))))
+    return tuple(out)
 
 
 @dataclass

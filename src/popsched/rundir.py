@@ -191,7 +191,8 @@ def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,
     checked nor kept. The line a refusal names counts blank lines."""
     with text(path, lines) as fh:
         lines = list(fh)
-    header, found = metrics_header(config), lines[0].rstrip("\n") if lines else "the end of the file"
+    header = metrics_header(config)
+    found = lines[0].rstrip("\n") if lines else "the end of the file"
     if found != header:
         raise ValueError(f"{path}: line 1: expected {header}; found {found}")
     n = config.num_agents

@@ -82,13 +82,16 @@ class _Engine:
             i: seed_hierarchy(self.seed, i, "evolve") for i in range(config.num_agents)
         }
         self.pushed: dict[int, tuple[float, ...]] = {}  # agent id -> the vector object its trainable holds
-        agents, per = [], config.subpop_size
+        per = config.subpop_size
+        agents = []
         for i in range(config.num_agents):  # the initial population, which a restore overwrites
             h = sample_hyperparams(self.space, seed_hierarchy(self.seed, i, "init"))
             trainable = build_trainable(config.trainable)
             trainable.init(agent_trainable_seed(self.seed, i), self.space.to_mapping(h))
             self.pushed[i] = h
-            agents.append(AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h))
+            agents.append(
+                AgentState(agent_id=i, subpop_id=i // per, trainable=trainable, hyperparams=h)
+            )
         self.population = Population(agents=agents, deltas=config.deltas)
 
     def train_eval_round(self) -> None:
@@ -153,9 +156,13 @@ class _Engine:
 
         Refuses, naming the field and path, a checkpoint of another seed or elite capacity, one
         whose agents are not 0..num_agents-1 in order, and a vector or payload (an agent's or an
-        elite's) that the run cannot hold. data's vectors are replaced by the checked tuples."""
-        cfg, (seed, recs, archive) = self.config, (data["master_seed"], data["agents"], data.get("archive"))
-        width, capacity = len(cfg.search_space), archive["capacity"] if archive is not None else None
+        elite's) that the run cannot hold. data is only read."""
+        cfg = self.config
+        seed = data["master_seed"]
+        recs = data["agents"]
+        archive = data.get("archive")
+        width = len(cfg.search_space)
+        capacity = archive["capacity"] if archive is not None else None
         if seed != self.seed:
             raise ConfigError(f"seeds: the checkpoint was written with master seed {seed}, "
                               f"but this run uses seed {self.seed}")
@@ -165,9 +172,11 @@ class _Engine:
             raise ConfigError(f"elite_capacity: {path} holds an elite archive of capacity {capacity!r}, "
                               f"but this run has {cfg.elite_capacity!r}")
         probe = build_trainable(cfg.trainable)  # takes each elite payload
+        checked = {"agent": [], "elite": []}  # each owner's vectors, as positive_reals returns them
         for owner, owned in ("agent", recs), ("elite", archive["entries"] if archive is not None else []):
             for i, rec in enumerate(owned):
-                hps, at = rec["hyperparams"], f"hyperparams: {path} for {owner} {i}"
+                hps = rec["hyperparams"]
+                at = f"hyperparams: {path} for {owner} {i}"
                 if owner == "agent" and rec["agent_id"] != i:
                     raise ConfigError(f"agent_id: {path} holds agent {rec['agent_id']!r} where agent {i} belongs")
                 if not isinstance(hps, list):
@@ -175,18 +184,19 @@ class _Engine:
                 if len(hps) != width:
                     raise ConfigError(f"hyperparams: {path} holds {len(hps)} values for {owner} {i}, "
                                       f"but search_space has {width}")
-                rec["hyperparams"] = positive_reals(hps, at)
+                checked[owner].append(positive_reals(hps, at))
                 target = self.population.agents[i].trainable if owner == "agent" else probe
                 try:
                     target.import_payload(rec["payload"])
-                except (KeyError, TypeError, ValueError) as exc:
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"payload: {path} holds a payload for {owner} {i} that a {probe.kind} "
                                       f"trainable refuses: {type(exc).__name__}: {exc}") from None
-        for a, rec in zip(self.population.agents, recs):
-            a.hyperparams, a.snapshot_fitness = rec["hyperparams"], rec["fitness"]
+        for a, rec, h in zip(self.population.agents, recs, checked["agent"]):
+            a.hyperparams = h
+            a.snapshot_fitness = rec["fitness"]
             self.evolve_rngs[a.agent_id] = restore_generator(rec["evolve_state"])
         if archive is not None:
-            self.archive = EliteArchive.from_json_dict(archive)
+            self.archive = EliteArchive.from_json_dict(archive, checked["elite"])
         return int(data["round"])
 
 

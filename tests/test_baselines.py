@@ -39,8 +39,9 @@ def test_random_search_never_emits_events():
 # ---------------------------------------------------------------- archive
 
 def test_archive_capacity_validation():
-    with pytest.raises(ConfigError, match="elite capacity"):
-        EliteArchive(0)
+    """The config refuses a capacity below 1, so no archive is built with one."""
+    with pytest.raises(ConfigError, match="elite_capacity: pbt_bt needs >= 1, got 0"):
+        small_config("pbt_bt", elite_capacity=0, backtrack_period=1)
     assert EliteArchive(1).capacity == 1
 
 
@@ -105,7 +106,7 @@ def test_archive_json_round_trip():
     archive = EliteArchive(3)
     update_elites(archive, pop, 7)
     data = json.loads(json.dumps(archive.to_json_dict()))
-    restored = EliteArchive.from_json_dict(data)
+    restored = EliteArchive.from_json_dict(data, [tuple(e["hyperparams"]) for e in data["entries"]])
     assert restored.capacity == archive.capacity
     assert restored.entries == archive.entries
 
