@@ -101,14 +101,18 @@ def test_archive_entries_are_deep_copies():
     assert archive.entries[0].payload["weights"] == {"x": 0.0}
 
 
-def test_archive_json_round_trip():
-    pop = make_population([3.0, 1.0, 4.0, 1.5])
-    archive = EliteArchive(3)
-    update_elites(archive, pop, 7)
-    data = json.loads(json.dumps(archive.to_json_dict()))
-    restored = EliteArchive.from_json_dict(data, [tuple(e["hyperparams"]) for e in data["entries"]])
-    assert restored.capacity == archive.capacity
-    assert restored.entries == archive.entries
+def test_a_pbt_bt_resume_restores_the_archive_entries_it_saved(tmp_path):
+    """Resumed from round 4, the round-6 backtrack restores the four elites round 4's checkpoint holds."""
+    cfg = small_config("pbt_bt", num_agents=8, total_steps=40, elite_capacity=4, backtrack_period=3,
+                       checkpoint_every=2)
+    full = run_experiment(cfg, seed=2)
+    run_experiment(cfg, seed=2, out_dir=tmp_path, stop_after_round=4)
+    saved = json.loads((tmp_path / "checkpoints" / "round_000004.json").read_text())["archive"]["entries"]
+    resumed = run_experiment(cfg, seed=2, out_dir=tmp_path, resume=True)
+    restored = [(ev.source_agent_id, ev.source_round, ev.hyperparams_after)
+                for ev in resumed.events if ev.kind == ELITE_RESTORE and ev.round == 6]
+    assert restored == [(e["agent_id"], e["round"], tuple(e["hyperparams"])) for e in saved]
+    assert (resumed.events, resumed.metrics) == (full.events, full.metrics)
 
 
 def test_archive_matches_brute_force_top_k(rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -814,6 +815,11 @@ def _agent_0(**edit):
     return lambda s: {**s, "agents": [{**s["agents"][0], **edit}, *s["agents"][1:]]}
 
 
+def _elite_0(**edit):
+    return lambda s: {**s, "archive": {**s["archive"], "entries": [
+        {**s["archive"]["entries"][0], **edit}, *s["archive"]["entries"][1:]]}}
+
+
 def _elite_payloads(**edit):
     return lambda s: {**s, "archive": {**s["archive"], "entries": [
         {**e, "payload": {**e["payload"], **edit}} for e in s["archive"]["entries"]]}}
@@ -851,6 +857,25 @@ CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
     "agent-payload-a-number": ({}, _agent_0(payload=1),
                                "payload: {} holds a payload for agent 0 that a two_basin trainable refuses: "
                                "AttributeError: 'int' object has no attribute 'get'"),
+    "elite-fitness-a-string": (PBT_BT, _elite_0(fitness="1e9"),
+                               "fitness: {} for elite 0 must be a finite float, got '1e9'"),
+    "elite-round-a-string": (PBT_BT, _elite_0(round="1"), "round: {} for elite 0 must be an integer, got '1'"),
+    "elite-of-no-agent": (PBT_BT, _elite_0(agent_id=99), "agent_id: {} for elite 0 must be in 0..3, got 99"),
+    "elite-after-the-checkpoint": (PBT_BT, _elite_0(round=3), "round: {} for elite 0 must be in 1..2, got 3"),
+    "round-a-string": ({}, lambda s: {**s, "round": "2"}, "round: {} must be an integer, got '2'"),
+    "round-of-another-file": ({}, lambda s: {**s, "round": 1},
+                              "round: {} holds round 1, but its file is not round_000001.json"),
+    "agent-fitness-a-string": ({}, _agent_0(fitness="abc"),
+                               "fitness: {} for agent 0 must be a finite float, got 'abc'"),
+    "agent-fitness-nan": ({}, _agent_0(fitness=math.nan), "fitness: {} for agent 0 must be a finite float, got nan"),
+    "unknown-key": ({}, lambda s: {**s, "extra": 1},
+                    "checkpoint: {} must be an object of the keys ['agents', 'archive', 'master_seed', 'round'], "
+                    "got ['agents', 'archive', 'extra', 'master_seed', 'round']"),
+    "archive-a-list": (PBT_BT, lambda s: {**s, "archive": []}, "archive: {} must be an object or null, got []"),
+    "checkpoint-a-list": ({}, lambda s: [], "checkpoint: {} must be an object of the keys "
+                          "['agents', 'archive', 'master_seed', 'round'], got list"),
+    "evolve-state-a-string": ({}, _agent_0(evolve_state="x"), "evolve_state: {} holds a state for agent 0 that "
+                              "numpy's PCG64 refuses: TypeError: state must be a dict"),
 }
 
 
@@ -870,6 +895,22 @@ def test_resume_from_a_checkpoint_the_run_cannot_hold_exits_2_and_touches_nothin
     code, envelope = _resume_refused(capsys, path, out)
     assert code == 2
     assert envelope == {"error": "ConfigError", "message": message.format(checkpoint)}
+
+
+def test_resume_from_a_checkpoint_that_is_not_json_exits_2_and_touches_nothing(tmp_path, capsys):
+    path = tiny_config_file(tmp_path, algorithm="pbt", total_steps=5 * 8, checkpoint_every=2)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
+                   out_dir=out, stop_after_round=3)
+    checkpoint = out / "checkpoints" / "round_000002.json"
+    checkpoint.write_text('{"round": 2"master_seed": 5}')
+
+    code, envelope = _resume_refused(capsys, path, out)
+    assert code == 2
+    assert envelope == {"error": "ConfigError", "message": (
+        f"checkpoint: {checkpoint} is not JSON: Expecting ',' delimiter: line 1 column 12 (char 11)")}
 
 # -------------------------------------------------------------- subprocess
 

@@ -625,6 +625,43 @@ def test_resume_ignores_temp_file_of_an_interrupted_checkpoint(tmp_path, monkeyp
     assert _run_files(part) == _run_files(full)
 
 
+def test_a_crash_while_the_config_echo_is_written_leaves_no_config_json(tmp_path, monkeypatch):
+    """A process killed once 100 characters of config.json's echo are written: no half-written echo."""
+
+    class Killed(Exception):
+        pass
+
+    class Torn:  # a file opened for writing that is killed after 100 characters
+        def __init__(self, fh):
+            self.fh, self.room = fh, 100
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.fh.write(chunk[:self.room])
+            self.room = max(self.room - len(chunk), 0)
+            if not self.room:
+                raise Killed
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.write(chunk)
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return Torn(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(rundir, "open", torn_open, raising=False)
+    with pytest.raises(Killed):
+        run_experiment(small_config("pbt"), seed=0, out_dir=tmp_path / "run")
+    monkeypatch.undo()
+    assert not (tmp_path / "run" / "config.json").exists()
+
+
 def _rounds_upto(run_dir: Path, num_agents: int, round_no: int) -> tuple[str, str]:
     """A run directory's metrics.csv and events.jsonl cut to rounds 1..round_no."""
     header, *rows = (run_dir / "metrics.csv").read_text().splitlines(keepends=True)
