@@ -39,9 +39,9 @@ class EliteArchive:
     corrupt them.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, entries: Sequence[EliteEntry] = ()) -> None:
         self.capacity = capacity
-        self.entries: list[EliteEntry] = []
+        self.entries: list[EliteEntry] = list(entries)
         self._json: tuple[list[EliteEntry], str] | None = None  # (entries, their JSON text)
 
     def update(self, agents: Sequence[AgentState], round_no: int) -> None:
@@ -86,22 +86,6 @@ class EliteArchive:
                 for e in self.entries
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, hyperparams: Sequence[tuple[float, ...]]) -> EliteArchive:
-        """The archive to_json_dict wrote as data, its entries holding the checked vectors hyperparams."""
-        archive = cls(int(data["capacity"]))
-        archive.entries = [
-            EliteEntry(
-                payload=e["payload"],
-                hyperparams=h,
-                fitness=float(e["fitness"]),
-                agent_id=int(e["agent_id"]),
-                round=int(e["round"]),
-            )
-            for e, h in zip(data["entries"], hyperparams)
-        ]
-        return archive
 
 
 def update_elites(archive: EliteArchive, population: Population, round_no: int) -> None:

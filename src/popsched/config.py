@@ -29,7 +29,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-class _Shape(NamedTuple):
+class Shape(NamedTuple):
     """A JSON value's shape: what it must be, and its codec once it is."""
 
     expected: str
@@ -38,7 +38,7 @@ class _Shape(NamedTuple):
     encode: Callable = lambda value: value
 
 
-def _parse(name: str, shape: _Shape, value):
+def _parse(name: str, shape: Shape, value):
     """value decoded by shape; a ConfigError naming the field when it does not fit."""
     if not shape.test(value):
         raise ConfigError(f"{name}: expected {shape.expected}, got {value!r}")
@@ -73,26 +73,26 @@ def _trainable_from_json(spec: dict) -> dict:
     return dict(spec)
 
 
-INT = _Shape("an integer", _is_int)
-INT_OR_NULL = _Shape("an integer or null", lambda v: v is None or _is_int(v))
-INTS = _Shape("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple, list)
-BOOL = _Shape("true or false", lambda v: isinstance(v, bool))
-STR = _Shape("a string", lambda v: isinstance(v, str))
-STR_OR_NULL = _Shape("a string or null", lambda v: v is None or isinstance(v, str))
-NUMBER = _Shape("a number", _is_number, float)
-SPACE = _Shape("a list of objects", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+INT = Shape("an integer", _is_int)
+INT_OR_NULL = Shape("an integer or null", lambda v: v is None or _is_int(v))
+INTS = Shape("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple, list)
+BOOL = Shape("true or false", lambda v: isinstance(v, bool))
+STR = Shape("a string", lambda v: isinstance(v, str))
+STR_OR_NULL = Shape("a string or null", lambda v: v is None or isinstance(v, str))
+NUMBER = Shape("a number", _is_number, float)
+SPACE = Shape("a list of objects", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
                _space_from_json, lambda space: [asdict(e) for e in space.entries])
-TRAINABLE = _Shape(
+TRAINABLE = Shape(
     "an object of kind and params",
     lambda v: isinstance(v, dict) and "kind" in v and set(v) <= {"kind", "params"},
     _trainable_from_json, lambda spec: {"kind": spec.get("kind"), "params": dict(spec.get("params") or {})},
 )
-PARAMS = _Shape("numbers or lists of numbers", lambda v: isinstance(v, dict) and all(
+PARAMS = Shape("numbers or lists of numbers", lambda v: isinstance(v, dict) and all(
     _is_number(x) or (isinstance(x, list) and all(map(_is_number, x))) for x in v.values()))
 _ENTRY_SHAPES = {"name": STR, "low": NUMBER, "high": NUMBER, "scale": STR}
 
 
-def _field(shape: _Shape, default=MISSING, *, least: int | None = None):
+def _field(shape: Shape, default=MISSING, *, least: int | None = None):
     """A config field: its JSON shape, its default, and the least value it takes."""
     return field(default=default, metadata={"shape": shape, "least": least})
 

@@ -49,6 +49,8 @@ from .events import text
 if TYPE_CHECKING:
     from .runner import ExperimentResult
 
+CHECKPOINT_NAME = "round_{:06d}.json"  # checkpoints/ file of round r: CHECKPOINT_NAME.format(r)
+
 
 class MetricRow(NamedTuple):
     round: int
@@ -140,7 +142,7 @@ class RunDir:
 
     def write_checkpoint(self, round_no: int, state: str) -> None:
         """state: the engine state as json.dumps writes it (runner.checkpoint_text)."""
-        _write_atomic(self.checkpoints / f"round_{round_no:06d}.json", [state])
+        _write_atomic(self.checkpoints / CHECKPOINT_NAME.format(round_no), [state])
 
     def resume_state(self, config: ExperimentConfig, seed: int) -> tuple[Path, dict]:
         """The latest checkpoint's path and state, once config.json matches this run's echo but for seeds."""
@@ -153,8 +155,10 @@ class RunDir:
         for key, value in _config_echo(config, seed).items():
             if key != "seeds" and stored[key] != value:
                 raise ConfigError(f"{key}: {self.config} has {stored[key]!r}, but this run has {value!r}")
-        with open(snaps[-1], "r", encoding="utf-8") as fh:
-            return snaps[-1], json.load(fh)
+        try:
+            return snaps[-1], json.loads(snaps[-1].read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"checkpoint: {snaps[-1]} is not JSON: {exc}") from None
 
     def write_result(self, result: ExperimentResult) -> None:
         rounds = result.config.num_rounds
@@ -274,6 +278,4 @@ def _write_atomic(path: Path, chunks: list[str]) -> None:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, [json.dumps(data, indent=2, sort_keys=True), "\n"])

@@ -33,14 +33,15 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
-from .baselines import EliteArchive, backtrack, update_elites
-from .config import ExperimentConfig
+from .baselines import EliteArchive, EliteEntry, backtrack, update_elites
+from .config import INT, ExperimentConfig, Shape
 from .core import AgentState, ConfigError, Population, positive_reals, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
 from .mfpbt import mfpbt_round, subpop_due
 from .reporting import best_fitness_by_round
-from .rundir import MetricTable, RunDir, read_metrics, truncate_logs
+from .rundir import CHECKPOINT_NAME, MetricTable, RunDir, read_metrics, truncate_logs
 from .seeding import agent_trainable_seed, restore_generator, seed_hierarchy
 from .trainables import build_trainable
 
@@ -70,14 +71,35 @@ class ExperimentResult:
         return block.index(max(block))
 
 
+ANY = Shape("any value", lambda value: True)  # a payload or evolve_state, which its importer checks
+LIST = Shape("a list", lambda value: isinstance(value, list))
+FINITE = Shape("a finite float", lambda value: isinstance(value, float) and math.isfinite(value))
+OBJECT_OR_NULL = Shape("an object or null", lambda value: value is None or isinstance(value, dict))
+# The records _Engine.checkpoint_dict writes, each key with its value's shape.
+CHECKPOINT = {"round": INT, "master_seed": INT, "agents": LIST, "archive": OBJECT_OR_NULL}
+AGENT = {"agent_id": INT, "subpop_id": INT, "hyperparams": LIST, "fitness": FINITE, "payload": ANY, "evolve_state": ANY}
+ARCHIVE = {"capacity": INT, "entries": LIST}
+ELITE = {"payload": ANY, "hyperparams": LIST, "fitness": FINITE, "agent_id": INT, "round": INT}
+
+
+def _checked(record, shapes: dict[str, Shape], name: str, at) -> list:
+    """record's values in shapes' order, uncoerced, once record is an object of exactly shapes' keys
+    and each value has its shape; else a ConfigError naming the key (or name, the record's) and at."""
+    if not isinstance(record, dict) or record.keys() != shapes.keys():
+        got = sorted(record) if isinstance(record, dict) else type(record).__name__
+        raise ConfigError(f"{name}: {at} must be an object of the keys {sorted(shapes)}, got {got}")
+    for key, shape in shapes.items():
+        if not shape.test(record[key]):
+            raise ConfigError(f"{key}: {at} must be {shape.expected}, got {record[key]!r}")
+    return [record[key] for key in shapes]
+
+
 class _Engine:
     def __init__(self, config: ExperimentConfig, seed: int) -> None:
         self.config = config
         self.seed = int(seed)
         self.space = config.search_space
-        self.archive = (
-            EliteArchive(config.elite_capacity) if config.algorithm == "pbt_bt" else None
-        )
+        self.archive = EliteArchive(config.elite_capacity) if config.algorithm == "pbt_bt" else None
         self.evolve_rngs = {
             i: seed_hierarchy(self.seed, i, "evolve") for i in range(config.num_agents)
         }
@@ -151,18 +173,17 @@ class _Engine:
         head = json.dumps({**self.checkpoint_dict(round_no), "archive": None}, check_circular=False)
         return head[: -len("null}")] + archive + "}"
 
-    def restore_checkpoint(self, path: os.PathLike, data: dict) -> int:
-        """Overwrite the initial population with the checkpoint read from path.
-
-        Refuses, naming the field and path, a checkpoint of another seed or elite capacity, one
-        whose agents are not 0..num_agents-1 in order, and a vector or payload (an agent's or an
-        elite's) that the run cannot hold. data is only read."""
+    def restore_checkpoint(self, path: Path, data) -> int:
+        """Overwrite the initial population with the checkpoint data read from path, in one pass over its
+        records, each read once _checked passes it; returns its round. Refuses, naming the field and path,
+        another seed, elite capacity or file round, agents not 0..num_agents-1 in order, an elite of no agent
+        or of a later round, and a vector, payload or evolve_state the run cannot hold (the run then stops)."""
         cfg = self.config
-        seed = data["master_seed"]
-        recs = data["agents"]
-        archive = data.get("archive")
-        width = len(cfg.search_space)
-        capacity = archive["capacity"] if archive is not None else None
+        round_no, seed, recs, archive = _checked(data, CHECKPOINT, "checkpoint", path)
+        capacity, entries = _checked(archive, ARCHIVE, "archive", path) if archive is not None else (None, [])
+        if path.name != CHECKPOINT_NAME.format(round_no):
+            raise ConfigError(f"round: {path} holds round {round_no}, "
+                              f"but its file is not {CHECKPOINT_NAME.format(round_no)}")
         if seed != self.seed:
             raise ConfigError(f"seeds: the checkpoint was written with master seed {seed}, "
                               f"but this run uses seed {self.seed}")
@@ -171,33 +192,43 @@ class _Engine:
         if capacity != cfg.elite_capacity:
             raise ConfigError(f"elite_capacity: {path} holds an elite archive of capacity {capacity!r}, "
                               f"but this run has {cfg.elite_capacity!r}")
+        for i, rec in enumerate(recs):
+            agent_id, _, hps, _, payload, state = _checked(rec, AGENT, "agents", f"{path} for agent {i}")
+            if agent_id != i:
+                raise ConfigError(f"agent_id: {path} holds agent {agent_id!r} where agent {i} belongs")
+            agent = self.population.agents[i]
+            agent.hyperparams = self._import_vector_and_payload(path, f"agent {i}", hps, payload, agent.trainable)
+            try:
+                self.evolve_rngs[i] = restore_generator(state)
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"evolve_state: {path} holds a state for agent {i} that numpy's PCG64 "
+                                  f"refuses: {type(exc).__name__}: {exc}") from None
         probe = build_trainable(cfg.trainable)  # takes each elite payload
-        checked = {"agent": [], "elite": []}  # each owner's vectors, as positive_reals returns them
-        for owner, owned in ("agent", recs), ("elite", archive["entries"] if archive is not None else []):
-            for i, rec in enumerate(owned):
-                hps = rec["hyperparams"]
-                at = f"hyperparams: {path} for {owner} {i}"
-                if owner == "agent" and rec["agent_id"] != i:
-                    raise ConfigError(f"agent_id: {path} holds agent {rec['agent_id']!r} where agent {i} belongs")
-                if not isinstance(hps, list):
-                    raise ConfigError(f"{at} must be a list, got {hps!r}")
-                if len(hps) != width:
-                    raise ConfigError(f"hyperparams: {path} holds {len(hps)} values for {owner} {i}, "
-                                      f"but search_space has {width}")
-                checked[owner].append(positive_reals(hps, at))
-                target = self.population.agents[i].trainable if owner == "agent" else probe
-                try:
-                    target.import_payload(rec["payload"])
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"payload: {path} holds a payload for {owner} {i} that a {probe.kind} "
-                                      f"trainable refuses: {type(exc).__name__}: {exc}") from None
-        for a, rec, h in zip(self.population.agents, recs, checked["agent"]):
-            a.hyperparams = h
-            a.snapshot_fitness = rec["fitness"]
-            self.evolve_rngs[a.agent_id] = restore_generator(rec["evolve_state"])
-        if archive is not None:
-            self.archive = EliteArchive.from_json_dict(archive, checked["elite"])
-        return int(data["round"])
+        elites = []
+        for i, rec in enumerate(entries):
+            at = f"{path} for elite {i}"
+            payload, hps, fitness, agent_id, elite_round = _checked(rec, ELITE, "entries", at)
+            if not 0 <= agent_id < cfg.num_agents:
+                raise ConfigError(f"agent_id: {at} must be in 0..{cfg.num_agents - 1}, got {agent_id}")
+            if not 1 <= elite_round <= round_no:
+                raise ConfigError(f"round: {at} must be in 1..{round_no}, got {elite_round}")
+            h = self._import_vector_and_payload(path, f"elite {i}", hps, payload, probe)
+            elites.append(EliteEntry(payload, h, fitness, agent_id, elite_round))
+        self.archive = EliteArchive(capacity, elites) if archive is not None else None
+        return round_no
+
+    def _import_vector_and_payload(self, path: Path, owner: str, hps: list, payload, target) -> tuple[float, ...]:
+        """hps as owner's vector, once search_space's width and positive_reals fit and target imported payload."""
+        if len(hps) != len(self.space):
+            raise ConfigError(f"hyperparams: {path} holds {len(hps)} values for {owner}, "
+                              f"but search_space has {len(self.space)}")
+        h = positive_reals(hps, f"hyperparams: {path} for {owner}")
+        try:
+            target.import_payload(payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"payload: {path} holds a payload for {owner} that a {target.kind} "
+                              f"trainable refuses: {type(exc).__name__}: {exc}") from None
+        return h
 
 
 def run_experiment(
