@@ -39,9 +39,9 @@ class EliteArchive:
     corrupt them.
     """
 
-    def __init__(self, capacity: int, entries: Sequence[EliteEntry] = ()) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.entries: list[EliteEntry] = list(entries)
+        self.entries: list[EliteEntry] = []
         self._json: tuple[list[EliteEntry], str] | None = None  # (entries, their JSON text)
 
     def update(self, agents: Sequence[AgentState], round_no: int) -> None:

@@ -5,9 +5,9 @@ positive_reals where one is made from numbers nothing has checked),
 per-agent state, the partition of a population into sub-populations,
 fitness ranking, and the quartile brackets used by truncation selection.
 The scheduler functions here and in pbt, mfpbt and baselines take agents
-built from a validated config and a checked checkpoint
-(runner._Engine.restore_checkpoint), each with a finite snapshot
-fitness, and do not check them again.
+built from a validated config and a checked checkpoint (runner's one-pass
+restore), each with the finite snapshot fitness its round's evaluation
+set, and do not check them again.
 """
 
 from __future__ import annotations

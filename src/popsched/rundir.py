@@ -7,11 +7,11 @@
     result.json     summary incl. wall-clock
     schedule.csv    a lineage's schedule, written by `popsched lineage`
 
-Checkpoints, and the logs a resume truncates, are replaced atomically
-(temp file, then os.replace), so a crash leaves the old file or the new
-one, never a partial one. A resume takes the latest checkpoint
-(resume_state) only if the engine's restore accepts its agents, vectors,
-elite archive and payloads, before any file is touched, and rewrites
+config.json, checkpoints, result.json and the logs a resume truncates are
+replaced atomically (temp file, then os.replace), so a crash leaves the old
+file or the new one, never a partial one. A resume takes the latest
+checkpoint (resume_state refuses one that is not JSON) only if the engine's
+restore accepts every record in it, before any file is touched, and rewrites
 a log only to drop a torn line, a blank line or a record after the
 checkpoint. A RunDir holds both logs open once create or truncate_logs is
 done (open_logs) and formats each vector's cells once. metrics.csv is
@@ -267,7 +267,7 @@ def truncate_logs(*logs: tuple[Path, Callable[..., Sequence], int]) -> list[Sequ
 
 
 def _write_atomic(path: Path, chunks: list[str]) -> None:
-    """Replace path by chunks through a temp file that round_*.json never matches.
+    """Replace path, a whole file, by chunks through a temp file that round_*.json never matches.
 
     No fsync: this protects against a crashed process, not a lost disk.
     """

@@ -8,13 +8,13 @@ its one-sub-population case) unless PBT with backtracking backtracks.
 Through the run's two open logs (RunDir.open_logs), each round writes
 and flushes its metric rows, then runs the barrier, then writes and
 flushes its events, then writes its checkpoint, so a crashed run leaves a
-valid prefix on disk that a resume picks up; resume reads the events with
-read_events, whose check `popsched lineage` runs too, and the metrics rows
-up to the checkpoint with read_metrics, and rewrites either before it
-opens them. A checkpoint is json.dumps of the engine state with the elite
-archive's JSON spliced in, encoded only when the archive changed; a
-trainable is given hyperparameters only when its agent's vector changed
-(or was restored).
+valid prefix on disk that a resume picks up. A checkpoint is json.dumps of
+the engine state, the elite archive's JSON spliced in and encoded only when
+it changed. Its records are declared once (CHECKPOINT, AGENT, ARCHIVE, ELITE);
+a resume checks and restores them in one pass, then reads the events with
+read_events (the check `popsched lineage` runs) and the metrics rows up to
+the checkpoint with read_metrics, before it rewrites or opens a file. A
+trainable is given hyperparameters only when its agent's vector changed.
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
@@ -99,7 +99,9 @@ class _Engine:
         self.config = config
         self.seed = int(seed)
         self.space = config.search_space
-        self.archive = EliteArchive(config.elite_capacity) if config.algorithm == "pbt_bt" else None
+        self.archive = (
+            EliteArchive(config.elite_capacity) if config.algorithm == "pbt_bt" else None
+        )
         self.evolve_rngs = {
             i: seed_hierarchy(self.seed, i, "evolve") for i in range(config.num_agents)
         }
@@ -204,8 +206,7 @@ class _Engine:
                 raise ConfigError(f"evolve_state: {path} holds a state for agent {i} that numpy's PCG64 "
                                   f"refuses: {type(exc).__name__}: {exc}") from None
         probe = build_trainable(cfg.trainable)  # takes each elite payload
-        elites = []
-        for i, rec in enumerate(entries):
+        for i, rec in enumerate(entries):  # into self.archive, empty and of the checked capacity
             at = f"{path} for elite {i}"
             payload, hps, fitness, agent_id, elite_round = _checked(rec, ELITE, "entries", at)
             if not 0 <= agent_id < cfg.num_agents:
@@ -213,8 +214,7 @@ class _Engine:
             if not 1 <= elite_round <= round_no:
                 raise ConfigError(f"round: {at} must be in 1..{round_no}, got {elite_round}")
             h = self._import_vector_and_payload(path, f"elite {i}", hps, payload, probe)
-            elites.append(EliteEntry(payload, h, fitness, agent_id, elite_round))
-        self.archive = EliteArchive(capacity, elites) if archive is not None else None
+            self.archive.entries.append(EliteEntry(payload, h, fitness, agent_id, elite_round))
         return round_no
 
     def _import_vector_and_payload(self, path: Path, owner: str, hps: list, payload, target) -> tuple[float, ...]:
