@@ -218,7 +218,7 @@ class _Engine:
         return round_no
 
     def _import_vector_and_payload(self, path: Path, owner: str, hps: list, payload, target) -> tuple[float, ...]:
-        """hps as owner's vector, once search_space's width and positive_reals fit and target imported payload."""
+        """hps as owner's vector, once it is search_space wide, positive_reals passes it and target imports payload."""
         if len(hps) != len(self.space):
             raise ConfigError(f"hyperparams: {path} holds {len(hps)} values for {owner}, "
                               f"but search_space has {len(self.space)}")
