@@ -825,6 +825,14 @@ def _elite_payloads(**edit):
         {**e, "payload": {**e["payload"], **edit}} for e in s["archive"]["entries"]]}}
 
 
+def _elites(pick):
+    return lambda s: {**s, "archive": {**s["archive"], "entries": pick(s["archive"]["entries"])}}
+
+
+RANK_ORDER = ("entries: {} holds elite 1 out of rank order: each elite must rank below the one before it "
+              "(lower fitness; on a tie, a higher agent_id; then a later round)")
+
+
 CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
     "swapped-agents": ({}, lambda s: {**s, "agents": [s["agents"][1], s["agents"][0], *s["agents"][2:]]},
                        "agent_id: {} holds agent 1 where agent 0 belongs"),
@@ -862,6 +870,11 @@ CHECKPOINT_FAULTS = {  # (config overrides, edit of the checkpoint, message)
     "elite-round-a-string": (PBT_BT, _elite_0(round="1"), "round: {} for elite 0 must be an integer, got '1'"),
     "elite-of-no-agent": (PBT_BT, _elite_0(agent_id=99), "agent_id: {} for elite 0 must be in 0..3, got 99"),
     "elite-after-the-checkpoint": (PBT_BT, _elite_0(round=3), "round: {} for elite 0 must be in 1..2, got 3"),
+    "elites-reversed": (PBT_BT, _elites(lambda entries: entries[::-1]), RANK_ORDER),
+    "elites-cut-to-the-first": (PBT_BT, _elites(lambda entries: entries[:1]),
+                                "entries: {} holds 1 elites, but an archive of capacity 2 holds 2 "
+                                "after 2 rounds of 4 agents"),
+    "elite-duplicated": (PBT_BT, _elites(lambda entries: [entries[0], entries[0]]), RANK_ORDER),
     "round-a-string": ({}, lambda s: {**s, "round": "2"}, "round: {} must be an integer, got '2'"),
     "round-of-another-file": ({}, lambda s: {**s, "round": 1},
                               "round: {} holds round 1, but its file is not round_000001.json"),
@@ -911,6 +924,31 @@ def test_resume_from_a_checkpoint_that_is_not_json_exits_2_and_touches_nothing(t
     assert code == 2
     assert envelope == {"error": "ConfigError", "message": (
         f"checkpoint: {checkpoint} is not JSON: Expecting ',' delimiter: line 1 column 12 (char 11)")}
+
+
+@pytest.mark.parametrize("command", ["run --resume", "lineage", "report"])
+@pytest.mark.parametrize("text, reason", [
+    (b'{"version": 1,', "Expecting property name enclosed in double quotes: line 1 column 15 (char 14)"),
+    (b'\xff{}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["cut-short", "not-utf-8"])
+def test_a_config_json_that_is_not_json_exits_2_naming_it_and_touches_nothing(tmp_path, capsys, command,
+                                                                              text, reason):
+    path = tiny_config_file(tmp_path, algorithm="pbt", total_steps=5 * 8, checkpoint_every=2)
+    out = tmp_path / "run"
+    from popsched.runner import run_experiment
+
+    run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
+                   out_dir=out, stop_after_round=3)
+    (out / "config.json").write_bytes(text)
+    argv = {"run --resume": ["run", "--config", str(path), "--out", str(out), "--resume"],
+            "lineage": ["lineage", str(out)],
+            "report": ["report", str(out), "--out", str(tmp_path / "report")]}[command]
+    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    code, _, err = run_cli(capsys, *argv)
+    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"config: {out / 'config.json'} is not JSON: {reason}"}
 
 # -------------------------------------------------------------- subprocess
 
