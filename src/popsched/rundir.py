@@ -176,8 +176,11 @@ class RunDir:
 
 def load_run_config(run_dir) -> tuple[ExperimentConfig, int]:
     """Read a run directory's config echo; returns (config, master_seed)."""
-    with open(RunDir(run_dir).config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    path = RunDir(run_dir).config
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config: {path} is not JSON: {exc}") from None
     cfg = ExperimentConfig.from_json_dict(data)
     return cfg, cfg.seeds[0]
 

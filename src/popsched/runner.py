@@ -179,7 +179,7 @@ class _Engine:
         """Overwrite the initial population with the checkpoint data read from path, in one pass over its
         records, each read once _checked passes it; returns its round. Refuses, naming the field and path,
         another seed, elite capacity or file round, agents not 0..num_agents-1 in order, an elite of no agent
-        or of a later round, and a vector, payload or evolve_state the run cannot hold (the run then stops)."""
+        or of a later round, elites of another count or out of rank order, and a vector, payload or evolve_state the run cannot hold (the run then stops)."""
         cfg = self.config
         round_no, seed, recs, archive = _checked(data, CHECKPOINT, "checkpoint", path)
         capacity, entries = _checked(archive, ARCHIVE, "archive", path) if archive is not None else (None, [])
@@ -215,6 +215,17 @@ class _Engine:
                 raise ConfigError(f"round: {at} must be in 1..{round_no}, got {elite_round}")
             h = self._import_vector_and_payload(path, f"elite {i}", hps, payload, probe)
             self.archive.entries.append(EliteEntry(payload, h, fitness, agent_id, elite_round))
+        if self.archive is not None:  # as EliteArchive.update keeps it: the capacity best snapshots, ranked
+            keys = [(-e.fitness, e.agent_id, e.round) for e in self.archive.entries]
+            want = min(capacity, round_no * cfg.num_agents)
+            if len(keys) != want:
+                raise ConfigError(f"entries: {path} holds {len(keys)} elites, but an archive of capacity {capacity} "
+                                  f"holds {want} after {round_no} rounds of {cfg.num_agents} agents")
+            unranked = [i for i in range(1, want) if keys[i - 1] >= keys[i]]
+            if unranked:
+                raise ConfigError(f"entries: {path} holds elite {unranked[0]} out of rank order: each elite must "
+                                  "rank below the one before it (lower fitness; on a tie, a higher agent_id; "
+                                  "then a later round)")
         return round_no
 
     def _import_vector_and_payload(self, path: Path, owner: str, hps: list, payload, target) -> tuple[float, ...]:
