@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig
 from .core import ConfigError
-from .lineage import LineageError, replay_run, schedule_csv_lines
+from .lineage import LineageError, read_lineage, replay_run
 from .presets import get_preset, preset_names
 from .reporting import (
     aggregate_curve,
@@ -131,25 +131,14 @@ def cmd_lineage(args) -> int:
         raise ConfigError(f"agent: expected 'best' or a non-negative integer, got {agent!r}")
     if args.round is not None and args.round < 1:
         raise ConfigError(f"round: need >= 1, got {args.round}")
-    report = replay_run(
-        args.run_dir,
-        agent_id=None if agent == "best" else int(agent),
-        final_round=args.round,
-        verify_rounds=args.replay,
-    )
-    out_path = Path(args.out) if args.out else RunDir(args.run_dir).schedule
-    lines = schedule_csv_lines(report.segments, report.hp_names)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"agent {report.agent_id} at round {report.final_round}: "
-          f"{len(report.segments)} segments -> {out_path}")
+    read = replay_run if args.replay else read_lineage  # replay_run raises at a round the log differs
+    lineage = read(args.run_dir, None if agent == "best" else int(agent), args.round)
+    out_path = RunDir(args.run_dir).write_schedule(lineage, args.out)
+    print(f"agent {lineage.agent_id} at round {lineage.final_round}: "
+          f"{len(lineage.segments)} segments -> {out_path}")
     if args.replay:
-        print(f"replayed fitness: {report.replayed_fitness!r}")
-        print(f"logged fitness:   {report.logged_fitness!r}")
-        if not report.exact:
-            raise LineageError(
-                f"replay mismatch: {report.replayed_fitness!r} != {report.logged_fitness!r}"
-            )
+        print(f"replayed fitness: {lineage.fitness!r}")
+        print(f"logged fitness:   {lineage.fitness!r}")
         print("replay matches the log bit for bit")
     return 0
 
@@ -190,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.add_argument("--round", type=int, default=None, help="query round (default: last)")
     p_lin.add_argument("--out", default=None, help="schedule.csv path (default: inside run dir)")
     p_lin.add_argument("--replay", action="store_true",
-                       help="replay the schedule and verify it matches the log")
+                       help="replay the schedule and check every round against the log")
     p_lin.set_defaults(func=cmd_lineage)
     return parser
 

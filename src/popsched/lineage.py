@@ -9,27 +9,31 @@ trained under, and the round interval (start_round, end_round] it
 covers. Elite restores add untrained dwell segments for the interval a
 payload sat in the archive.
 
-Replaying a schedule from nothing but the master seed reproduces the
-final payload and fitness bit for bit, because
+Replaying a schedule from nothing but the master seed reproduces every
+logged fitness of its carriers bit for bit, because
 
   * a train step consumes a fixed number of draws, so a carrier's
     private stream can be fast-forwarded to any round without training;
   * transfers move weights only, so each carrier keeps its own stream;
   * evaluation draws never touch the training stream.
 
-The replay advances and trains in per-round chunks so the draw order
-inside each carrier's stream matches the original run exactly. replay_run
-reads the metrics with rundir.read_run and the log with
-events.read_payload_events; each refuses a file no well-formed run writes,
-naming its line, so reconstruction trusts its input.
+read_lineage reads the metrics with rundir.read_run and the log with
+events.read_payload_events (each refuses a file no well-formed run writes,
+naming its line, so reconstruction trusts its input), checks the agent and
+round asked for, and reconstructs the schedule; it trains nothing.
+replay_run, which `popsched lineage --replay` calls, adds the replay: it
+advances and trains in per-round chunks so the draw order inside each
+carrier's stream matches the original run exactly, checks every trained
+round against metrics.csv, and raises LineageError at the first that differs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .config import ExperimentConfig
 from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, LineageError, read_payload_events
 from .rundir import RunDir, read_run
 from .seeding import agent_trainable_seed
@@ -79,7 +83,7 @@ def reconstruct_schedule(
     The target snapshot is the post-training, pre-barrier state of that
     round, i.e. exactly what metrics.csv records there. subpop_size tags
     each segment with its carrier's sub-population (0 when omitted).
-    events must be checked already (replay_run's reader checks the whole log).
+    events must be checked already (read_lineage's reader checks the whole log).
     """
     if final_round < 1:
         raise LineageError(f"final_round must be >= 1, got {final_round}")
@@ -150,19 +154,15 @@ def reconstruct_schedule(
 
 def replay_schedule(
     segments: Sequence[ScheduleSegment],
-    trainable_spec: Mapping,
+    config: ExperimentConfig,
     master_seed: int,
-    t_ready: int,
-    hp_names: Sequence[str],
-    eval_repeats: int = 1,
-    expected_fitness: Callable[[int, int], float] | None = None,
-) -> tuple[dict, float]:
-    """Re-run a schedule from the master seed; returns (payload, fitness).
+    fitness: Sequence[float],
+) -> None:
+    """Re-train a schedule from the master seed and check every trained round's fitness against
+    fitness, the run's metrics.csv column; the first round that differs raises LineageError.
 
     The stream advance and the training both happen in per-round chunks
-    so draw order matches the original run draw for draw. When
-    expected_fitness(round, carrier agent_id) gives the logged values,
-    every trained round is cross-checked and the first divergence raises.
+    so draw order matches the original run draw for draw.
     """
     if not segments:
         raise LineageError("empty schedule")
@@ -170,80 +170,48 @@ def replay_schedule(
     for seg in segments:
         if not seg.trained:
             continue  # archive dwell: the weights are carried over unchanged
-        if seg.hyperparams is None:
-            raise LineageError(f"trained segment {seg} lacks hyperparameters")
-        hmap = dict(zip(hp_names, seg.hyperparams))
-        carrier = build_trainable(trainable_spec)
-        carrier.init(agent_trainable_seed(master_seed, seg.agent_id), hmap)
+        carrier = build_trainable(config.trainable)
+        carrier.init(agent_trainable_seed(master_seed, seg.agent_id),
+                     dict(zip(config.search_space.names, seg.hyperparams)))
         for _ in range(seg.start_round):
-            carrier.advance_rng(t_ready)
+            carrier.advance_rng(config.t_ready)
         if trainable is not None:
             transfer_weights(trainable, carrier)
         trainable = carrier
         for r in range(seg.start_round + 1, seg.end_round + 1):
-            trainable.train(t_ready)
-            if expected_fitness is not None:
-                got = float(trainable.evaluate(eval_repeats))
-                want = expected_fitness(r, seg.agent_id)
-                if got != want:
-                    raise LineageError(
-                        f"replay diverges at round {r} on agent {seg.agent_id}: "
-                        f"replayed {got!r}, logged {want!r}"
-                    )
-    fitness = float(trainable.evaluate(eval_repeats))
-    return trainable.export_payload(), fitness
-
-
-def schedule_csv_lines(
-    segments: Sequence[ScheduleSegment], hp_names: Sequence[str]
-) -> list[str]:
-    lines = [
-        ",".join(
-            ["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *hp_names]
-        )
-    ]
-    for seg in segments:
-        cells = [
-            str(seg.start_round),
-            str(seg.end_round),
-            str(seg.agent_id),
-            str(seg.subpop_id),
-            "1" if seg.trained else "0",
-            seg.kind,
-        ]
-        if seg.hyperparams is None:
-            cells.extend("" for _ in hp_names)
-        else:
-            cells.extend(repr(float(v)) for v in seg.hyperparams)
-        lines.append(",".join(cells))
-    return lines
+            trainable.train(config.t_ready)
+            got = float(trainable.evaluate(config.eval_repeats))
+            want = fitness[(r - 1) * config.num_agents + seg.agent_id]
+            if got != want:
+                raise LineageError(
+                    f"replay diverges at round {r} on agent {seg.agent_id}: "
+                    f"replayed {got!r}, logged {want!r}"
+                )
 
 
 @dataclass(frozen=True)
-class ReplayReport:
+class Lineage:
+    """agent_id's schedule at final_round, with what a replay reads: the run's config, master seed
+    and metrics.csv fitness column (logged)."""
+
     agent_id: int
     final_round: int
     segments: tuple[ScheduleSegment, ...]
-    hp_names: tuple[str, ...]
-    replayed_fitness: float
-    logged_fitness: float
+    config: ExperimentConfig
+    master_seed: int
+    logged: Sequence[float]
 
     @property
-    def exact(self) -> bool:
-        return self.replayed_fitness == self.logged_fitness
+    def fitness(self) -> float:
+        """agent_id's logged fitness at final_round, which a replay_run that returns has reproduced."""
+        return self.logged[(self.final_round - 1) * self.config.num_agents + self.agent_id]
 
 
-def replay_run(
-    run_dir,
-    agent_id: int | None = None,
-    final_round: int | None = None,
-    verify_rounds: bool = False,
-) -> ReplayReport:
-    """Reconstruct and replay a logged run; compare against metrics.csv.
+def read_lineage(run_dir, agent_id: int | None = None, final_round: int | None = None) -> Lineage:
+    """Reconstruct a logged run's schedule; trains nothing.
 
-    agent_id=None picks the best agent at final_round (id tie-break).
-    verify_rounds cross-checks every intermediate round of the lineage
-    against the log and raises on the first divergence.
+    agent_id=None picks the best agent at final_round (id tie-break);
+    final_round=None takes the last logged round.
     """
     run = RunDir(run_dir)
     config, seed, metrics = read_run(run_dir)
@@ -259,25 +227,13 @@ def replay_run(
     if not 0 <= agent_id < n:
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = dict(enumerate(metrics.hyperparams[:n]))
-    relevant = [ev for ev in changed if ev.round <= final_round]
-    segments = reconstruct_schedule(
-        relevant, agent_id, final_round, initial_h, config.subpop_size
-    )
-    expected = (lambda r, a: fitness[(r - 1) * n + a]) if verify_rounds else None
-    _, replayed = replay_schedule(
-        segments,
-        config.trainable,
-        seed,
-        config.t_ready,
-        config.search_space.names,
-        config.eval_repeats,
-        expected_fitness=expected,
-    )
-    return ReplayReport(
-        agent_id=agent_id,
-        final_round=final_round,
-        segments=tuple(segments),
-        hp_names=config.search_space.names,
-        replayed_fitness=replayed,
-        logged_fitness=final[agent_id],
-    )
+    segments = reconstruct_schedule(changed, agent_id, final_round, initial_h, config.subpop_size)
+    return Lineage(agent_id, final_round, tuple(segments), config, seed, fitness)
+
+
+def replay_run(run_dir, agent_id: int | None = None, final_round: int | None = None) -> Lineage:
+    """read_lineage, then replay_schedule: raises LineageError at the first trained round whose
+    replayed fitness is not the one metrics.csv logged."""
+    lineage = read_lineage(run_dir, agent_id, final_round)
+    replay_schedule(lineage.segments, lineage.config, lineage.master_seed, lineage.logged)
+    return lineage

@@ -5,7 +5,7 @@
     events.jsonl    one EvolutionEvent per line, in application order (codec in events.py)
     checkpoints/    full engine state per round (when enabled)
     result.json     summary incl. wall-clock
-    schedule.csv    a lineage's schedule, written by `popsched lineage`
+    schedule.csv    a lineage's schedule, written by `popsched lineage` (write_schedule)
 
 config.json, checkpoints, result.json and the logs a resume truncates are
 replaced atomically (temp file, then os.replace), so a crash leaves the old
@@ -47,6 +47,7 @@ from .core import ConfigError
 from .events import text
 
 if TYPE_CHECKING:
+    from .lineage import Lineage
     from .runner import ExperimentResult
 
 CHECKPOINT_NAME = "round_{:06d}.json"  # checkpoints/ file of round r: CHECKPOINT_NAME.format(r)
@@ -159,6 +160,18 @@ class RunDir:
             return snaps[-1], json.loads(snaps[-1].read_text(encoding="utf-8"))
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"checkpoint: {snaps[-1]} is not JSON: {exc}") from None
+
+    def write_schedule(self, lineage: Lineage, out=None) -> Path:
+        """Write lineage's schedule to out, or to schedule.csv, and return the path: a row per segment,
+        its hyperparameter cells empty for an archive dwell."""
+        path, names = Path(out) if out else self.schedule, lineage.config.search_space.names
+        rows = [",".join(["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *names])]
+        rows += [",".join([f"{s.start_round},{s.end_round},{s.agent_id},{s.subpop_id},{int(s.trained)},{s.kind}",
+                           *([""] * len(names) if s.hyperparams is None else map(fmt, s.hyperparams))])
+                 for s in lineage.segments]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+        return path
 
     def write_result(self, result: ExperimentResult) -> None:
         rounds = result.config.num_rounds

@@ -429,6 +429,30 @@ def test_lineage_writes_schedule_and_replays(tmp_path, capsys):
     assert other.exists()
 
 
+def test_lineage_without_replay_builds_no_trainable(tmp_path, capsys, monkeypatch):
+    """Plain lineage writes the schedule --replay writes, and never builds a trainable to do it."""
+    from popsched import lineage
+
+    path = tiny_config_file(tmp_path, algorithm="pbt", num_agents=8, total_steps=5 * 12)
+    out = tmp_path / "run"
+    run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+    code, _, _ = run_cli(capsys, "lineage", str(out), "--agent", "3", "--replay",
+                         "--out", str(tmp_path / "replayed.csv"))
+    assert code == 0
+
+    def build_trainable(spec):
+        raise ValueError("lineage without --replay built a trainable")
+
+    monkeypatch.setattr(lineage, "build_trainable", build_trainable)
+    code, stdout, _ = run_cli(capsys, "lineage", str(out), "--agent", "3")
+    assert code == 0
+    assert (out / "schedule.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()
+    assert stdout.startswith("agent 3 at round 12: ") and len(stdout.splitlines()) == 1
+    code, _, err = run_cli(capsys, "lineage", str(out), "--agent", "3", "--replay")
+    assert code == 1  # the patched function is the one --replay calls
+    assert "built a trainable" in err
+
+
 def test_lineage_bad_agent_exits_1(tmp_path, capsys):
     path = tiny_config_file(tmp_path)
     out = tmp_path / "run"

@@ -82,6 +82,17 @@ def test_the_package_exports_the_library_api():
     assert [name for name in sorted(PUBLIC_API) if not re.search(rf"\b{name}\b", library)] == []
 
 
+def test_the_readme_library_example_runs(tmp_path, monkeypatch):
+    """The README's Library block, run as written in an empty directory; a stale name or keyword fails here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md (Library)", "exec"), {})
+    assert (tmp_path / "runs" / "demo" / "metrics.csv").is_file()
+
+
 def test_scripts_and_the_benchmark_take_only_exported_names_from_the_package():
     paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     assert paths

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from popsched import events
@@ -18,11 +20,13 @@ from popsched.lineage import (
     LineageError,
     ScheduleSegment,
     reconstruct_schedule,
+    Lineage,
     replay_run,
     replay_schedule,
-    schedule_csv_lines,
+    read_lineage,
     validate_event_log,
 )
+from popsched.rundir import RunDir
 from popsched.runner import run_experiment
 
 
@@ -249,34 +253,29 @@ def test_replay_reproduces_logged_fitness_bit_for_bit():
     cfg = mfpbt_config()
     res = run_experiment(cfg, seed=23)
     init_h = res.initial_hyperparams
-    logged = {(r.round, r.agent_id): r.fitness for r in res.metrics}
     final = cfg.num_rounds
     for aid in range(8):
         segs = reconstruct_schedule(res.events, aid, final, init_h, subpop_size=4)
-        _, fitness = replay_schedule(
-            segs, cfg.trainable, 23, cfg.t_ready, ("sigma",),
-            expected_fitness=lambda r, a: logged[(r, a)],
-        )
-        assert fitness == logged[(final, aid)]
+        assert segs[-1].end_round == final and segs[-1].agent_id == aid and segs[-1].trained
+        replay_schedule(segs, cfg, 23, res.metrics.fitness)  # checks every round, the last included
 
 
 def test_replay_reports_first_divergence():
     cfg = mfpbt_config(total_steps=30)
     res = run_experiment(cfg, seed=29)
     init_h = res.initial_hyperparams
-    logged = {(r.round, r.agent_id): r.fitness for r in res.metrics}
+    logged = res.metrics.fitness[:]
     segs = reconstruct_schedule(res.events, 0, 6, init_h, subpop_size=4)
     root = segs[0].agent_id
-    logged[(1, root)] = 123.456
+    logged[root] = 123.456  # round 1's row of the root agent
     with pytest.raises(LineageError,
                        match=f"replay diverges at round 1 on agent {root}: "):
-        replay_schedule(segs, cfg.trainable, 29, cfg.t_ready, ("sigma",),
-                        expected_fitness=lambda r, a: logged[(r, a)])
+        replay_schedule(segs, cfg, 29, logged)
 
 
 def test_replay_rejects_empty_schedule():
     with pytest.raises(LineageError, match="empty schedule"):
-        replay_schedule([], {"kind": "two_basin"}, 0, 5, ("sigma",))
+        replay_schedule([], mfpbt_config(), 0, [])
 
 
 # ------------------------------------------------------------ replay_run
@@ -286,21 +285,17 @@ def test_replay_run_from_directory(tmp_path):
     cfg = mfpbt_config()
     run_experiment(cfg, seed=31, out_dir=out)
 
-    report = replay_run(out)
-    assert report.exact
+    report = replay_run(out)  # returns without raising: every round matches the log
     assert report.final_round == 12
     assert report.segments[0].kind == "init"
-    assert report.replayed_fitness == report.logged_fitness
+    assert report.fitness == max(report.logged[-8:])
 
-    # Every agent replays exactly, with per-round verification on.
+    # Every agent replays exactly, each round checked.
     for aid in range(8):
-        rep = replay_run(out, agent_id=aid, verify_rounds=True)
-        assert rep.exact
-        assert rep.agent_id == aid
+        assert replay_run(out, agent_id=aid).agent_id == aid
 
     # Earlier rounds replay too.
-    rep = replay_run(out, agent_id=3, final_round=5)
-    assert rep.exact
+    assert replay_run(out, agent_id=3, final_round=5).final_round == 5
 
 
 def test_replay_run_backtracking_lineages(tmp_path):
@@ -319,8 +314,30 @@ def test_replay_run_backtracking_lineages(tmp_path):
     res = run_experiment(cfg, seed=37, out_dir=out)
     assert any(e.kind == ELITE_RESTORE for e in res.events)
     for aid in range(4):
-        rep = replay_run(out, agent_id=aid, verify_rounds=True)
-        assert rep.exact
+        replay_run(out, agent_id=aid)  # returns without raising
+
+
+def test_replay_run_names_the_round_metrics_csv_no_longer_matches(tmp_path):
+    """One lineage round's fitness changed in metrics.csv: reconstruction reads the file as before,
+    and the replay refuses at that round."""
+    out = tmp_path / "run"
+    run_experiment(mfpbt_config(), seed=31, out_dir=out)
+    lineage = read_lineage(out, agent_id=3)
+    carried = [(r, s.agent_id) for s in lineage.segments if s.trained
+               for r in range(s.start_round + 1, s.end_round + 1)]
+    r, a = carried[len(carried) // 2]
+    metrics = out / "metrics.csv"
+    lines = metrics.read_text().splitlines(keepends=True)
+    cells = lines[(r - 1) * 8 + a + 1].split(",")
+    logged = float(cells[3])
+    cells[3] = repr(logged + 1.0)
+    lines[(r - 1) * 8 + a + 1] = ",".join(cells)
+    metrics.write_text("".join(lines))
+
+    assert read_lineage(out, agent_id=3).segments == lineage.segments
+    with pytest.raises(LineageError, match=re.escape(
+            f"replay diverges at round {r} on agent {a}: replayed {logged!r}, logged {logged + 1.0!r}")):
+        replay_run(out, agent_id=3)
 
 
 def test_replay_run_error_cases(tmp_path):
@@ -344,20 +361,25 @@ def test_replay_run_validates_each_event_once(tmp_path, monkeypatch):
         return real_check(cols, *args)
 
     monkeypatch.setattr(events, "_check", check)
-    assert replay_run(out, verify_rounds=True).exact
+    replay_run(out)  # returns without raising
     assert checked == [len(res.events)]
 
 
 # ------------------------------------------------------------ csv export
 
-def test_schedule_csv_layout():
-    segs = [
+def test_schedule_csv_layout(tmp_path):
+    segs = (
         ScheduleSegment(0, 3, 0, 0, (1.0,), True, "init"),
         ScheduleSegment(3, 8, 0, 0, None, False, "archive_dwell"),
         ScheduleSegment(8, 10, 2, 1, (1.5,), True, "elite_restore"),
-    ]
-    lines = schedule_csv_lines(segs, ("sigma",))
-    assert lines[0] == "start_round,end_round,agent_id,subpop_id,trained,kind,sigma"
-    assert lines[1] == "0,3,0,0,1,init,1.0"
-    assert lines[2] == "3,8,0,0,0,archive_dwell,"
-    assert lines[3] == "8,10,2,1,1,elite_restore,1.5"
+    )
+    lineage = Lineage(2, 10, segs, mfpbt_config(), 0, [])
+    path = RunDir(tmp_path).write_schedule(lineage)
+    assert path == tmp_path / "schedule.csv"
+    assert path.read_text() == (
+        "start_round,end_round,agent_id,subpop_id,trained,kind,sigma\n"
+        "0,3,0,0,1,init,1.0\n"
+        "3,8,0,0,0,archive_dwell,\n"
+        "8,10,2,1,1,elite_restore,1.5\n"
+    )
+    assert RunDir(tmp_path).write_schedule(lineage, tmp_path / "other.csv").read_text() == path.read_text()
