@@ -7,9 +7,9 @@
     result.json     summary incl. wall-clock
     schedule.csv    a lineage's schedule, written by `popsched lineage` (write_schedule)
 
-config.json, checkpoints, result.json and the logs a resume truncates are
-replaced atomically (temp file, then os.replace), so a crash leaves the old
-file or the new one, never a partial one. A resume takes the latest
+config.json, checkpoints, result.json, schedule.csv and the logs a resume
+truncates are replaced atomically (temp file, then os.replace), so a crash
+leaves the old file or the new one, never a partial one. A resume takes the latest
 checkpoint (resume_state refuses one that is not JSON) only if the engine's
 restore accepts every record in it, before any file is touched, and rewrites
 a log only to drop a torn line, a blank line or a record after the
@@ -164,13 +164,14 @@ class RunDir:
     def write_schedule(self, lineage: Lineage, out=None) -> Path:
         """Write lineage's schedule to out, or to schedule.csv, and return the path: a row per segment,
         its hyperparameter cells empty for an archive dwell."""
-        path, names = Path(out) if out else self.schedule, lineage.config.search_space.names
-        rows = [",".join(["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *names])]
-        rows += [",".join([f"{s.start_round},{s.end_round},{s.agent_id},{s.subpop_id},{int(s.trained)},{s.kind}",
-                           *([""] * len(names) if s.hyperparams is None else map(fmt, s.hyperparams))])
-                 for s in lineage.segments]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        path = Path(out) if out else self.schedule
+        names = lineage.config.search_space.names
+        rows = [",".join(["start_round", "end_round", "agent_id", "subpop_id", "trained", "kind", *names]) + "\n"]
+        for s in lineage.segments:
+            hps = [""] * len(names) if s.hyperparams is None else [fmt(v) for v in s.hyperparams]
+            cells = [str(s.start_round), str(s.end_round), str(s.agent_id), str(s.subpop_id), str(int(s.trained))]
+            rows.append(",".join([*cells, s.kind, *hps]) + "\n")
+        _write_atomic(path, rows)
         return path
 
     def write_result(self, result: ExperimentResult) -> None:

@@ -179,7 +179,8 @@ class _Engine:
         """Overwrite the initial population with the checkpoint data read from path, in one pass over its
         records, each read once _checked passes it; returns its round. Refuses, naming the field and path,
         another seed, elite capacity or file round, agents not 0..num_agents-1 in order, an elite of no agent
-        or of a later round, elites of another count or out of rank order, and a vector, payload or evolve_state the run cannot hold (the run then stops)."""
+        or of a later round, elites of another count or out of rank order, and a vector, payload or
+        evolve_state the run cannot hold (the run then stops)."""
         cfg = self.config
         round_no, seed, recs, archive = _checked(data, CHECKPOINT, "checkpoint", path)
         capacity, entries = _checked(archive, ARCHIVE, "archive", path) if archive is not None else (None, [])

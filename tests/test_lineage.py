@@ -17,13 +17,13 @@ from popsched.events import (
     EvolutionEvent,
 )
 from popsched.lineage import (
+    Lineage,
     LineageError,
     ScheduleSegment,
+    read_lineage,
     reconstruct_schedule,
-    Lineage,
     replay_run,
     replay_schedule,
-    read_lineage,
     validate_event_log,
 )
 from popsched.rundir import RunDir
