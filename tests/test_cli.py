@@ -464,18 +464,21 @@ def test_lineage_bad_agent_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,value", [("--agent", "abc"), ("--agent", "-1"), ("--agent", "1.5"),
-                   ("--round", "0"), ("--round", "-2")],
+                   ("--round", "0"), ("--round", "-2"),
+                   ("--out", "{tmp}/sched"), ("--out", "{tmp}/nodir/s.csv")],  # a directory; no directory
 )
 def test_lineage_flag_out_of_its_domain_exits_2_naming_it(tmp_path, capsys, flag, value):
     path = tiny_config_file(tmp_path)
     out = tmp_path / "run"
     run_cli(capsys, "run", "--config", str(path), "--out", str(out))
-    code, _, err = run_cli(capsys, "lineage", str(out), flag, value)
+    (tmp_path / "sched").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))}
+    code, _, err = run_cli(capsys, "lineage", str(out), flag, value.format(tmp=tmp_path))
     assert code == 2
     envelope = json.loads(err)
     assert envelope["error"] == "ConfigError"
     assert envelope["message"].startswith(f"{flag[2:]}: ")
-    assert not (out / "schedule.csv").exists()
+    assert {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))} == before
 
 
 def _row_index(round_no, agent_id):
@@ -950,29 +953,33 @@ def test_resume_from_a_checkpoint_that_is_not_json_exits_2_and_touches_nothing(t
         f"checkpoint: {checkpoint} is not JSON: Expecting ',' delimiter: line 1 column 12 (char 11)")}
 
 
-@pytest.mark.parametrize("command", ["run --resume", "lineage", "report"])
+@pytest.mark.parametrize("command", ["run --resume", "lineage", "report", "validate --config", "run --config"])
 @pytest.mark.parametrize("text, reason", [
     (b'{"version": 1,', "Expecting property name enclosed in double quotes: line 1 column 15 (char 14)"),
     (b'\xff{}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-], ids=["cut-short", "not-utf-8"])
+    (b'\xff\xfe{\x00}\x00', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["cut-short", "not-utf-8", "utf-16"])
 def test_a_config_json_that_is_not_json_exits_2_naming_it_and_touches_nothing(tmp_path, capsys, command,
                                                                               text, reason):
+    """A run directory's config.json, or the file --config names; nothing is created or changed."""
     path = tiny_config_file(tmp_path, algorithm="pbt", total_steps=5 * 8, checkpoint_every=2)
     out = tmp_path / "run"
     from popsched.runner import run_experiment
 
     run_experiment(ExperimentConfig.from_json_dict(json.loads(path.read_text())), seed=5,
                    out_dir=out, stop_after_round=3)
-    (out / "config.json").write_bytes(text)
+    bad = path if command.endswith("--config") else out / "config.json"
+    bad.write_bytes(text)
     argv = {"run --resume": ["run", "--config", str(path), "--out", str(out), "--resume"],
             "lineage": ["lineage", str(out)],
-            "report": ["report", str(out), "--out", str(tmp_path / "report")]}[command]
-    before = {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+            "report": ["report", str(out), "--out", str(tmp_path / "report")],
+            "validate --config": ["validate", "--config", str(path)],
+            "run --config": ["run", "--config", str(path), "--out", str(tmp_path / "fresh")]}[command]
+    before = {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))}
     code, _, err = run_cli(capsys, *argv)
-    assert {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()} == before
+    assert {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))} == before
     assert code == 2
-    assert json.loads(err) == {"error": "ConfigError",
-                               "message": f"config: {out / 'config.json'} is not JSON: {reason}"}
+    assert json.loads(err) == {"error": "ConfigError", "message": f"config: {bad} is not JSON: {reason}"}
 
 # -------------------------------------------------------------- subprocess
 

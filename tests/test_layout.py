@@ -39,6 +39,17 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == []
 
 
+def test_only_config_parses_a_config_dict():
+    """config.read_config is the one reader of config JSON, so no other module calls from_json_dict."""
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees() if name != "config.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "from_json_dict"
+    ]
+    assert calls == []
+
+
 def joined_names(tree) -> list[str]:
     """Run-directory file names that appear as the right operand of a path join."""
     return [
