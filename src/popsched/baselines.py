@@ -11,9 +11,14 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import ANY, FINITE, INT, LIST
 from .core import AgentState, Population, rank_descending
 from .events import ELITE_RESTORE, EvolutionEvent
 from .trainables import Trainable
+
+# The records EliteArchive.to_json_dict writes into a checkpoint, each key with its value's shape.
+ARCHIVE = {"capacity": INT, "entries": LIST}
+ELITE = {"payload": ANY, "hyperparams": LIST, "fitness": FINITE, "agent_id": INT, "round": INT}
 
 
 @dataclass(frozen=True)
@@ -73,19 +78,9 @@ class EliteArchive:
         return self._json[1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "entries": [
-                {
-                    "payload": e.payload,
-                    "hyperparams": list(e.hyperparams),
-                    "fitness": e.fitness,
-                    "agent_id": e.agent_id,
-                    "round": e.round,
-                }
-                for e in self.entries
-            ],
-        }
+        entries = [dict(zip(ELITE, (e.payload, list(e.hyperparams), e.fitness, e.agent_id, e.round)))
+                   for e in self.entries]
+        return dict(zip(ARCHIVE, (self.capacity, entries)))
 
 
 def update_elites(archive: EliteArchive, population: Population, round_no: int) -> None:

@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_config
 from .core import ConfigError
 from .lineage import LineageError, read_lineage, replay_run
 from .presets import get_preset, preset_names
@@ -52,8 +52,7 @@ def _fail(exc: BaseException, code: int) -> int:
 def _load_config(args) -> ExperimentConfig:
     if args.preset:
         return get_preset(args.preset)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_json_dict(json.load(fh))
+    return read_config(args.config)
 
 
 def _config_source(parser: argparse.ArgumentParser) -> None:
@@ -88,7 +87,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args)  # get_preset and from_json_dict both validate
+    config = _load_config(args)  # get_preset and read_config both validate
     print(json.dumps(config.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -131,6 +130,8 @@ def cmd_lineage(args) -> int:
         raise ConfigError(f"agent: expected 'best' or a non-negative integer, got {agent!r}")
     if args.round is not None and args.round < 1:
         raise ConfigError(f"round: need >= 1, got {args.round}")
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ConfigError(f"out: {args.out} must name a file in an existing directory")
     read = replay_run if args.replay else read_lineage  # replay_run raises at a round the log differs
     lineage = read(args.run_dir, None if agent == "best" else int(agent), args.round)
     out_path = RunDir(args.run_dir).write_schedule(lineage, args.out)

@@ -6,12 +6,16 @@ exploration switches, the trainable and the search space. Each field is
 declared once, in ExperimentConfig in config.json's key order: its JSON
 shape, its default (none for a required key) and any lower bound. The
 JSON codec and validate() loop over those declarations; every error is a
-ConfigError whose message starts with the bad field.
+ConfigError whose message starts with the bad field. read_config is the one
+reader of a config JSON file: a --config file or a run's config.json.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core import LOG_UNIFORM, ConfigError, HyperparamSpace, SpaceEntry
@@ -74,6 +78,10 @@ def _trainable_from_json(spec: dict) -> dict:
 
 
 INT = Shape("an integer", _is_int)
+ANY = Shape("any value", lambda value: True)  # a payload or evolve_state, which its importer checks
+LIST = Shape("a list", lambda value: isinstance(value, list))
+FINITE = Shape("a finite float", lambda value: isinstance(value, float) and math.isfinite(value))
+OBJECT_OR_NULL = Shape("an object or null", lambda value: value is None or isinstance(value, dict))
 INT_OR_NULL = Shape("an integer or null", lambda v: v is None or _is_int(v))
 INTS = Shape("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), tuple, list)
 BOOL = Shape("true or false", lambda v: isinstance(v, bool))
@@ -190,3 +198,12 @@ class ExperimentConfig:
                      for f in fields(cls) if f.name in data})
         cfg.validate()
         return cfg
+
+
+def read_config(path) -> ExperimentConfig:
+    """The validated config of a JSON file; one that is not JSON, or not UTF-8, is a ConfigError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config: {path} is not JSON: {exc}") from None
+    return ExperimentConfig.from_json_dict(data)

@@ -6,10 +6,10 @@ which effects were applied, which is what lineage reconstruction relies
 on for same-round chains (a later sub-population may copy state that an
 earlier one replaced in the same round).
 
-Readers decode events.jsonl a block of lines per json.loads call (see
-_block_columns); a line that is not an event is named by file and line.
-Both readers run the log's one structural check (_check) on each block in
-file order, refusing a log no well-formed run writes with LineageError
+read_events, the one reader of events.jsonl, decodes a block of lines per
+json.loads call (see _block_columns); a line that is not an event is named by
+file and line. It runs the log's one structural check (_check) on each block
+in file order, refusing a log no well-formed run writes with LineageError
 ("<path>: line <n>: event log broken at round r: ..."); n counts blank lines.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -190,7 +190,7 @@ def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lam
 
 
 def validate_event_log(events: Sequence[EvolutionEvent], num_agents: int | None = None) -> None:
-    """The readers' check over events held in memory; the first broken one is named by round."""
+    """read_events' check over events held in memory; the first broken one is named by round."""
     _check([list(map(attrgetter(k), events)) for k in _FIELDS], [0, set()], num_agents, None)
 
 
@@ -216,17 +216,6 @@ def write_events(log: TextIO, events: Iterable[EvolutionEvent]) -> None:
     """Append events to the open log, one JSON line each, in one write, and flush it."""
     log.write("".join([ev.to_json_line() + "\n" for ev in events]))
     log.flush()
-
-
-def read_payload_events(path, num_agents: int | None = None,
-                        num_hyperparams: int | None = None) -> list[EvolutionEvent]:
-    """The events of path that replace a payload (every kind but survive), in
-    file order; no survive is built, but every event is checked as read_events checks it."""
-    changed: list[EvolutionEvent] = []
-    for cols in _event_blocks(path, None, num_agents, num_hyperparams):
-        mask = list(map(SURVIVE.__ne__, cols[3]))
-        changed += map(EvolutionEvent, *(compress(col, mask) for col in cols))
-    return changed
 
 
 def read_events(path, lines: Sequence[str] | None = None, num_agents: int | None = None,

@@ -18,9 +18,9 @@ logged fitness of its carriers bit for bit, because
   * evaluation draws never touch the training stream.
 
 read_lineage reads the metrics with rundir.read_run and the log with
-events.read_payload_events (each refuses a file no well-formed run writes,
-naming its line, so reconstruction trusts its input), checks the agent and
-round asked for, and reconstructs the schedule; it trains nothing.
+events.read_events (each refuses a file no well-formed run writes, naming
+its line, so reconstruction trusts its input), checks the agent and round
+asked for, and reconstructs the schedule; it trains nothing.
 replay_run, which `popsched lineage --replay` calls, adds the replay: it
 advances and trains in per-round chunks so the draw order inside each
 carrier's stream matches the original run exactly, checks every trained
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import ExperimentConfig
-from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, LineageError, read_payload_events
+from .events import ELITE_RESTORE, SURVIVE, EvolutionEvent, LineageError, read_events
 from .rundir import RunDir, read_run
 from .seeding import agent_trainable_seed
 from .trainables import build_trainable, transfer_weights
@@ -83,10 +83,9 @@ def reconstruct_schedule(
     The target snapshot is the post-training, pre-barrier state of that
     round, i.e. exactly what metrics.csv records there. subpop_size tags
     each segment with its carrier's sub-population (0 when omitted).
-    events must be checked already (read_lineage's reader checks the whole log).
+    events must be checked already (read_lineage's reader checks the whole log),
+    final_round at least 1 and initial_hyperparams must hold every agent.
     """
-    if final_round < 1:
-        raise LineageError(f"final_round must be >= 1, got {final_round}")
 
     def subpop_of(aid: int) -> int:
         return aid // subpop_size if subpop_size else 0
@@ -135,8 +134,6 @@ def reconstruct_schedule(
         else:
             upper = e  # live state: later same-round events excluded
         cur = ev.source_agent_id
-    if cur not in initial_hyperparams:
-        raise LineageError(f"no initial hyperparameters for root agent {cur}")
     segments.append(
         ScheduleSegment(
             start_round=0,
@@ -164,15 +161,12 @@ def replay_schedule(
     The stream advance and the training both happen in per-round chunks
     so draw order matches the original run draw for draw.
     """
-    if not segments:
-        raise LineageError("empty schedule")
     trainable = None
     for seg in segments:
         if not seg.trained:
             continue  # archive dwell: the weights are carried over unchanged
         carrier = build_trainable(config.trainable)
-        carrier.init(agent_trainable_seed(master_seed, seg.agent_id),
-                     dict(zip(config.search_space.names, seg.hyperparams)))
+        carrier.init(agent_trainable_seed(master_seed, seg.agent_id), config.search_space.to_mapping(seg.hyperparams))
         for _ in range(seg.start_round):
             carrier.advance_rng(config.t_ready)
         if trainable is not None:
@@ -216,7 +210,7 @@ def read_lineage(run_dir, agent_id: int | None = None, final_round: int | None =
     run = RunDir(run_dir)
     config, seed, metrics = read_run(run_dir)
     fitness = metrics.fitness
-    changed = read_payload_events(run.events, config.num_agents, len(config.search_space))
+    events = read_events(run.events, num_agents=config.num_agents, num_hyperparams=len(config.search_space))
     n = config.num_agents  # read_run checked that rounds are n-row blocks in agent-id order
     final_round = len(fitness) // n if final_round is None else int(final_round)
     if not 1 <= final_round <= len(fitness) // n:
@@ -227,7 +221,7 @@ def read_lineage(run_dir, agent_id: int | None = None, final_round: int | None =
     if not 0 <= agent_id < n:
         raise LineageError(f"{run.root}: no metrics row for agent {agent_id} at round {final_round}")
     initial_h = dict(enumerate(metrics.hyperparams[:n]))
-    segments = reconstruct_schedule(changed, agent_id, final_round, initial_h, config.subpop_size)
+    segments = reconstruct_schedule(events, agent_id, final_round, initial_h, config.subpop_size)
     return Lineage(agent_id, final_round, tuple(segments), config, seed, fitness)
 
 

@@ -9,7 +9,8 @@
 
 config.json, checkpoints, result.json, schedule.csv and the logs a resume
 truncates are replaced atomically (temp file, then os.replace), so a crash
-leaves the old file or the new one, never a partial one. A resume takes the latest
+leaves the old file or the new one, never a partial one. config.json is read
+by config.read_config, as a --config file is. A resume takes the latest
 checkpoint (resume_state refuses one that is not JSON) only if the engine's
 restore accepts every record in it, before any file is touched, and rewrites
 a log only to drop a torn line, a blank line or a record after the
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_config
 from .core import ConfigError
 from .events import text
 
@@ -152,7 +153,7 @@ class RunDir:
         snaps = sorted(self.checkpoints.glob("round_*.json"))  # never a temp file
         if not snaps:
             raise ConfigError("resume requested but no checkpoint present")
-        stored = load_run_config(self.root)[0].to_json_dict()
+        stored = read_config(self.config).to_json_dict()
         for key, value in _config_echo(config, seed).items():
             if key != "seeds" and stored[key] != value:
                 raise ConfigError(f"{key}: {self.config} has {stored[key]!r}, but this run has {value!r}")
@@ -188,21 +189,11 @@ class RunDir:
         })
 
 
-def load_run_config(run_dir) -> tuple[ExperimentConfig, int]:
-    """Read a run directory's config echo; returns (config, master_seed)."""
-    path = RunDir(run_dir).config
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"config: {path} is not JSON: {exc}") from None
-    cfg = ExperimentConfig.from_json_dict(data)
-    return cfg, cfg.seeds[0]
-
-
 def read_run(run_dir) -> tuple[ExperimentConfig, int, MetricTable]:
-    """A run directory's config, master seed and metrics (read_metrics of the whole file)."""
-    config, seed = load_run_config(run_dir)
-    return config, seed, read_metrics(RunDir(run_dir).metrics, config)
+    """A run directory's config (read_config of its echo), master seed and metrics (read_metrics of the whole file)."""
+    run = RunDir(run_dir)
+    config = read_config(run.config)
+    return config, config.seeds[0], read_metrics(run.metrics, config)
 
 
 def read_metrics(path, config: ExperimentConfig, rounds: int | None = None,

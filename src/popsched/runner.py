@@ -10,11 +10,11 @@ and flushes its metric rows, then runs the barrier, then writes and
 flushes its events, then writes its checkpoint, so a crashed run leaves a
 valid prefix on disk that a resume picks up. A checkpoint is json.dumps of
 the engine state, the elite archive's JSON spliced in and encoded only when
-it changed. Its records are declared once (CHECKPOINT, AGENT, ARCHIVE, ELITE);
-a resume checks and restores them in one pass, then reads the events with
-read_events (the check `popsched lineage` runs) and the metrics rows up to
-the checkpoint with read_metrics, before it rewrites or opens a file. A
-trainable is given hyperparameters only when its agent's vector changed.
+it changed. Its records are declared once (CHECKPOINT and AGENT here, ARCHIVE
+and ELITE in baselines) and written with the declared keys; a resume checks
+and restores them in one pass, then reads the events (read_events) and the
+metrics rows up to the checkpoint (read_metrics) before it rewrites or opens
+a file. A trainable is given hyperparameters only when its vector changed.
 
 All streams derive from (master_seed, agent_id, kind), so results are
 byte-identical across repeats. Each agent keeps one live trainable for
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .baselines import EliteArchive, EliteEntry, backtrack, update_elites
-from .config import INT, ExperimentConfig, Shape
+from .baselines import ARCHIVE, ELITE, EliteArchive, EliteEntry, backtrack, update_elites
+from .config import ANY, FINITE, INT, LIST, OBJECT_OR_NULL, ExperimentConfig, Shape
 from .core import AgentState, ConfigError, Population, positive_reals, sample_hyperparams
 from .events import EvolutionEvent, read_events, write_events
 from .mfpbt import mfpbt_round, subpop_due
@@ -71,15 +71,9 @@ class ExperimentResult:
         return block.index(max(block))
 
 
-ANY = Shape("any value", lambda value: True)  # a payload or evolve_state, which its importer checks
-LIST = Shape("a list", lambda value: isinstance(value, list))
-FINITE = Shape("a finite float", lambda value: isinstance(value, float) and math.isfinite(value))
-OBJECT_OR_NULL = Shape("an object or null", lambda value: value is None or isinstance(value, dict))
-# The records _Engine.checkpoint_dict writes, each key with its value's shape.
+# The records _Engine.checkpoint_dict writes, each key with its value's shape (the archive's are in baselines).
 CHECKPOINT = {"round": INT, "master_seed": INT, "agents": LIST, "archive": OBJECT_OR_NULL}
 AGENT = {"agent_id": INT, "subpop_id": INT, "hyperparams": LIST, "fitness": FINITE, "payload": ANY, "evolve_state": ANY}
-ARCHIVE = {"capacity": INT, "entries": LIST}
-ELITE = {"payload": ANY, "hyperparams": LIST, "fitness": FINITE, "agent_id": INT, "round": INT}
 
 
 def _checked(record, shapes: dict[str, Shape], name: str, at) -> list:
@@ -151,23 +145,11 @@ class _Engine:
     # ------------------------------------------------------- checkpointing
 
     def checkpoint_dict(self, round_no: int) -> dict:
-        agents = [
-            {
-                "agent_id": a.agent_id,
-                "subpop_id": a.subpop_id,
-                "hyperparams": list(a.hyperparams),
-                "fitness": a.snapshot_fitness,
-                "payload": a.trainable.export_payload(),
-                "evolve_state": self.evolve_rngs[a.agent_id].bit_generator.state,
-            }
-            for a in self.population.agents
-        ]
-        return {
-            "round": round_no,
-            "master_seed": self.seed,
-            "agents": agents,
-            "archive": self.archive.to_json_dict() if self.archive is not None else None,
-        }
+        agents = [dict(zip(AGENT, (a.agent_id, a.subpop_id, list(a.hyperparams), a.snapshot_fitness,
+                                   a.trainable.export_payload(), self.evolve_rngs[a.agent_id].bit_generator.state)))
+                  for a in self.population.agents]
+        archive = self.archive.to_json_dict() if self.archive is not None else None
+        return dict(zip(CHECKPOINT, (round_no, self.seed, agents, archive)))
 
     def checkpoint_text(self, round_no: int) -> str:
         """json.dumps(self.checkpoint_dict(round_no)); its last key, the archive, is cached text."""

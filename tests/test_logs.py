@@ -27,7 +27,6 @@ from popsched.events import (
     LineageError,
     event_from_json_line,
     read_events,
-    read_payload_events,
     validate_event_log,
 )
 from popsched.presets import get_preset
@@ -61,11 +60,10 @@ def per_line(text: str) -> list:
 
 
 def assert_readers_match_per_line(path) -> None:
-    """read_events and read_payload_events equal per-line decoding of path."""
+    """read_events equals per-line decoding of path."""
     want = per_line(path.read_text(encoding="utf-8"))
     # repr, not ==: 2 == 2.0, but an int where per-line decoding gives a float is a fault.
     assert repr(read_events(path)) == repr(want)
-    assert repr(read_payload_events(path)) == repr([ev for ev in want if ev.kind != SURVIVE])
 
 
 def write_lines(tmp_path, lines: list[str]):
@@ -75,9 +73,8 @@ def write_lines(tmp_path, lines: list[str]):
 
 
 def rejects_naming(path, line_no: int) -> None:
-    for read in (read_events, read_payload_events):
-        with pytest.raises(ValueError, match=rf"^{path}: line {line_no}: "):
-            read(path)
+    with pytest.raises(ValueError, match=rf"^{path}: line {line_no}: "):
+        read_events(path)
 
 
 # ------------------------------------------------------------ events.jsonl
@@ -95,7 +92,6 @@ def test_a_written_log_is_decoded_in_blocks_not_line_by_line(tmp_path, monkeypat
 
     monkeypatch.setattr(events, "event_from_json_line", fail)
     assert read_events(path) == want
-    assert read_payload_events(path) == [ev for ev in want if ev.kind != SURVIVE]
 
 
 def test_two_objects_on_one_line_plus_one_split_in_a_list_is_rejected(tmp_path):
@@ -189,9 +185,8 @@ def test_the_check_carries_the_round_and_its_rewrites_across_a_block_boundary(
             dumps(line(round=250, target=0, source=source)) for source in (1, 2)]
         reason = "round 250: agent 0 rewritten twice"
     path = write_lines(tmp_path, lines)
-    for read in (read_events, read_payload_events):
-        with pytest.raises(LineageError, match=rf"^{path}: line {bad_line}: event log broken at {reason}$"):
-            read(path)
+    with pytest.raises(LineageError, match=rf"^{path}: line {bad_line}: event log broken at {reason}$"):
+        read_events(path)
 
 
 def test_a_record_the_event_type_refuses_is_named(tmp_path):
@@ -248,9 +243,8 @@ def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, 
         dumps(line(round=2, target=3, source=3)),  # clones itself
     ])
     named = rf"^{path}: line {blanks + line_no}: event log broken at {message}"
-    for read in (read_events, read_payload_events):
-        with pytest.raises(LineageError, match=named):
-            read(path, num_agents=8)
+    with pytest.raises(LineageError, match=named):
+        read_events(path, num_agents=8)
     with pytest.raises(LineageError, match=f"^event log broken at {message}"):
         validate_event_log(per_line(path.read_text(encoding="utf-8")), 8)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsched import events, rundir, runner
-from popsched.config import ExperimentConfig
+from popsched.config import ExperimentConfig, read_config
 from popsched.core import ConfigError, HyperparamSpace, SpaceEntry
 from popsched.presets import get_preset, preset_names
 from popsched.events import (
@@ -27,7 +27,7 @@ from popsched.events import (
 from popsched.rundir import (
     MetricRow,
     MetricTable,
-    load_run_config,
+    RunDir,
     read_metrics,
     read_run,
 )
@@ -458,8 +458,7 @@ def test_run_directory_artifacts(tmp_path):
     cfg = small_config("pbt", total_steps=20, checkpoint_every=2)
     res = run_experiment(cfg, seed=6, out_dir=out)
 
-    cfg_echo, seed = load_run_config(out)
-    assert seed == 6
+    cfg_echo = read_config(RunDir(out).config)
     assert cfg_echo.seeds == (6,)
     assert cfg_echo.algorithm == "pbt"
 
@@ -1015,7 +1014,8 @@ def test_read_run_returns_what_the_run_wrote(tmp_path):
     cfg = small_config("mfpbt", num_agents=8, num_subpops=2, deltas=(1, 2), total_steps=30)
     res = run_experiment(cfg, seed=6, out_dir=out)
     config, seed, metrics = read_run(out)
-    assert (config, seed) == load_run_config(out)
+    echo = read_config(RunDir(out).config)
+    assert (config, seed) == (echo, echo.seeds[0])
     cells = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
     assert metrics == [MetricRow(int(r), int(a), int(s), float(f), tuple(map(float, h)))
                        for r, a, s, f, *h in cells] == res.metrics
