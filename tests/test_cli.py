@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import popsched.cli
 from popsched.cli import main
 from popsched.config import ExperimentConfig
 from popsched.presets import PRESETS, get_preset, preset_names
@@ -118,10 +119,21 @@ def test_validate_bad_config_exits_2(tmp_path, capsys):
     assert envelope["message"].startswith("num_agents:")
 
 
-def test_missing_config_file_exits_1(capsys):
-    code, _, err = run_cli(capsys, "validate", "--config", "/no/such/file.json")
-    assert code == 1
-    assert json.loads(err)["error"] == "FileNotFoundError"
+@pytest.mark.parametrize("command", ["validate", "run", "lineage", "report"])
+def test_a_missing_config_file_exits_2_naming_it(tmp_path, capsys, command):
+    """--config names no file, or a run directory holds no config.json; nothing is created."""
+    nope, empty = tmp_path / "nope.json", tmp_path / "empty"
+    empty.mkdir()
+    argv = {"validate": ["validate", "--config", str(nope)],
+            "run": ["run", "--config", str(nope), "--out", str(tmp_path / "run")],
+            "lineage": ["lineage", str(empty)],
+            "report": ["report", str(empty), "--out", str(tmp_path / "report")]}[command]
+    missing = nope if "--config" in argv else empty / "config.json"
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"config: {missing} cannot be read: No such file or directory"}
+    assert sorted(tmp_path.rglob("*")) == [empty]
 
 
 # ---------------------------------------------------------------- cli: run
@@ -403,6 +415,23 @@ def test_report_refuses_a_run_directory_named_twice(tmp_path, capsys, monkeypatc
     assert envelope["error"] == "ConfigError"
     assert envelope["message"].startswith("run_dirs: ")
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/report"])
+def test_report_out_under_an_existing_file_exits_2_before_reading_a_run(tmp_path, capsys, monkeypatch, out):
+    cfg = tiny_config_file(tmp_path)
+    run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path / "r0"))
+    (tmp_path / "afile").write_text("kept\n")
+    read = []
+    monkeypatch.setattr(popsched.cli, "read_run", lambda *args: read.append(args))
+    before = {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))}
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "r0"), "--out", str(tmp_path / out))
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"] == "ConfigError"
+    assert envelope["message"].startswith(f"out: {tmp_path / out} ")
+    assert read == []
+    assert {p: p.read_bytes() if p.is_file() else None for p in sorted(tmp_path.rglob("*"))} == before
 
 
 # ------------------------------------------------------------ cli: lineage
