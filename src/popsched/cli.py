@@ -107,6 +107,9 @@ def cmd_report(args) -> int:
     if len(set(resolved)) < len(resolved):
         twice = next(d for d, r in zip(args.run_dirs, resolved) if resolved.count(r) > 1)
         raise ConfigError(f"run_dirs: {twice!r} names a run directory given more than once")
+    out_dir = Path(args.out)
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ConfigError(f"out: {args.out} must name a directory, existing or to be made")
     curves_by_label: dict[str, list[list[float]]] = {}
     for run_dir in args.run_dirs:
         config, _, metrics = read_run(run_dir)
@@ -115,7 +118,6 @@ def cmd_report(args) -> int:
     curves = [aggregate_curve(label, cs) for label, cs in sorted(curves_by_label.items())]
     finals = {label: [c[-1] for c in cs] for label, cs in curves_by_label.items()}
     summaries = compare_final(finals)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "report.csv", summaries)
     write_curves_csv(out_dir / "curves.csv", curves)

@@ -201,9 +201,11 @@ class ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    """The validated config of a JSON file; one that is not JSON, or not UTF-8, is a ConfigError naming it."""
+    """The validated config of a JSON file; one it cannot read, or not UTF-8 JSON, is a ConfigError naming it."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config: {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config: {path} is not JSON: {exc}") from None
     return ExperimentConfig.from_json_dict(data)

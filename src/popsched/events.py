@@ -155,6 +155,8 @@ def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lam
     carry, [last round, targets rewritten in it], is updated for the log's next block."""
     last, rewritten = carry
     hi = math.inf if num_agents is None else num_agents
+    values = list(chain.from_iterable(cols[6]))  # the value rule runs per event only on a block that fails it here
+    values_ok = all(map(math.isfinite, values)) and all(map((0.0).__lt__, values))
     for i, (r, target, kind, source, source_round, hps, fitness) in enumerate(zip(cols[0], *cols[2:])):
         if r > last:
             last, rewritten = r, set()
@@ -179,7 +181,7 @@ def _check(cols: list[list], carry: list, num_agents, num_hyperparams, where=lam
             why = "non-finite fitness snapshot"
         elif num_hyperparams is not None and len(hps) != num_hyperparams:
             why = f"hyperparams_after holds {len(hps)} values, not the run's {num_hyperparams}"
-        elif bad := [v for v in hps if not 0.0 < v < math.inf]:
+        elif not values_ok and (bad := [v for v in hps if not 0.0 < v < math.inf]):
             why = f"hyperparams_after value {bad[0]} is not a positive real"
         else:
             if changed:

@@ -22,9 +22,10 @@ events.read_events (each refuses a file no well-formed run writes, naming
 its line, so reconstruction trusts its input), checks the agent and round
 asked for, and reconstructs the schedule; it trains nothing.
 replay_run, which `popsched lineage --replay` calls, adds the replay: it
-advances and trains in per-round chunks so the draw order inside each
-carrier's stream matches the original run exactly, checks every trained
-round against metrics.csv, and raises LineageError at the first that differs.
+advances in per-round chunks and trains a segment in one train_rounds call
+so the draw order inside each carrier's stream matches the original run,
+checks every trained round against metrics.csv, and raises LineageError
+at the first that differs.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def replay_schedule(
     """Re-train a schedule from the master seed and check every trained round's fitness against
     fitness, the run's metrics.csv column; the first round that differs raises LineageError.
 
-    The stream advance and the training both happen in per-round chunks
-    so draw order matches the original run draw for draw.
+    The stream advances in per-round chunks and a segment trains in one
+    train_rounds call, so draw order matches the original run draw for draw.
     """
     trainable = None
     for seg in segments:
@@ -172,9 +173,8 @@ def replay_schedule(
         if trainable is not None:
             transfer_weights(trainable, carrier)
         trainable = carrier
-        for r in range(seg.start_round + 1, seg.end_round + 1):
-            trainable.train(config.t_ready)
-            got = float(trainable.evaluate(config.eval_repeats))
+        rows = type(carrier).train_rounds([carrier], config.t_ready, seg.num_rounds, config.eval_repeats)
+        for r, (got,) in enumerate(rows, seg.start_round + 1):
             want = fitness[(r - 1) * config.num_agents + seg.agent_id]
             if got != want:
                 raise LineageError(

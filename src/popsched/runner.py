@@ -1,12 +1,13 @@
 """Experiment runner: synchronous generations over live trainables.
 
-Every round the agents train t_ready steps in one train_all call and are
-evaluated; at the round barrier the configured scheduler may rewrite
-agents in place, emitting the events that describe what it did. Random
-search does nothing there; every other barrier runs mfpbt_round (PBT as
-its one-sub-population case) unless PBT with backtracking backtracks.
-Through the run's two open logs (RunDir.open_logs), each round writes
-and flushes its metric rows, then runs the barrier, then writes and
+Every round the agents train t_ready steps and are evaluated; at the round
+barrier the configured scheduler may rewrite agents in place, emitting the
+events that describe what it did. Random search does nothing there; every
+other barrier runs mfpbt_round (PBT as its one-sub-population case) unless
+PBT with backtracking backtracks. The rounds up to the next whose barrier or
+checkpoint reads an agent (stretch_ends) train in one train_rounds call.
+Through the run's two open logs (RunDir.open_logs), each such stretch writes
+and flushes its metric rows at once, then runs the barrier, then writes and
 flushes its events, then writes its checkpoint, so a crashed run leaves a
 valid prefix on disk that a resume picks up. A checkpoint is json.dumps of
 the engine state, the elite archive's JSON spliced in and encoded only when
@@ -33,6 +34,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .baselines import ARCHIVE, ELITE, EliteArchive, EliteEntry, backtrack, update_elites
@@ -112,19 +114,29 @@ class _Engine:
             )
         self.population = Population(agents=agents, deltas=config.deltas)
 
-    def train_eval_round(self) -> None:
+    def train_eval_rounds(self, rounds: int) -> list[float]:
+        """Train and evaluate the next rounds with one train_rounds call; their fitness, row after row."""
         cfg = self.config
         agents = self.population.agents
         for a in agents:
             if self.pushed.get(a.agent_id) is not a.hyperparams:  # set by the barrier or a restore
                 a.trainable.set_hyperparams(self.space.to_mapping(a.hyperparams))
                 self.pushed[a.agent_id] = a.hyperparams
-        type(agents[0].trainable).train_all([a.trainable for a in agents], cfg.t_ready)
-        for a in agents:
-            fitness = float(a.trainable.evaluate(cfg.eval_repeats))
-            if not math.isfinite(fitness):
-                raise ValueError(f"agent {a.agent_id} produced non-finite fitness {fitness!r}")
-            a.snapshot_fitness = fitness
+        rows = type(agents[0].trainable).train_rounds([a.trainable for a in agents], cfg.t_ready, rounds,
+                                                      cfg.eval_repeats)
+        fitness = list(chain.from_iterable(rows))
+        if not all(map(math.isfinite, fitness)):
+            k = next(k for k, f in enumerate(fitness) if not math.isfinite(f))
+            raise ValueError(f"agent {k % len(agents)} produced non-finite fitness {fitness[k]!r}")
+        for a, f in zip(agents, rows[-1]):
+            a.snapshot_fitness = f
+        return fitness
+
+    def stretch_ends(self, first: int, last: int) -> list[int]:
+        """Each round after first, to last, whose barrier (see subpop_due) or checkpoint reads an agent; and last."""
+        periods = {"rs": (), "pbt_bt": (1,)}.get(self.config.algorithm, self.config.deltas)
+        periods += (self.config.checkpoint_every,) if self.config.checkpoint_every > 0 else ()
+        return sorted({last}.union(*(range(first - first % p + p, last, p) for p in periods))) if first < last else []
 
     def barrier_events(self, round_no: int) -> list[EvolutionEvent]:
         cfg = self.config
@@ -270,14 +282,14 @@ def run_experiment(
     last_round = config.num_rounds if stop_after_round is None else min(
         stop_after_round, config.num_rounds
     )
+    ends = engine.stretch_ends(start_round, last_round)
     with run.open_logs() if run is not None else nullcontext():
-        for round_no in range(start_round + 1, last_round + 1):
-            engine.train_eval_round()
-            agents = engine.population.agents  # in agent-id order
-            metrics.fitness.extend([a.snapshot_fitness for a in agents])
-            metrics.hyperparams.extend([a.hyperparams for a in agents])
+        for first, round_no in zip([start_round, *ends], ends):  # rounds first+1 .. round_no, then the barrier
+            fitness = engine.train_eval_rounds(round_no - first)
+            metrics.fitness.extend(fitness)
+            metrics.hyperparams.extend([a.hyperparams for a in engine.population.agents] * (round_no - first))
             if run is not None:
-                run.append_metrics(metrics, len(metrics) - len(agents))
+                run.append_metrics(metrics, len(metrics) - len(fitness))
             events = engine.barrier_events(round_no)
             all_events.extend(events)
             if run is not None and events:

@@ -25,9 +25,11 @@ through transfer_weights(), which copies only the weights from one live
 trainable into another and leaves the receiving agent's streams
 untouched.
 
-The runner trains a round with one train_all(trainables, num_steps)
-call, train() on each by default. An override may batch, but must leave
-each trainable's trajectory, step count and streams as train() would.
+The runner trains each stretch of rounds between barriers with one
+train_rounds(trainables, num_steps, rounds, repeats) call: rounds x
+(train() on each, then evaluate each), one fitness row per round. An
+override may batch, but must return those rows and leave each
+trainable's trajectory, step count and streams as that loop would.
 
 Evaluation draws come from a generator derived from (seed, step counter),
 never from the training stream, so repeated evaluation between train
@@ -62,6 +64,7 @@ def two_basin_objective(x: float) -> float:
 # 2 * exp(-12.5): the most the right bump adds at x <= 5; the left one adds half that at x > 5.
 _FAR = 2.0 * math.exp(-12.5)
 _PAD = 1e-10
+_BLOCK = 1024  # draws per walker that one array pass of train_rounds holds, at least one round's
 
 
 def _radius(bound: float) -> float:
@@ -70,6 +73,14 @@ def _radius(bound: float) -> float:
         return math.inf
     r = -2.0 * math.log(bound)
     return r + abs(r) * _PAD + _PAD
+
+
+def _skipped(x, t0, t1, sigma, gs: np.ndarray) -> np.ndarray:
+    """Which proposals x + sigma * g, g in gs, the skip test skips: _climb()'s test, operation for operation."""
+    xp = x + sigma * gs
+    left = xp <= 5.0
+    d = np.where(left, xp, xp - 10.0)
+    return d * d >= np.where(left, t0, t1)
 
 
 def _skip_radii(fx: float) -> tuple[float, float]:
@@ -114,10 +125,15 @@ class Trainable:
         raise NotImplementedError
 
     @classmethod
-    def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
-        """train(num_steps) on each trainable, in order; see the module docstring."""
-        for t in trainables:
-            t.train(num_steps)
+    def train_rounds(cls, trainables: list[Trainable], num_steps: int, rounds: int, repeats: int) -> list[list[float]]:
+        """rounds x (train(num_steps) on each, then evaluate(repeats) on each): a fitness row per round, in
+        trainable order; see the module docstring."""
+        rows = []
+        for _ in range(rounds):
+            for t in trainables:
+                t.train(num_steps)
+            rows.append([float(t.evaluate(repeats)) for t in trainables])
+        return rows
 
     def advance_rng(self, num_steps: int) -> None:
         """Consume exactly what train(num_steps) would, without training."""
@@ -213,9 +229,12 @@ class TwoBasinTrainable(Trainable):
     accepts and single rejections, and radii computed at one of those go
     stale at the next accept. The corruption loop evaluates every
     proposal: a jump can lower the walker's fitness at any step, which
-    leaves the radii stale in the unsafe direction. train_all() runs the
-    test on a whole population as array ops, which round alike, and each
-    walker's draws from its first kept proposal on go to _climb().
+    leaves the radii stale in the unsafe direction. Without corruption or
+    evaluation noise, train_rounds() draws each walker's block of whole
+    rounds (up to _BLOCK draws) in one call and tests the population's
+    block as array ops, which round alike; a walker climbs with _climb()
+    through the round of each kept proposal, and its remaining draws are
+    tested again if that changed its state.
     """
 
     kind = "two_basin"
@@ -289,23 +308,35 @@ class TwoBasinTrainable(Trainable):
         self._x, self._fx, self._radii = x, fx, (radii_fx, t0, t1)
 
     @classmethod
-    def train_all(cls, trainables: list[Trainable], num_steps: int) -> None:
-        """train() on each walker; see the class docstring."""
+    def train_rounds(cls, trainables: list[Trainable], num_steps: int, rounds: int, repeats: int) -> list[list[float]]:
+        """Trainable.train_rounds; without corruption or evaluation noise, in blocks of rounds (class docstring)."""
         sigmas = [t._sigma() for t in trainables]  # every check before any draw
-        if not trainables or any(t.forget_prob > 0.0 for t in trainables):
-            return super().train_all(trainables, num_steps)
-        gs = np.empty((len(trainables), num_steps))
-        for t, row in zip(trainables, gs):
-            t._rng_train.standard_normal(out=row)
-            t._steps += num_steps
-        x, _, t0, t1 = np.array([(t._x, *t._radii) for t in trainables]).T[:, :, None]
-        xp = x + np.array(sigmas)[:, None] * gs
-        left = xp <= 5.0
-        d = np.where(left, xp, xp - 10.0)
-        skip = d * d >= np.where(left, t0, t1)  # _climb()'s test, operation for operation
-        for i in np.flatnonzero(~skip.all(axis=1)).tolist():
-            first = skip[i].argmin()  # the walker's first kept proposal
-            trainables[i]._climb(sigmas[i], gs[i, first:].tolist())
+        if not trainables or any(t.forget_prob or t.eval_noise for t in trainables):
+            return super().train_rounds(trainables, num_steps, rounds, repeats)
+        rows: list[list[float]] = []
+        per_block, sigma_col = max(1, _BLOCK // num_steps), np.array(sigmas)[:, None]
+        for done in range(0, rounds, per_block):
+            steps = min(per_block, rounds - done) * num_steps
+            gs = np.empty((len(trainables), steps))
+            for t, row in zip(trainables, gs):
+                t._rng_train.standard_normal(out=row)
+                t._steps += steps
+            x, fx, _, t0, t1 = np.array([(t._x, t._fx, *t._radii) for t in trainables]).T[:, :, None]
+            fit = fx.T.repeat(steps // num_steps, 0)  # each walker's fitness after each round
+            skip = _skipped(x, t0, t1, sigma_col, gs)
+            for i in np.flatnonzero(~skip.all(axis=1)).tolist():
+                t, row, j = trainables[i], skip[i], skip[i].argmin()
+                while not row[j]:  # climb through the round of the first kept proposal, then test the rest again
+                    end, state = (j // num_steps + 1) * num_steps, (t._x, t._radii)
+                    t._climb(sigmas[i], gs[i, j:end].tolist())
+                    fit[j // num_steps:, i] = t._fx
+                    if end == steps:
+                        break
+                    if (t._x, t._radii) != state:
+                        row[end:] = _skipped(t._x, *t._radii[1:], sigmas[i], gs[i, end:])
+                    j = end + row[end:].argmin()
+            rows += fit.tolist()
+        return rows
 
     def advance_rng(self, num_steps: int) -> None:
         self._rng_train.standard_normal(num_steps)

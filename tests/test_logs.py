@@ -249,6 +249,19 @@ def test_validation_names_the_first_broken_event_in_file_order(tmp_path, first, 
         validate_event_log(per_line(path.read_text(encoding="utf-8")), 8)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -0.5, float("nan"), float("inf")])
+def test_one_bad_value_deep_in_a_block_of_good_ones_is_named_by_its_line(tmp_path, bad):
+    """The block passes the value rule's one pass or is checked event by event."""
+    recs = [line(round=1 + i // 4, target=i % 4, kind=SURVIVE) for i in range(2 * events._EVENT_BLOCK)]
+    recs[1234]["hyperparams_after"] = [0.5, bad]
+    path = write_lines(tmp_path, [dumps(rec) for rec in recs])
+    with pytest.raises(LineageError, match=rf"^{path}: line 1235: event log broken at round 309: "
+                                           rf"hyperparams_after value {bad} is not a positive real$"):
+        read_events(path, num_agents=4, num_hyperparams=2)
+    with pytest.raises(LineageError, match=rf"^event log broken at round 309: hyperparams_after value {bad} "):
+        validate_event_log(per_line(path.read_text(encoding="utf-8")), 4)
+
+
 def test_writing_events_leaves_no_dict_on_each_event():
     """Reading an event's __dict__ (vars) would keep a dict on it, about 64 B apiece."""
     evs = [event_from_json_line(dumps(line(round=1 + i // 4, target=i % 4))) for i in range(1000)]

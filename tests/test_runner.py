@@ -713,25 +713,29 @@ def test_a_run_that_raises_closes_both_logs_and_keeps_its_flushed_rounds(tmp_pat
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    real_checkpoint_dict, real_evaluate, evaluated = runner._Engine.checkpoint_dict, TwoBasinTrainable.evaluate, []
+    real_checkpoint_dict, real_rounds, trained = runner._Engine.checkpoint_dict, TwoBasinTrainable.train_rounds, []
 
     def checkpoint_dict(self, round_no):
         if round_no == 5:
             raise OSError("disk full")
         return real_checkpoint_dict(self, round_no)
 
-    def evaluate(self, repeats):
-        evaluated.append(self)
-        return math.nan if len(evaluated) == 2 * cfg.num_agents + 1 else real_evaluate(self, repeats)
+    def train_rounds(trainables, num_steps, rounds, repeats):  # a pbt_bt run trains one round per call
+        rows = real_rounds(trainables, num_steps, rounds, repeats)
+        trained.append(rounds)
+        if len(trained) == 3:
+            rows[0][0] = math.nan
+        return rows
 
     if fault == "checkpoint":
         monkeypatch.setattr(runner._Engine, "checkpoint_dict", checkpoint_dict)
     else:
-        monkeypatch.setattr(TwoBasinTrainable, "evaluate", evaluate)
+        monkeypatch.setattr(TwoBasinTrainable, "train_rounds", staticmethod(train_rounds))
     monkeypatch.setattr(rundir, "open", spy_open, raising=False)
     with pytest.raises((OSError, ValueError), match="disk full|non-finite fitness nan"):
         run_experiment(cfg, seed=2, out_dir=part)
     monkeypatch.undo()
+    assert trained in ([], [1, 1, 1])
 
     logs = [fh for fh in opened if fh.mode == "a"]
     assert [Path(fh.name).name for fh in logs] == ["metrics.csv", "events.jsonl"]
@@ -779,6 +783,22 @@ def test_checkpoint_text_is_json_dumps_of_checkpoint_dict_at_every_round(tmp_pat
     assert min(restores) < 6 < max(restores)
 
 
+@pytest.mark.parametrize("algorithm,deltas", [("rs", (1,)), ("pbt", (4,))])
+def test_each_checkpoint_round_ends_a_stretch_of_batched_rounds(tmp_path, algorithm, deltas):
+    """rs, and pbt every 4 rounds, train the rounds between barriers in one batch; a checkpoint every
+    3 rounds is still written at each of its rounds, and a resume from each writes the run's bytes."""
+    cfg = small_config(algorithm, deltas=deltas, total_steps=5 * 14, checkpoint_every=3)
+    full = tmp_path / "full"
+    run_experiment(cfg, seed=3, out_dir=full)
+    assert sorted(p.name for p in (full / "checkpoints").iterdir()) == [
+        f"round_{r:06d}.json" for r in (3, 6, 9, 12)]
+    for stop in (4, 8, 13):  # the resume starts from rounds 3, 6 and 12
+        part = tmp_path / f"stopped-at-{stop}"
+        run_experiment(cfg, seed=3, out_dir=part, stop_after_round=stop)
+        run_experiment(cfg, seed=3, out_dir=part, resume=True)
+        assert _run_files(part) == _run_files(full)
+
+
 def test_a_resume_with_nothing_to_drop_leaves_both_logs_untouched(tmp_path):
     cfg = _checkpointed_pbt_bt()
     run_experiment(cfg, seed=2, out_dir=tmp_path, stop_after_round=6)
@@ -801,23 +821,23 @@ def test_hyperparams_are_pushed_to_a_trainable_only_after_a_change(tmp_path, mon
     cfg = small_config("pbt", num_agents=8, total_steps=60, checkpoint_every=1)
     pushed: list[dict] = []  # per round: agent id -> the mapping it was given
     owner: dict[int, int] = {}
-    real_set, real_round = TwoBasinTrainable.set_hyperparams, runner._Engine.train_eval_round
+    real_set, real_rounds = TwoBasinTrainable.set_hyperparams, runner._Engine.train_eval_rounds
 
     def set_hyperparams(self, hyperparams):
         if owner:  # inside a round, not a trainable's own init
             pushed[-1][owner[id(self)]] = dict(hyperparams)
         real_set(self, hyperparams)
 
-    def train_eval_round(engine):
+    def train_eval_rounds(engine, rounds):
         owner.update((id(a.trainable), a.agent_id) for a in engine.population.agents)
         pushed.append({})
         try:
-            real_round(engine)
+            return real_rounds(engine, rounds)
         finally:
             owner.clear()
 
     monkeypatch.setattr(TwoBasinTrainable, "set_hyperparams", set_hyperparams)
-    monkeypatch.setattr(runner._Engine, "train_eval_round", train_eval_round)
+    monkeypatch.setattr(runner._Engine, "train_eval_rounds", train_eval_rounds)
     full, part = tmp_path / "full", tmp_path / "part"
     run_experiment(cfg, seed=5, out_dir=part, stop_after_round=6)
     res = run_experiment(cfg, seed=5, out_dir=part, resume=True)

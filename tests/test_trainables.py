@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsched.baselines import EliteEntry
+from popsched.presets import get_preset
+from popsched.runner import run_experiment
 from popsched.trainables import (
+    _BLOCK,
     TRAINABLES,
     QuadraticLRTrainable,
     SeedLotteryTrainable,
@@ -209,37 +213,105 @@ def test_two_basin_train_matches_the_reference_loop(start_x, forget_prob, seed, 
 @given(
     walkers=st.lists(st.tuples(_START_X, _SIGMA, st.integers(0, 2**32)), min_size=1, max_size=32),
     forget_prob=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
-    calls=st.lists(st.tuples(st.integers(1, 300), st.lists(st.tuples(st.integers(0, 31), _START_X),
-                                                            max_size=4)),
+    calls=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 3),
+                             st.lists(st.tuples(st.integers(0, 31), _START_X), max_size=4)),
                    min_size=1, max_size=3),
     bad=st.tuples(st.integers(0, 31), st.sampled_from([None, 0.0, -0.5])),
 )
-def test_two_basin_train_all_matches_the_reference_loop_on_each_walker(walkers, forget_prob, calls,
-                                                                        bad):
-    """Chained train_all calls over a population, some walkers moved by import_weights
+def test_two_basin_train_rounds_matches_the_reference_loop_on_each_walker(walkers, forget_prob, calls,
+                                                                           bad):
+    """Chained train_rounds calls over a population, some walkers moved by import_weights
     between them; then a walker without a positive sigma fails the call before any draw."""
     batch = [TwoBasinTrainable(start_x=x, forget_prob=forget_prob) for x, _, _ in walkers]
     refs = [_ReferenceTwoBasin(start_x=x, forget_prob=forget_prob) for x, _, _ in walkers]
     for (_, sigma, seed), fast, ref in zip(walkers, batch, refs):
         fast.init(seed, {"sigma": sigma})
         ref.init(seed, {"sigma": sigma})
-    for steps, moves in calls:
+    for steps, rounds, moves in calls:
         for i, moved_to in moves:
             batch[i % len(batch)].import_weights({"x": moved_to})
             refs[i % len(refs)].import_weights({"x": moved_to})
-        TwoBasinTrainable.train_all(batch, steps)
+        rows = TwoBasinTrainable.train_rounds(batch, steps, rounds, 1)
+        want = []
+        for _ in range(rounds):
+            for ref in refs:
+                ref.train(steps)
+            want.append([ref.evaluate() for ref in refs])
+        assert rows == want
         for fast, ref in zip(batch, refs):
-            ref.train(steps)
             assert (fast._x, fast._steps) == (ref._x, ref._steps)
             assert fast.export_payload() == ref.export_payload()
-            assert fast.evaluate() == ref.evaluate()
 
     i, sigma = bad
     batch[i % len(batch)].set_hyperparams({} if sigma is None else {"sigma": sigma})
     before = [t.export_payload() for t in batch]
     with pytest.raises(ValueError, match="positive 'sigma'"):
-        TwoBasinTrainable.train_all(batch, calls[0][0])
+        TwoBasinTrainable.train_rounds(batch, calls[0][0], 2, 1)
     assert [t.export_payload() for t in batch] == before
+
+
+class _CountingTwoBasin(TwoBasinTrainable):
+    """A walker that counts its train() calls, which only train_rounds' default path makes."""
+
+    calls = 0
+
+    def train(self, num_steps: int) -> None:
+        _CountingTwoBasin.calls += 1
+        super().train(num_steps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    walkers=st.lists(st.tuples(_START_X, _SIGMA, st.integers(0, 2**32), st.integers(0, 120),
+                               st.one_of(st.none(), _START_X)), min_size=1, max_size=16),
+    num_steps=st.sampled_from([1, 7, 50]),
+    rounds=st.sampled_from(["1", "2", "3", "one past a block", "40"]),
+    default=st.sampled_from([None, "forget_prob", "eval_noise"]),
+)
+def test_two_basin_train_rounds_equals_rounds_of_train_and_evaluate(walkers, num_steps, rounds, default):
+    """One train_rounds call against rounds x (train on each, then evaluate each), bit for bit, from
+    walkers trained first (radii at some fitness), some then moved (radii reset). One walker with
+    corruption or evaluation noise sends the whole population down the default path."""
+    rounds = _BLOCK // num_steps + 1 if rounds == "one past a block" else int(rounds)
+
+    def population():
+        out = []
+        for k, (x, sigma, seed, steps, moved_to) in enumerate(walkers):
+            t = _CountingTwoBasin(start_x=x, **({default: 0.05} if default and k == len(walkers) // 2 else {}))
+            t.init(seed, {"sigma": sigma})
+            t.train(steps)
+            if moved_to is not None:
+                t.import_weights({"x": moved_to})
+            out.append(t)
+        return out
+
+    batch, refs = population(), population()
+    _CountingTwoBasin.calls = 0
+    rows = TwoBasinTrainable.train_rounds(batch, num_steps, rounds, 2)
+    assert _CountingTwoBasin.calls == (rounds * len(batch) if default else 0)
+    want = []
+    for _ in range(rounds):
+        for ref in refs:
+            ref.train(num_steps)
+        want.append([ref.evaluate(2) for ref in refs])
+    assert rows == want
+    assert [t.export_payload() for t in batch] == [ref.export_payload() for ref in refs]
+
+
+def test_a_twobasin_rs_run_never_holds_its_whole_run_of_draws():
+    """Random search trains its 400 rounds as one stretch, which train_rounds draws block by block:
+    the run's traced peak stays under half of its draws' bytes (a single block would hold them all)."""
+    config = get_preset("twobasin-rs")
+    run_experiment(config, seed=0, stop_after_round=2)  # what a first run caches is not the batch's
+    tracemalloc.start()
+    try:
+        run_experiment(config, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draws = config.num_agents * config.num_rounds * config.t_ready * 8
+    assert config.num_rounds == 400
+    assert peak < draws / 2
 
 
 def _skipped(xp: float, t0: float, t1: float) -> bool:
@@ -416,9 +488,8 @@ def test_payload_round_trip_is_exact(cls, h):
     assert src.evaluate() == dst.evaluate()
     # And so does training one of them as a batch of one.
     src.train(10)
-    cls.train_all([dst], 10)
+    assert cls.train_rounds([dst], 10, 1, 1) == [[src.evaluate()]]
     assert src.export_payload() == dst.export_payload()
-    assert src.evaluate() == dst.evaluate()
     assert _evaluates_f_of_x(dst)
 
 
