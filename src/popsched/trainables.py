@@ -126,8 +126,7 @@ class Trainable:
 
     @classmethod
     def train_rounds(cls, trainables: list[Trainable], num_steps: int, rounds: int, repeats: int) -> list[list[float]]:
-        """rounds x (train(num_steps) on each, then evaluate(repeats) on each): a fitness row per round, in
-        trainable order; see the module docstring."""
+        """rounds x (train(num_steps) on each, then evaluate(repeats) on each): a fitness row per round."""
         rows = []
         for _ in range(rounds):
             for t in trainables:
@@ -314,28 +313,29 @@ class TwoBasinTrainable(Trainable):
         if not trainables or any(t.forget_prob or t.eval_noise for t in trainables):
             return super().train_rounds(trainables, num_steps, rounds, repeats)
         rows: list[list[float]] = []
-        per_block, sigma_col = max(1, _BLOCK // num_steps), np.array(sigmas)[:, None]
+        per_block = max(1, _BLOCK // num_steps)
         for done in range(0, rounds, per_block):
             steps = min(per_block, rounds - done) * num_steps
             gs = np.empty((len(trainables), steps))
             for t, row in zip(trainables, gs):
                 t._rng_train.standard_normal(out=row)
                 t._steps += steps
-            x, fx, _, t0, t1 = np.array([(t._x, t._fx, *t._radii) for t in trainables]).T[:, :, None]
-            fit = fx.T.repeat(steps // num_steps, 0)  # each walker's fitness after each round
-            skip = _skipped(x, t0, t1, sigma_col, gs)
+            x, _, t0, t1 = np.array([(t._x, *t._radii) for t in trainables]).T[:, :, None]
+            skip = _skipped(x, t0, t1, np.array(sigmas)[:, None], gs)
+            fit = [[t._fx for t in trainables] for _ in range(steps // num_steps)]  # a row per round: fitness after it
             for i in np.flatnonzero(~skip.all(axis=1)).tolist():
-                t, row, j = trainables[i], skip[i], skip[i].argmin()
-                while not row[j]:  # climb through the round of the first kept proposal, then test the rest again
+                t, row, j = trainables[i], skip[i], int(skip[i].argmin())
+                while not row[j]:  # climb through the round of a kept proposal, then test the rest again
                     end, state = (j // num_steps + 1) * num_steps, (t._x, t._radii)
                     t._climb(sigmas[i], gs[i, j:end].tolist())
-                    fit[j // num_steps:, i] = t._fx
+                    for f in fit[j // num_steps:]:
+                        f[i] = t._fx
                     if end == steps:
                         break
                     if (t._x, t._radii) != state:
                         row[end:] = _skipped(t._x, *t._radii[1:], sigmas[i], gs[i, end:])
-                    j = end + row[end:].argmin()
-            rows += fit.tolist()
+                    j = end + int(row[end:].argmin())
+            rows += fit
         return rows
 
     def advance_rng(self, num_steps: int) -> None:
