@@ -34,7 +34,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 from .baselines import ARCHIVE, ELITE, EliteArchive, EliteEntry, backtrack, update_elites
@@ -124,7 +123,7 @@ class _Engine:
                 self.pushed[a.agent_id] = a.hyperparams
         rows = type(agents[0].trainable).train_rounds([a.trainable for a in agents], cfg.t_ready, rounds,
                                                       cfg.eval_repeats)
-        fitness = list(chain.from_iterable(rows))
+        fitness = [f for row in rows for f in row]
         if not all(map(math.isfinite, fitness)):
             k = next(k for k, f in enumerate(fitness) if not math.isfinite(f))
             raise ValueError(f"agent {k % len(agents)} produced non-finite fitness {fitness[k]!r}")
